@@ -2,8 +2,10 @@
 
 Composable pieces: linear maps, layer norm, embeddings, scaled dot-product
 multi-head attention, and the gated recurrent memory used by both the event
-and sentence transformers.  Every layer exposes ``parameters()`` returning a
-flat name -> Tensor mapping so optimizers and checkpoints see one namespace.
+and sentence transformers, plus ``IncrementalPass``, which feeds a causal
+sequence through a memory transformer a row at a time.  Every layer exposes
+``parameters()`` returning a flat name -> Tensor mapping so optimizers and
+checkpoints see one namespace.
 """
 
 from __future__ import annotations
@@ -161,19 +163,22 @@ class MemTransformerLayer(Layer):
         self.norm2 = LayerNorm(dim, dtype=dtype)
         self.mem_update = MemoryUpdater(dim, heads, rng, dtype=dtype)
 
+    def block(self, x: Tensor, context: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Attention of ``x`` over ``context``, then the FFN, each with a
+        residual connection and layer norm; the memory is not updated."""
+        h1 = self.norm1(x + self.attn(x, context, mask))
+        return self.norm2(h1 + self.ffn(h1))
+
     def __call__(self, x: Tensor, memory: Tensor, self_mask: np.ndarray | None):
         n, slots = x.shape[0], memory.shape[0]
-        context = concat([memory, x], axis=0)
         if self_mask is not None:
             mask = np.concatenate(
                 [np.zeros((n, slots), dtype=self_mask.dtype), self_mask], axis=1
             )
         else:
             mask = None
-        h1 = self.norm1(x + self.attn(x, context, mask))
-        h2 = self.norm2(h1 + self.ffn(h1))
-        new_memory = self.mem_update(memory, h2)
-        return h2, new_memory
+        h2 = self.block(x, concat([memory, x], axis=0), mask)
+        return h2, self.mem_update(memory, h2)
 
 
 class MemTransformer(Layer):
@@ -197,6 +202,39 @@ class MemTransformer(Layer):
             x, new_mem = layer(x, memory, self_mask)
             new_memories.append(new_mem)
         return x, new_memories
+
+
+class IncrementalPass:
+    """A ``MemTransformer`` pass fed a few rows at a time.
+
+    Exact for sequences in which no row reads a later one: each ``push`` adds
+    rows that read every earlier row and each other.  Appending rows then
+    changes no earlier hidden state, so each layer keeps its input rows
+    (behind the memory) as the attention context of later rows and its output
+    rows for the memory update, which runs once, in ``update_memories``.
+    """
+
+    def __init__(self, tf: MemTransformer, memories: list[Tensor]):
+        self.layers = tf.layers
+        self.memories = memories
+        self.contexts = list(memories)
+        self.outputs: list[list[Tensor]] = [[] for _ in memories]
+
+    def push(self, x: Tensor) -> Tensor:
+        """Run rows ``x`` through every layer; returns the last layer's rows."""
+        for i, layer in enumerate(self.layers):
+            self.contexts[i] = concat([self.contexts[i], x], axis=0)
+            x = layer.block(x, self.contexts[i])
+            self.outputs[i].append(x)
+        return x
+
+    def update_memories(self) -> list[Tensor]:
+        """Each layer's memory update over all its output rows: the memories
+        one full pass over the pushed rows returns."""
+        return [
+            layer.mem_update(memory, concat(rows, axis=0))
+            for layer, memory, rows in zip(self.layers, self.memories, self.outputs)
+        ]
 
 
 def sinusoidal_encoding(length: int, dim: int, dtype=np.float64) -> np.ndarray:

@@ -9,6 +9,12 @@ reaches the selector; inference takes the argmax.  The sentence transformer
 (also memory-augmented) decodes one sentence per selected event, and the two
 memory banks are mixed through sigmoid gates between steps.
 
+Greedy decoding is incremental: ingredient rows never read word rows and a
+word row reads only earlier words, so appending a token changes no earlier
+hidden state.  Each token therefore pushes one new row through the sentence
+layers, and the sentence memories are updated once per sentence, over the
+final rows; the result equals a full pass over the decoded prefix.
+
 Model variants:
   B      events only
   BI     + ingredient rows in both transformers
@@ -58,10 +64,12 @@ from .extended import (
 from .layers import (
     NEG_INF,
     Embedding,
+    IncrementalPass,
     Layer,
     Linear,
     MemTransformer,
     MLP,
+    causal_mask,
     sinusoidal_encoding,
 )
 from .dvceval import tiou as _tiou
@@ -426,16 +434,29 @@ class RecipeModel(Layer):
         mask = np.zeros((size, size), dtype=self.config.dtype)
         # ingredient rows never read word columns (no lookahead leakage)
         mask[:n_ing, n_ing:] = NEG_INF
-        idx = np.arange(n_words)
-        word_block = np.where(idx[None, :] > idx[:, None], NEG_INF, 0.0)
-        mask[n_ing:, n_ing:] = word_block
+        mask[n_ing:, n_ing:] = causal_mask(n_words, self.config.dtype)
         return mask
 
-    def _word_rows(self, input_ids: list[int], h_sel: Tensor) -> Tensor:
+    def _word_rows(self, input_ids: list[int], h_sel: Tensor, start: int = 0) -> Tensor:
+        """Input rows of words at positions ``start``, ``start + 1``, ..."""
         emb = self.word_embed(input_ids)
         w = self.word_adapter(emb).relu()
-        pe = Tensor(self._pe[: len(input_ids)])
+        pe = Tensor(self._pe[start : start + len(input_ids)])
         return w + pe + h_sel
+
+    def _vocab_log_probs(self, word_h: Tensor, sim: SimulatorStep | None):
+        """Vocabulary log-probs of word hidden rows, plus the textual-attention
+        weights (BIVT only, else None)."""
+        logits = self.vocab_head(word_h)
+        if self.config.variant != "BIVT":
+            return log_softmax(logits, axis=-1), None
+        if sim is None:
+            raise ValueError("textual attention needs simulator outputs")
+        ctx_g, ctx_a, alpha_g, alpha_a = self.textual_attention(
+            word_h, sim.new_state, sim.action_context
+        )
+        logits = logits + self.vocab_head_ing(ctx_g) + self.vocab_head_act(ctx_a)
+        return log_softmax(logits, axis=-1), (alpha_g, alpha_a)
 
     def _decode_pass(
         self,
@@ -457,17 +478,8 @@ class RecipeModel(Layer):
         mask = self._sentence_mask(n_ing, len(input_ids))
         out, new_mems = self.sent_tf(seq, s_mems, mask)
         word_h = out[n_ing:] if n_ing else out
-        logits = self.vocab_head(word_h)
-        alphas = None
-        if self.config.variant == "BIVT":
-            if sim is None:
-                raise ValueError("textual attention needs simulator outputs")
-            ctx_g, ctx_a, alpha_g, alpha_a = self.textual_attention(
-                word_h, sim.new_state, sim.action_context
-            )
-            logits = logits + self.vocab_head_ing(ctx_g) + self.vocab_head_act(ctx_a)
-            alphas = (alpha_g, alpha_a)
-        return log_softmax(logits, axis=-1), new_mems, alphas
+        logp, alphas = self._vocab_log_probs(word_h, sim)
+        return logp, new_mems, alphas
 
     def generate_sentence(
         self,
@@ -482,6 +494,14 @@ class RecipeModel(Layer):
 
         Returns (emitted token ids, log-prob rows, new memories, attention
         weights).  In teacher mode the emitted ids are the targets.
+
+        Greedy mode returns one log-prob row per input position (BOS plus the
+        emitted ids) and no attention weights.  It never emits PAD or BOS.  It
+        decodes incrementally: the ingredient rows go through the layers once,
+        then each token pushes one new word row, because no row reads a later
+        one and so no earlier hidden state changes.  The memories are updated
+        once, over the final rows, and equal those of one full
+        ``_decode_pass`` over BOS plus the emitted ids.
         """
         if teacher_tokens is not None:
             input_ids = [BOS] + list(teacher_tokens[:-1])
@@ -490,15 +510,22 @@ class RecipeModel(Layer):
             )
             return list(teacher_tokens), logp, new_mems, alphas
 
+        decoder = IncrementalPass(self.sent_tf, s_mems)
+        if gen_ing is not None:
+            decoder.push(gen_ing)
         decoded: list[int] = []
+        rows: list[Tensor] = []
+        token = BOS
         while True:
-            logp, new_mems, alphas = self._decode_pass(
-                [BOS] + decoded, h_sel, s_mems, gen_ing, sim
-            )
-            nxt = int(np.argmax(logp.data[-1]))
-            if nxt == EOS or len(decoded) >= self.config.max_sentence_len:
-                return decoded, logp, new_mems, alphas
-            decoded.append(nxt)
+            word_h = decoder.push(self._word_rows([token], h_sel, start=len(decoded)))
+            logp, _ = self._vocab_log_probs(word_h, sim)
+            rows.append(logp)
+            scores = logp.data[0].copy()
+            scores[[PAD, BOS]] = -np.inf
+            token = int(np.argmax(scores))
+            if token == EOS or len(decoded) >= self.config.max_sentence_len:
+                return decoded, concat(rows, axis=0), decoder.update_memories(), None
+            decoded.append(token)
 
     # -- training --------------------------------------------------------------
 
@@ -739,7 +766,17 @@ def load_checkpoint(path) -> tuple[RecipeModel, dict]:
         meta = json.loads(bytes(blob["meta"]).decode())
         config = ModelConfig.from_dict(meta["config"])
         model = RecipeModel(config, Vocabulary(meta["vocab"]), meta["actions"], seed=0)
+        want = config_hash(model.config, model.vocab, model.action_lexicon)
+        if meta.get("config_hash") != want:
+            raise ValueError(
+                f"checkpoint {path}: stored config_hash {meta.get('config_hash')!r} "
+                f"does not match {want!r} computed from its config, vocabulary and actions"
+            )
         params = model.parameters()
+        stored = {key[len("param/"):] for key in blob.files if key.startswith("param/")}
+        missing = sorted(params.keys() - stored)
+        if missing:
+            raise ValueError(f"checkpoint {path} lacks parameters: {', '.join(missing)}")
         for key in blob.files:
             if key.startswith("param/"):
                 name = key[len("param/"):]

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from recipegen.autodiff import Tensor, log_softmax, softmax
-from recipegen.data import EOS, PAD, build_vocabulary
+from recipegen.data import BOS, EOS, PAD, build_vocabulary
 from recipegen.layers import sinusoidal_encoding
 from recipegen.model import (
     ModelConfig,
@@ -21,6 +22,7 @@ from recipegen.model import (
     save_checkpoint,
     tau_schedule,
 )
+from recipegen.optim import Adam, OptimizerConfig
 from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
 
 WORLD = WorldConfig(num_videos=6, seed=21)
@@ -420,6 +422,18 @@ class TestInference:
         )
         assert tokens == []
 
+    def test_greedy_never_emits_pad_or_bos(self):
+        model = tiny_model(seed=2)
+        model.vocab_head.bias.data[PAD] = 1000.0
+        model.vocab_head.bias.data[BOS] = 1000.0
+        h_sel = Tensor(np.zeros((1, model.config.hidden)))
+        tokens, rows, _, _ = model.generate_sentence(
+            h_sel, model.sent_tf.initial_memory(), None, teacher_tokens=None
+        )
+        assert tokens and PAD not in tokens and BOS not in tokens
+        # the log-prob rows still rank the reserved ids first
+        assert set(np.argmax(rows.data, axis=-1)) <= {PAD, BOS}
+
     def test_memory_recurrence_resume_bit_exact(self):
         model = tiny_model(seed=13)
         record = RECORDS[4]
@@ -454,3 +468,101 @@ class TestCheckpoint:
         ):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
+
+    def _saved_arrays(self, path):
+        save_checkpoint(path, tiny_model())
+        with np.load(path) as blob:
+            return {k: blob[k] for k in blob.files}
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path = tmp_path / "m.npz"
+        arrays = self._saved_arrays(path)
+        del arrays["param/rel_enc.weight"]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="rel_enc.weight"):
+            load_checkpoint(path)
+
+    def test_config_hash_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "m.npz"
+        arrays = self._saved_arrays(path)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["config_hash"] = "0" * 16
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="config_hash"):
+            load_checkpoint(path)
+
+
+def reference_generate(model):
+    """Greedy decoding by one full ``_decode_pass`` per emitted token."""
+
+    def generate(h_sel, s_mems, gen_ing, teacher_tokens=None, sim=None):
+        decoded = []
+        while True:
+            logp, new_mems, _ = model._decode_pass([BOS] + decoded, h_sel, s_mems, gen_ing, sim)
+            scores = logp.data[-1].copy()
+            scores[[PAD, BOS]] = -np.inf
+            token = int(np.argmax(scores))
+            if token == EOS or len(decoded) >= model.config.max_sentence_len:
+                return decoded, logp, new_mems, None
+            decoded.append(token)
+
+    return generate
+
+
+def greedy_steps(model, record):
+    ctx, state = model.init_inference(record)
+    steps = []
+    for _ in range(model.config.max_steps):
+        result = model.inference_step(ctx, state)
+        steps.append(result)
+        if result.stop:
+            break
+        state = result.state
+        if len(state.forbidden) >= ctx["n"]:
+            break
+    return steps
+
+
+def trained_model(variant, epochs=8):
+    model = tiny_model(variant)
+    with_distant = variant in ("BIV", "BIVT")
+    labels = [build_labels(r, VOCAB, DEFAULT_ACTIONS, with_distant) for r in RECORDS]
+    optimizer = Adam(model.parameters(), OptimizerConfig(lr=3e-3, warmup_epochs=0))
+    rng = np.random.default_rng(0)
+    for _ in range(epochs):
+        for record, label in zip(RECORDS, labels):
+            optimizer.zero_grad()
+            model.training_forward(record, label, rng).loss.backward()
+            optimizer.step()
+    return model
+
+
+class TestIncrementalDecoding:
+    @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
+    def test_matches_full_recompute(self, variant, monkeypatch):
+        model = trained_model(variant)
+        fast = [greedy_steps(model, r) for r in RECORDS]
+        monkeypatch.setattr(model, "generate_sentence", reference_generate(model))
+        slow = [greedy_steps(model, r) for r in RECORDS]
+        eos_ended = 0
+        for fast_steps, slow_steps in zip(fast, slow):
+            assert [s.index for s in fast_steps] == [s.index for s in slow_steps]
+            for a, b in zip(fast_steps, slow_steps):
+                assert a.tokens == b.tokens
+                if a.stop:
+                    continue
+                eos_ended += len(a.tokens) < model.config.max_sentence_len
+                np.testing.assert_allclose(a.token_log_probs, b.token_log_probs, rtol=0, atol=1e-10)
+                for ma, mb in zip(a.state.s_mems, b.state.s_mems):
+                    np.testing.assert_allclose(ma, mb, rtol=0, atol=1e-10)
+        assert eos_ended > 0
+
+    def test_float32_stays_float32(self):
+        model = tiny_model("BIVT", precision="float32")
+        steps = [s for s in greedy_steps(model, RECORDS[0]) if not s.stop]
+        assert steps
+        for step in steps:
+            assert step.token_log_probs.dtype == np.float32
+            for mem in step.state.s_mems + step.state.v_mems:
+                assert mem.dtype == np.float32
