@@ -62,8 +62,6 @@ from .textmetrics import CorpusDF, bleu4, build_df, cider_d, meteor_lite
 from .training import (
     ExperimentConfig,
     ablate,
-    oracle_knowledge_prediction,
-    random_selection_prediction,
     split_dataset,
     train,
 )

@@ -53,7 +53,8 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         if not isinstance(data, np.ndarray):
-            data = np.asarray(data, dtype=np.float64)
+            # a numpy scalar (0-d indexing, reductions) keeps its precision
+            data = np.asarray(data, dtype=data.dtype if isinstance(data, np.floating) else np.float64)
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad

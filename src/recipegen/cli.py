@@ -139,11 +139,7 @@ def _cmd_ablate(args) -> int:
     records = load_dataset(args.dataset) if args.dataset else None
     variants = args.variants.split(",") if args.variants else [exp.variant]
     rows = ablate(exp, variants, n_list=args.n_list, records=records, quiet=args.quiet)
-    fieldnames = list(rows[0].keys())
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_log_csv(rows, args.out)
     print(f"wrote {len(rows)} ablation rows to {args.out}")
     return EXIT_OK
 

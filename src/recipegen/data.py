@@ -333,6 +333,14 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _field(obj, key: str, types, where: str):
+    """``obj[key]``, which must exist and be an instance of ``types``."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ValidationError(f"{where}: missing or mistyped field {key!r}")
+    return value
+
+
 def load_predictions(path) -> list[PredictionRecipe]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -342,14 +350,17 @@ def load_predictions(path) -> list[PredictionRecipe]:
         raise ParseError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(raw, list):
+        raise ValidationError(f"{path}: expected a top-level array of predictions")
     preds = []
-    for obj in raw:
-        vid = str(obj["video_id"])
+    for pos, obj in enumerate(raw):
+        vid = _field(obj, "video_id", str, f"{path}: prediction {pos}")
         selections, sentences, intervals = [], [], []
-        for res in obj["results"]:
-            selections.append(int(res["index"]))
-            sentences.append(tokenize(res["sentence"]))
-            intervals.append(TimedEvent(float(res["start"]), float(res["end"])))
+        for res in _field(obj, "results", list, vid):
+            selections.append(_field(res, "index", int, vid))
+            sentences.append(tokenize(_field(res, "sentence", str, vid)))
+            start, end = (float(_field(res, key, (int, float), vid)) for key in ("start", "end"))
+            intervals.append(TimedEvent(start, end))
         preds.append(PredictionRecipe(vid, selections, sentences, intervals))
     preds.sort(key=lambda p: p.video_id)
     return preds

@@ -181,6 +181,36 @@ def reference_df(gts: Sequence[GroundTruthRecipe]) -> CorpusDF:
     return build_df([[s.sentence for s in gt.steps] for gt in gts])
 
 
+VIDEO_SCORES = (
+    "dvc_eval.bleu4",
+    "dvc_eval.meteor",
+    "dvc_eval.cider_d",
+    "soda.meteor",
+    "soda.cider_d",
+    "soda.tiou",
+)
+
+
+def score_video(
+    pred: PredictionRecipe, gt: GroundTruthRecipe, metrics: dict[str, SentenceMetric]
+) -> dict[str, float]:
+    """The ``VIDEO_SCORES`` of one video: dvc_eval with every sentence metric,
+    and SODA F1 with METEOR, with CIDEr-D and with tIoU alone."""
+    row = {f"dvc_eval.{name}": dvc_eval(pred, gt, fn) for name, fn in metrics.items()}
+    for name in ("meteor", "cider_d"):
+        row[f"soda.{name}"] = soda(pred, gt, metrics[name])[2]
+    row["soda.tiou"] = soda(pred, gt, None)[2]
+    return row
+
+
+def mean_scores(per_video: list[dict], keys: Sequence[str]) -> dict[str, float]:
+    """Per-key mean over the per-video rows (0 for no rows)."""
+    return {
+        key: float(np.mean([row[key] for row in per_video])) if per_video else 0.0
+        for key in keys
+    }
+
+
 def evaluate_corpus(
     preds: Sequence[PredictionRecipe],
     gts: Sequence[GroundTruthRecipe],
@@ -204,25 +234,12 @@ def evaluate_corpus(
     per_video = []
     for pred, gt in zip(preds, gts):
         row = {"video_id": pred.video_id}
-        for name, fn in metrics.items():
-            row[f"dvc_eval.{name}"] = dvc_eval(pred, gt, fn)
-        for name in ("meteor", "cider_d"):
-            row[f"soda.{name}"] = soda(pred, gt, metrics[name])[2]
-        row["soda.tiou"] = soda(pred, gt, None)[2]
+        row.update(score_video(pred, gt, metrics))
         row["n_predicted"] = len(pred.selections)
         row["n_ground_truth"] = len(gt.steps)
         per_video.append(row)
 
-    flat: dict[str, float] = {}
-    for key in (
-        "dvc_eval.bleu4",
-        "dvc_eval.meteor",
-        "dvc_eval.cider_d",
-        "soda.meteor",
-        "soda.cider_d",
-        "soda.tiou",
-    ):
-        flat[key] = float(np.mean([row[key] for row in per_video])) if per_video else 0.0
+    flat = mean_scores(per_video, VIDEO_SCORES)
     count_pairs = [(row["n_predicted"], row["n_ground_truth"]) for row in per_video]
     for eta, pct in event_count_stats(count_pairs).items():
         flat[f"count_stats.eta{eta}"] = pct

@@ -2,10 +2,11 @@
 
 Composable pieces: linear maps, layer norm, embeddings, scaled dot-product
 multi-head attention, and the gated recurrent memory used by both the event
-and sentence transformers, plus ``IncrementalPass``, which feeds a causal
-sequence through a memory transformer a row at a time.  Every layer exposes
-``parameters()`` returning a flat name -> Tensor mapping so optimizers and
-checkpoints see one namespace.
+and sentence transformers.  ``IncrementalPass`` is the one memory-transformer
+pass: rows go through each layer's attention and FFN in one push, or a row at
+a time for a causal sequence, and each layer's memory is updated once, over
+all its output rows.  Every layer exposes ``parameters()`` returning a flat
+name -> Tensor mapping so optimizers and checkpoints see one namespace.
 """
 
 from __future__ import annotations
@@ -81,19 +82,8 @@ class Embedding(Layer):
         return self.weight[np.asarray(ids, dtype=np.intp)]
 
 
-class FeedForward(Layer):
-    """Two-layer position-wise MLP with ReLU."""
-
-    def __init__(self, dim: int, hidden: int, rng, dtype=np.float64):
-        self.lin1 = Linear(dim, hidden, rng, dtype=dtype)
-        self.lin2 = Linear(hidden, dim, rng, dtype=dtype)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.lin2(self.lin1(x).relu())
-
-
 class MLP(Layer):
-    """Linear -> ReLU -> Linear, for encoders whose output dim differs."""
+    """Linear -> ReLU -> Linear: encoders, and the position-wise FFN."""
 
     def __init__(self, dim_in: int, dim_hidden: int, dim_out: int, rng, dtype=np.float64):
         self.lin1 = Linear(dim_in, dim_hidden, rng, dtype=dtype)
@@ -159,26 +149,15 @@ class MemTransformerLayer(Layer):
     def __init__(self, dim: int, heads: int, rng, dtype=np.float64):
         self.attn = MultiHeadAttention(dim, heads, rng, dtype=dtype)
         self.norm1 = LayerNorm(dim, dtype=dtype)
-        self.ffn = FeedForward(dim, 4 * dim, rng, dtype=dtype)
+        self.ffn = MLP(dim, 4 * dim, dim, rng, dtype=dtype)
         self.norm2 = LayerNorm(dim, dtype=dtype)
         self.mem_update = MemoryUpdater(dim, heads, rng, dtype=dtype)
 
-    def block(self, x: Tensor, context: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, context: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Attention of ``x`` over ``context``, then the FFN, each with a
         residual connection and layer norm; the memory is not updated."""
         h1 = self.norm1(x + self.attn(x, context, mask))
         return self.norm2(h1 + self.ffn(h1))
-
-    def __call__(self, x: Tensor, memory: Tensor, self_mask: np.ndarray | None):
-        n, slots = x.shape[0], memory.shape[0]
-        if self_mask is not None:
-            mask = np.concatenate(
-                [np.zeros((n, slots), dtype=self_mask.dtype), self_mask], axis=1
-            )
-        else:
-            mask = None
-        h2 = self.block(x, concat([memory, x], axis=0), mask)
-        return h2, self.mem_update(memory, h2)
 
 
 class MemTransformer(Layer):
@@ -197,21 +176,22 @@ class MemTransformer(Layer):
         ]
 
     def __call__(self, x: Tensor, memories: list[Tensor], self_mask: np.ndarray | None = None):
-        new_memories = []
-        for layer, memory in zip(self.layers, memories):
-            x, new_mem = layer(x, memory, self_mask)
-            new_memories.append(new_mem)
-        return x, new_memories
+        """One pass over the rows ``x``; returns the last layer's rows and the
+        updated per-layer memories."""
+        run = IncrementalPass(self, memories)
+        return run.push(x, self_mask), run.update_memories()
 
 
 class IncrementalPass:
-    """A ``MemTransformer`` pass fed a few rows at a time.
+    """A ``MemTransformer`` pass, fed all rows at once or a few at a time.
 
     Exact for sequences in which no row reads a later one: each ``push`` adds
-    rows that read every earlier row and each other.  Appending rows then
-    changes no earlier hidden state, so each layer keeps its input rows
-    (behind the memory) as the attention context of later rows and its output
-    rows for the memory update, which runs once, in ``update_memories``.
+    rows that read the memory, every earlier row and, under the optional
+    additive mask, each other.  Appending rows then changes no earlier hidden
+    state, so each layer keeps its input rows (behind the memory) as the
+    attention context of later rows and its output rows for the memory
+    update, which runs once, in ``update_memories``.  A single push of the
+    whole sequence is the full pass.
     """
 
     def __init__(self, tf: MemTransformer, memories: list[Tensor]):
@@ -220,11 +200,17 @@ class IncrementalPass:
         self.contexts = list(memories)
         self.outputs: list[list[Tensor]] = [[] for _ in memories]
 
-    def push(self, x: Tensor) -> Tensor:
-        """Run rows ``x`` through every layer; returns the last layer's rows."""
+    def push(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Run rows ``x`` through every layer; returns the last layer's rows.
+
+        ``mask`` is an additive (n, n) mask among the pushed rows; the memory
+        and earlier rows stay visible to all of them."""
+        if mask is not None:
+            earlier = np.zeros((x.shape[0], self.contexts[0].shape[0]), dtype=mask.dtype)
+            mask = np.concatenate([earlier, mask], axis=1)
         for i, layer in enumerate(self.layers):
             self.contexts[i] = concat([self.contexts[i], x], axis=0)
-            x = layer.block(x, self.contexts[i])
+            x = layer(x, self.contexts[i], mask)
             self.outputs[i].append(x)
         return x
 
@@ -232,7 +218,7 @@ class IncrementalPass:
         """Each layer's memory update over all its output rows: the memories
         one full pass over the pushed rows returns."""
         return [
-            layer.mem_update(memory, concat(rows, axis=0))
+            layer.mem_update(memory, rows[0] if len(rows) == 1 else concat(rows, axis=0))
             for layer, memory, rows in zip(self.layers, self.memories, self.outputs)
         ]
 

@@ -1,13 +1,17 @@
 """The joint event-selector / sentence-generator model.
 
-Per step the event transformer (memory-augmented) re-reads the candidate
-sequence, its per-layer memories are max-pooled into a single query vector,
-and candidate logits are dot products of that vector with each candidate's
-holistic representation plus a learned STOP pseudo-event.  Training samples
-selections through a straight-through Gumbel-softmax so the sentence loss
-reaches the selector; inference takes the argmax.  The sentence transformer
-(also memory-augmented) decodes one sentence per selected event, and the two
-memory banks are mixed through sigmoid gates between steps.
+The model runs one recurrence per recipe step.  The event transformer
+(memory-augmented) re-reads ``[ingredient state; candidates]``, its per-layer
+memories are max-pooled into a single query vector, and candidate logits are
+dot products of that vector with each candidate's holistic representation
+plus a learned STOP pseudo-event.  One event is chosen, the sentence
+transformer (also memory-augmented) writes its sentence, and the two memory
+banks are mixed through sigmoid gates.  The per-video context and the part of
+a step before the selection are shared code; training and inference differ
+only in their callers: training selects through a straight-through
+Gumbel-softmax pinned to the oracle label (so the sentence loss reaches the
+selector) and scores the sentence teacher-forced, while inference takes the
+argmax and decodes greedily.
 
 Greedy decoding is incremental: ingredient rows never read word rows and a
 word row reads only earlier words, so appending a token changes no earlier
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -293,14 +297,6 @@ class InferenceState:
     sim_state: np.ndarray | None
     forbidden: list[int]
 
-    def clone(self) -> "InferenceState":
-        return InferenceState(
-            v_mems=[m.copy() for m in self.v_mems],
-            s_mems=[m.copy() for m in self.s_mems],
-            sim_state=None if self.sim_state is None else self.sim_state.copy(),
-            forbidden=list(self.forbidden),
-        )
-
 
 @dataclass
 class StepResult:
@@ -527,6 +523,44 @@ class RecipeModel(Layer):
                 return decoded, concat(rows, axis=0), decoder.update_memories(), None
             decoded.append(token)
 
+    # -- one step of the recurrence ----------------------------------------------
+
+    def _context(self, record: DatasetRecord) -> dict:
+        """Per-video inputs of every step: the candidate encodings, both
+        ingredient encodings (all but B) and the action table (BIV, BIVT)."""
+        cfg = self.config
+        use_ing = cfg.variant != "B"
+        return {
+            "n": len(record.candidates),
+            "events": self.encode_events(record.candidates, record.duration),
+            "g_sel": self.encode_ingredients(record.ingredients, "selector") if use_ing else None,
+            "g_gen": self.encode_ingredients(record.ingredients, "generator") if use_ing else None,
+            "actions": self.action_embed(np.arange(len(self.action_lexicon)))
+            if cfg.variant in ("BIV", "BIVT")
+            else None,
+        }
+
+    def _score_candidates(
+        self, ctx: dict, v_mems: list[Tensor], ing_state: Tensor | None, forbidden: set[int]
+    ):
+        """The part of a step before the selection: the event transformer over
+        ``[ingredient state; candidates]``, the simulator (BIV, BIVT), and the
+        logits over the candidates plus STOP, with ``forbidden`` masked under
+        ``no_reselection``.
+
+        Returns (candidate rows the selection reads, logits, new event
+        memories, simulator step or None).
+        """
+        seq = ctx["events"] if ing_state is None else concat([ing_state, ctx["events"]], axis=0)
+        h_events, v_new = self.event_step(seq, v_mems, ctx["n"])
+        sim = None
+        if ctx["actions"] is not None:
+            sim = self.simulator.step(h_events, ctx["actions"], ing_state)
+            h_events = sim.fused_events
+        masked = forbidden if self.config.no_reselection else set()
+        logits = self.event_logits(h_events, pool_memory(v_new), masked)
+        return h_events, logits, v_new, sim
+
     # -- training --------------------------------------------------------------
 
     def training_forward(
@@ -535,59 +569,42 @@ class RecipeModel(Layer):
         labels: VideoLabels,
         rng: np.random.Generator,
         tau: float | None = None,
-        selection: str | None = None,
     ) -> ForwardResult:
         """Losses for one video.
 
-        ``selection`` overrides the forwarding mode: "hard" (straight-through,
-        default per config) or "soft" (fully differentiable relaxation, used
-        by gradient checks).  Conditioning follows ``config.conditioning``:
-        teacher mode pins the forwarded event (and the reselection mask) to
-        the oracle label while gradients still flow through the sampled
-        relaxation.
+        Each step selects through a Gumbel-softmax sample: straight-through
+        one-hot under ``config.hard_selection``, else the soft relaxation.
+        Conditioning follows ``config.conditioning``: teacher mode pins the
+        forwarded event (and the reselection mask) to the oracle label while
+        gradients still flow through the sampled relaxation.
         """
         cfg = self.config
         tau = cfg.tau if tau is None else tau
-        hard = cfg.hard_selection if selection is None else (selection == "hard")
-        use_ing = cfg.variant != "B"
+        hard = cfg.hard_selection
         use_sim = cfg.variant in ("BIV", "BIVT")
 
-        e_seq = self.encode_events(record.candidates, record.duration)
-        n = len(record.candidates)
-        g_sel = self.encode_ingredients(record.ingredients, "selector") if use_ing else None
-        g_gen = self.encode_ingredients(record.ingredients, "generator") if use_ing else None
-        actions = self.action_embed(np.arange(len(self.action_lexicon))) if use_sim else None
-
-        sim_state = g_sel
+        ctx = self._context(record)
+        n = ctx["n"]
+        ing_state = ctx["g_sel"]
         v_mems = self.event_tf.initial_memory()
         s_mems = self.sent_tf.initial_memory()
         forbidden: set[int] = set()
         traces: list[SelectionTrace] = []
         step_logps: list[Tensor] = []
         sentence_rows: list[Tensor] = []
-        sentence_targets: list[list[int]] = []
         l_vsim = None
         l_tattn = None
         n_steps = len(record.steps)
 
         for t in range(n_steps + 1):
-            seq = concat([sim_state if use_sim else g_sel, e_seq], axis=0) if use_ing else e_seq
-            h_events, v_new = self.event_step(seq, v_mems, n)
-            sim = self.simulator.step(h_events, actions, sim_state) if use_sim else None
-            h_for_probs = sim.fused_events if use_sim else h_events
-            pooled = pool_memory(v_new)
-            logits = self.event_logits(h_for_probs, pooled, forbidden if cfg.no_reselection else set())
-            logp = log_softmax(logits, axis=-1)
+            h, logits, v_new, sim = self._score_candidates(ctx, v_mems, ing_state, forbidden)
+            step_logps.append(log_softmax(logits, axis=-1))
+            probs = softmax(logits, axis=-1).data.copy()
             if t == n_steps:
-                step_logps.append(logp)
-                traces.append(
-                    SelectionTrace(softmax(logits, axis=-1).data.copy(), n, hard)
-                )
+                traces.append(SelectionTrace(probs, n, hard))
                 break
 
             label = labels.oracle_indices[t]
-            step_logps.append(logp)
-
             sample = gumbel_softmax(logits[:n], tau, hard=False, rng=rng)
             if cfg.conditioning == "teacher":
                 chosen = label
@@ -595,19 +612,16 @@ class RecipeModel(Layer):
             else:
                 chosen = int(np.argmax(sample.data))
                 weights = straight_through_onehot(sample) if hard else sample
-            h_sel = weights.reshape(1, n) @ h_for_probs
-            traces.append(SelectionTrace(softmax(logits, axis=-1).data.copy(), chosen, hard))
-            if cfg.no_reselection:
-                forbidden.add(chosen)
+            h_sel = weights.reshape(1, n) @ h
+            traces.append(SelectionTrace(probs, chosen, hard))
+            forbidden.add(chosen)
 
-            targets = labels.token_ids[t]
             _, rows, s_new, alphas = self.generate_sentence(
-                h_sel, s_mems, g_gen, teacher_tokens=targets, sim=sim
+                h_sel, s_mems, ctx["g_gen"], teacher_tokens=labels.token_ids[t], sim=sim
             )
             sentence_rows.append(rows)
-            sentence_targets.append(targets)
 
-            if use_sim:
+            if sim is not None:
                 for logits_mat, lab in (
                     (sim.action_event_logits, labels.act_labels[t]),
                     (sim.ingredient_event_logits, labels.ing_labels[t]),
@@ -615,14 +629,10 @@ class RecipeModel(Layer):
                     term = selector_nll(logits_mat, lab, label, cfg.vsim_negatives)
                     if term is not None:
                         l_vsim = term if l_vsim is None else l_vsim + term
-                sim_state = sim.new_state
-            if cfg.variant == "BIVT" and alphas is not None:
+                ing_state = sim.new_state
+            if alphas is not None:
                 term = textual_attention_nll(
-                    alphas[0],
-                    alphas[1],
-                    labels.target_surfaces[t],
-                    record.ingredients,
-                    self.action_lexicon,
+                    *alphas, labels.target_surfaces[t], record.ingredients, self.action_lexicon
                 )
                 if term is not None:
                     l_tattn = term if l_tattn is None else l_tattn + term
@@ -631,7 +641,7 @@ class RecipeModel(Layer):
 
         zero = Tensor(np.zeros((), dtype=cfg.dtype))
         l_event = loss_event(step_logps, labels.oracle_indices + [n])
-        l_sentence = loss_sentence(sentence_rows, sentence_targets)
+        l_sentence = loss_sentence(sentence_rows, labels.token_ids)
         total = loss_total(l_event, l_sentence)
         if use_sim:
             l_vsim = l_vsim if l_vsim is not None else zero
@@ -652,22 +662,11 @@ class RecipeModel(Layer):
 
     def init_inference(self, record: DatasetRecord):
         """Pre-computed per-video context plus the initial recurrent state."""
-        cfg = self.config
-        use_ing = cfg.variant != "B"
-        ctx = {
-            "record": record,
-            "n": len(record.candidates),
-            "events": self.encode_events(record.candidates, record.duration),
-            "g_sel": self.encode_ingredients(record.ingredients, "selector") if use_ing else None,
-            "g_gen": self.encode_ingredients(record.ingredients, "generator") if use_ing else None,
-            "actions": self.action_embed(np.arange(len(self.action_lexicon)))
-            if cfg.variant in ("BIV", "BIVT")
-            else None,
-        }
+        ctx = self._context(record)
         state = InferenceState(
             v_mems=[m.data.copy() for m in self.event_tf.initial_memory()],
             s_mems=[m.data.copy() for m in self.sent_tf.initial_memory()],
-            sim_state=ctx["g_sel"].data.copy() if cfg.variant in ("BIV", "BIVT") else None,
+            sim_state=None if ctx["actions"] is None else ctx["g_sel"].data.copy(),
             forbidden=[],
         )
         return ctx, state
@@ -675,38 +674,24 @@ class RecipeModel(Layer):
     def inference_step(self, ctx: dict, state: InferenceState) -> StepResult:
         """One greedy step: select a candidate (or STOP), decode its sentence,
         mix memories.  Deterministic given (checkpoint, record, state)."""
-        cfg = self.config
-        use_ing = cfg.variant != "B"
-        use_sim = cfg.variant in ("BIV", "BIVT")
-        n = ctx["n"]
         with no_grad():
+            ing_state = ctx["g_sel"] if state.sim_state is None else Tensor(state.sim_state)
             v_mems = [Tensor(m) for m in state.v_mems]
-            s_mems = [Tensor(m) for m in state.s_mems]
-            sim_state = Tensor(state.sim_state) if state.sim_state is not None else ctx["g_sel"]
-            seq = (
-                concat([sim_state if use_sim else ctx["g_sel"], ctx["events"]], axis=0)
-                if use_ing
-                else ctx["events"]
+            h, logits, v_new, sim = self._score_candidates(
+                ctx, v_mems, ing_state, set(state.forbidden)
             )
-            h_events, v_new = self.event_step(seq, v_mems, n)
-            sim = self.simulator.step(h_events, ctx["actions"], sim_state) if use_sim else None
-            h_for_probs = sim.fused_events if use_sim else h_events
-            pooled = pool_memory(v_new)
-            forbidden = set(state.forbidden) if cfg.no_reselection else set()
-            logits = self.event_logits(h_for_probs, pooled, forbidden)
             probs = softmax(logits, axis=-1).data.copy()
             chosen = int(np.argmax(probs))
-            if chosen == n:
+            if chosen == ctx["n"]:
                 return StepResult(probs, True, None, [], None, state)
-            h_sel = h_for_probs[chosen].reshape(1, -1)
             tokens, logp, s_new, _ = self.generate_sentence(
-                h_sel, s_mems, ctx["g_gen"], teacher_tokens=None, sim=sim
+                h[chosen].reshape(1, -1), [Tensor(m) for m in state.s_mems], ctx["g_gen"], sim=sim
             )
             v_next, s_next = self._mix(v_new, s_new)
             new_state = InferenceState(
                 v_mems=[m.data.copy() for m in v_next],
                 s_mems=[m.data.copy() for m in s_next],
-                sim_state=sim.new_state.data.copy() if use_sim else None,
+                sim_state=None if sim is None else sim.new_state.data.copy(),
                 forbidden=state.forbidden + [chosen],
             )
             return StepResult(probs, False, chosen, tokens, logp.data.copy(), new_state)
@@ -746,7 +731,7 @@ def config_hash(config: ModelConfig, vocab: Vocabulary, action_lexicon: list[str
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def save_checkpoint(path, model: RecipeModel, optimizer=None, extra_meta: dict | None = None):
+def save_checkpoint(path, model: RecipeModel, extra_meta: dict | None = None):
     meta = {
         "config": model.config.to_dict(),
         "vocab": model.vocab.content_tokens,
@@ -756,8 +741,6 @@ def save_checkpoint(path, model: RecipeModel, optimizer=None, extra_meta: dict |
     if extra_meta:
         meta["extra"] = extra_meta
     arrays = {f"param/{k}": p.data for k, p in model.parameters().items()}
-    if optimizer is not None:
-        arrays.update({f"opt/{k}": v for k, v in optimizer.state_arrays().items()})
     np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
 

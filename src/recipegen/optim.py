@@ -52,7 +52,7 @@ class Adam:
         for p in self.params.values():
             p.grad = None
 
-    def step(self, epoch: int = 0, grad_scale: float = 1.0) -> None:
+    def step(self, epoch: int = 0) -> None:
         cfg = self.config
         self.step_count += 1
         t = self.step_count
@@ -62,28 +62,14 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad * grad_scale
-            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * g * g
+            self.m[name] = cfg.beta1 * self.m[name] + (1.0 - cfg.beta1) * p.grad
+            self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * p.grad * p.grad
             m_hat = self.m[name] / bias1
             v_hat = self.v[name] / bias2
             update = m_hat / (np.sqrt(v_hat) + cfg.eps)
             if cfg.weight_decay:
                 update = update + cfg.weight_decay * p.data
             p.data = p.data - lr * update
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"step_count": np.asarray(self.step_count)}
-        for k in self.params:
-            out[f"m.{k}"] = self.m[k]
-            out[f"v.{k}"] = self.v[k]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.step_count = int(arrays["step_count"])
-        for k in self.params:
-            self.m[k] = np.array(arrays[f"m.{k}"])
-            self.v[k] = np.array(arrays[f"v.{k}"])
 
 
 def grad_check(

@@ -17,8 +17,9 @@ from .data import (
     EventCandidateSet,
     GroundTruthRecipe,
     PredictionRecipe,
+    tokenize,
 )
-from .dvceval import dvc_eval, sentence_metrics, soda, reference_df, tiou
+from .dvceval import VIDEO_SCORES, mean_scores, reference_df, score_video, sentence_metrics, tiou
 
 
 @dataclass
@@ -72,8 +73,6 @@ def oracle_prediction(
             raise ValueError(
                 f"{record.video_id}: dataset has no candidate-attached sentences"
             )
-        from .data import tokenize
-
         sentences = [tokenize(record.candidates.sentences[i]) for i in assignment.indices]
     elif mode == "gt-sentences":
         sentences = [list(s.sentence) for s in record.steps]
@@ -120,24 +119,10 @@ def oracle_report(records: list[DatasetRecord], mode: str = "gt-sentences") -> d
             "mean_tiou": assignment.mean_tiou,
             "duplicate_assignments": assignment.duplicate_assignments,
         }
-        for name, fn in metrics.items():
-            row[f"dvc_eval.{name}"] = dvc_eval(pred, gt, fn)
-        for name in ("meteor", "cider_d"):
-            row[f"soda.{name}"] = soda(pred, gt, metrics[name])[2]
-        row["soda.tiou"] = soda(pred, gt, None)[2]
+        row.update(score_video(pred, gt, metrics))
         per_video.append(row)
 
-    flat = {}
-    for key in (
-        "mean_tiou",
-        "dvc_eval.bleu4",
-        "dvc_eval.meteor",
-        "dvc_eval.cider_d",
-        "soda.meteor",
-        "soda.cider_d",
-        "soda.tiou",
-    ):
-        flat[key] = float(np.mean([row[key] for row in per_video])) if per_video else 0.0
+    flat = mean_scores(per_video, ("mean_tiou",) + VIDEO_SCORES)
     flat["duplicate_assignments"] = duplicates
 
     return {

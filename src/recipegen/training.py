@@ -1,4 +1,4 @@
-"""Experiment orchestration: splits, training loop, baselines, ablations."""
+"""Experiment orchestration: splits, training loop, ablations."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from .data import (
     DatasetRecord,
-    PredictionRecipe,
     Vocabulary,
     build_vocabulary,
     _record_to_obj,
@@ -26,7 +25,6 @@ from .model import (
     tau_schedule,
 )
 from .optim import Adam, OptimizerConfig
-from .oracle import oracle_prediction
 from .synth import DEFAULT_ACTIONS, WorldConfig
 
 
@@ -46,6 +44,10 @@ class ExperimentConfig:
     n_candidates: int | None = None
     seed: int = 0
     world: dict = field(default_factory=dict)  # WorldConfig overrides for synth
+
+    def __post_init__(self):
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -84,33 +86,6 @@ def split_dataset(
 def dataset_digest(records: list[DatasetRecord]) -> str:
     payload = json.dumps([_record_to_obj(r) for r in records], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-# ---------------------------------------------------------------------------
-# Baselines
-# ---------------------------------------------------------------------------
-
-
-def random_selection_prediction(
-    record: DatasetRecord, rng: np.random.Generator, max_steps: int = 12
-) -> PredictionRecipe:
-    """Uniformly random step count and candidate subset (chronological order);
-    the lower anchor for selection quality."""
-    n = len(record.candidates)
-    count = min(int(rng.integers(1, max_steps + 1)), n)
-    chosen = sorted(int(i) for i in rng.choice(n, size=count, replace=False))
-    return PredictionRecipe(
-        video_id=record.video_id,
-        selections=chosen,
-        sentences=[["<unk>"] for _ in chosen],
-        intervals=[record.candidates.events[i] for i in chosen],
-    )
-
-
-def oracle_knowledge_prediction(record: DatasetRecord) -> PredictionRecipe:
-    """Upper anchor: oracle candidate per ground-truth step, ground-truth
-    sentences, true step count."""
-    return oracle_prediction(record, mode="gt-sentences")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +184,9 @@ def train(
                 f"epoch {epoch}: loss {row['loss']:.3f} "
                 f"{exp.early_stop_metric} {metric:.4f}"
             )
-        if metric > best_metric:
-            best_metric = metric
+        if metric > best_metric or best_epoch < 0:
+            # a NaN metric beats nothing: the first epoch stands until one does
+            best_metric = float(np.fmax(best_metric, metric))
             best_epoch = epoch
             best_params = {k: p.data.copy() for k, p in model.parameters().items()}
             best_report = report

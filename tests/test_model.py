@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -22,7 +23,7 @@ from recipegen.model import (
     save_checkpoint,
     tau_schedule,
 )
-from recipegen.optim import Adam, OptimizerConfig
+from recipegen.optim import Adam, OptimizerConfig, grad_check
 from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
 
 WORLD = WorldConfig(num_videos=6, seed=21)
@@ -375,6 +376,34 @@ class TestTrainingForward:
         )
         assert joint.loss.item() != pytest.approx(separate.loss.item())
 
+    @pytest.mark.parametrize("variant", ["B", "BIVT"])
+    def test_soft_selection_gradients_match_finite_differences(self, variant):
+        model = tiny_model(variant, hard_selection=False)
+        record = RECORDS[0]
+        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, variant == "BIVT")
+        params = model.parameters()
+        checked = [params[k] for k in ("stop_vector", "feat_mlp.lin2.weight", "rel_enc.weight")]
+        # a freshly seeded rng per call draws the same Gumbel noise each time
+        err = grad_check(
+            lambda: model.training_forward(record, labels, np.random.default_rng(4)).loss,
+            checked,
+            max_coords_per_param=6,
+        )
+        assert err <= 1e-5
+
+    @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
+    def test_float32_losses_and_grads_stay_float32(self, variant):
+        model = tiny_model(variant, precision="float32")
+        record = RECORDS[0]
+        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, variant in ("BIV", "BIVT"))
+        result = model.training_forward(record, labels, np.random.default_rng(0))
+        result.loss.backward()
+        losses = [result.loss, result.loss_event, result.loss_sentence, result.loss_vsim]
+        for loss in losses:
+            assert loss is None or loss.data.dtype == np.float32
+        for name, p in model.parameters().items():
+            assert p.grad is None or p.grad.dtype == np.float32, name
+
     def test_teacher_distribution_count_matches_targets(self):
         model = tiny_model()
         h_sel = Tensor(np.zeros((1, model.config.hidden)))
@@ -439,7 +468,7 @@ class TestInference:
         record = RECORDS[4]
         ctx, state = model.init_inference(record)
         r1 = model.inference_step(ctx, state)
-        saved = r1.state.clone()
+        saved = copy.deepcopy(r1.state)
         direct = model.inference_step(ctx, r1.state)
         resumed = model.inference_step(ctx, saved)
         np.testing.assert_array_equal(direct.probabilities, resumed.probabilities)
