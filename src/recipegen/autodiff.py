@@ -2,9 +2,18 @@
 
 A ``Tensor`` wraps an ndarray, a gradient accumulator, and a requires-grad
 flag.  Operations build a graph of parents and vector-Jacobian products;
-``Tensor.backward()`` walks it in reverse topological order and accumulates
-gradients additively.  Gradient arrays are never mutated in place, so vjps
-may safely return views or shared arrays.
+every graph node is stamped with a creation sequence number, and since a
+node's parents always exist before it, ``Tensor.backward()`` visits the
+reachable nodes in decreasing sequence order, a reverse topological order,
+accumulating gradients additively.  Gradient arrays are never mutated in
+place, so vjps may safely return views or shared arrays.
+
+At small widths a graph costs Python overhead per node, so the layers' hot
+compositions are fused ops of one node each with a hand-written vjp:
+``linear`` (matmul plus bias), ``layer_norm`` and ``attention`` (head split,
+scaled scores, additive mask, softmax, weighted sum, head merge).  Their
+forwards evaluate the numpy expressions of the primitive compositions they
+replace, so only the rounding of the backward pass differs from those.
 
 Precision follows the data: parameters created as float32 keep the whole
 graph in float32; float64 is used for gradient checking and bit-exact
@@ -13,9 +22,12 @@ reproducibility tests.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 _grad_enabled = True
+_node_seq = itertools.count()
 
 
 class no_grad:
@@ -47,7 +59,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -70,6 +82,7 @@ class Tensor:
             out.requires_grad = True
             out._parents = parents
             out._vjp = vjp
+            out._seq = next(_node_seq)
         return out
 
     @property
@@ -274,24 +287,21 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without a gradient needs a scalar output")
             grad = np.ones_like(self.data)
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
         self.grad = grad if self.grad is None else self.grad + grad
-        for node in reversed(topo):
-            if node._vjp is None or node.grad is None:
+        if self._vjp is None:
+            return
+        # parents are created before their children, so decreasing creation
+        # order is a reverse topological order of the reachable nodes
+        nodes = {self._seq: self}
+        stack = [self]
+        while stack:
+            for p in stack.pop()._parents:
+                if p._vjp is not None and p._seq not in nodes:
+                    nodes[p._seq] = p
+                    stack.append(p)
+        for seq in sorted(nodes, reverse=True):
+            node = nodes[seq]
+            if node.grad is None:
                 continue
             for parent, pg in zip(node._parents, node._vjp(node.grad)):
                 if pg is None or not parent.requires_grad:
@@ -347,6 +357,83 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (g - soft * g.sum(axis=axis, keepdims=True),)
 
     return Tensor._result(data, (x,), vjp)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weight + bias`` over a 2-d ``x``, as one node."""
+    if x.data.ndim != 2 or x.data.shape[1] != weight.data.shape[0]:
+        raise ValueError(
+            f"linear expects a 2-d (n, {weight.data.shape[0]}) input, got {x.data.shape}"
+        )
+    data = x.data @ weight.data
+    parents = (x, weight)
+    if bias is not None:
+        data = data + bias.data
+        parents += (bias,)
+
+    def vjp(g):
+        gx = g @ weight.data.T if x.requires_grad else None
+        if bias is None:
+            return gx, x.data.T @ g
+        return gx, x.data.T @ g, g.sum(axis=0)
+
+    return Tensor._result(data, parents, vjp)
+
+
+def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float) -> Tensor:
+    """Normalize ``x`` over its last axis, then scale by ``gain`` and add
+    ``shift``, as one node."""
+    inv_n = np.asarray(1.0 / float(x.data.shape[-1]), dtype=x.data.dtype)
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    var = (centered**2).sum(axis=-1, keepdims=True) * inv_n
+    std = (var + np.asarray(eps, dtype=x.data.dtype)) ** 0.5
+    normed = centered / std
+    data = normed * gain.data + shift.data
+
+    def vjp(g):
+        gn = g * gain.data
+        mean_gn = gn.sum(axis=-1, keepdims=True) * inv_n
+        mean_gn_normed = (gn * normed).sum(axis=-1, keepdims=True) * inv_n
+        gx = (gn - mean_gn - normed * mean_gn_normed) / std
+        rows = g.reshape(-1, g.shape[-1])
+        return gx, (rows * normed.reshape(rows.shape)).sum(axis=0), rows.sum(axis=0)
+
+    return Tensor._result(data, (x, gain, shift), vjp)
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None = None
+) -> Tensor:
+    """Multi-head scaled dot-product attention of ``q`` (nq, d) over ``k``
+    and ``v`` (nk, d), split into ``heads`` heads, as one node.  ``mask`` is
+    an additive (nq, nk) array; its large negative entries get weight 0.
+    Returns the (nq, d) weighted sums of ``v`` with the heads merged."""
+    nq, dim = q.data.shape
+    nk = k.data.shape[0]
+    dh = dim // heads
+    qh = q.data.reshape(nq, heads, dh).transpose(1, 0, 2)
+    kh = k.data.reshape(nk, heads, dh).transpose(1, 0, 2)
+    vh = v.data.reshape(nk, heads, dh).transpose(1, 0, 2)
+    scale = np.asarray(1.0 / float(np.sqrt(dh)), dtype=q.data.dtype)
+    scores = (qh @ kh.transpose(0, 2, 1)) * scale
+    if mask is not None:
+        scores = scores + mask[None, :, :].astype(scores.dtype)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    data = (weights @ vh).transpose(1, 0, 2).reshape(nq, dim)
+
+    def vjp(g):
+        g_out = g.reshape(nq, heads, dh).transpose(1, 0, 2)
+        g_weights = g_out @ vh.transpose(0, 2, 1)
+        dot = (g_weights * weights).sum(axis=-1, keepdims=True)
+        g_scores = weights * (g_weights - dot) * scale
+        return (
+            (g_scores @ kh).transpose(1, 0, 2).reshape(nq, dim),
+            (g_scores.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(nk, dim),
+            (weights.transpose(0, 2, 1) @ g_out).transpose(1, 0, 2).reshape(nk, dim),
+        )
+
+    return Tensor._result(data, (q, k, v), vjp)
 
 
 def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:

@@ -7,13 +7,18 @@ pass: rows go through each layer's attention and FFN in one push, or a row at
 a time for a causal sequence, and each layer's memory is updated once, over
 all its output rows.  Every layer exposes ``parameters()`` returning a flat
 name -> Tensor mapping so optimizers and checkpoints see one namespace.
+
+Each primitive layer is one graph node of a fused autodiff op: ``Linear`` is
+one ``linear`` node, ``LayerNorm`` one ``layer_norm`` node, and
+``MultiHeadAttention`` is five nodes, its four ``Linear`` projections around
+one ``attention`` node over the projected queries, keys and values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat, softmax
+from .autodiff import Tensor, attention, concat, layer_norm, linear
 
 NEG_INF = -1e9
 
@@ -49,14 +54,7 @@ class Linear(Layer):
         self.bias = Tensor(np.zeros(dim_out, dtype=dtype), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.weight.shape[0]:
-            raise ValueError(
-                f"linear: input dim {x.shape[-1]} != weight dim {self.weight.shape[0]}"
-            )
-        y = x @ self.weight
-        if self.bias is not None:
-            y = y + self.bias
-        return y
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Layer):
@@ -66,10 +64,7 @@ class LayerNorm(Layer):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered**2).mean(axis=-1, keepdims=True)
-        return centered / ((var + self.eps) ** 0.5) * self.gain + self.shift
+        return layer_norm(x, self.gain, self.shift, self.eps)
 
 
 class Embedding(Layer):
@@ -98,7 +93,6 @@ class MultiHeadAttention(Layer):
         if dim % heads != 0:
             raise ValueError(f"model dim {dim} not divisible by {heads} heads")
         self.heads = heads
-        self.dim_head = dim // heads
         self.proj_q = Linear(dim, dim, rng, dtype=dtype)
         self.proj_k = Linear(dim, dim, rng, dtype=dtype)
         self.proj_v = Linear(dim, dim, rng, dtype=dtype)
@@ -110,17 +104,10 @@ class MultiHeadAttention(Layer):
         ``mask`` is an additive (nq, nk) array; masked positions carry a large
         negative value so their post-softmax weight is 0.
         """
-        nq, nk = queries.shape[0], keys_values.shape[0]
-        h, dh = self.heads, self.dim_head
-        q = self.proj_q(queries).reshape(nq, h, dh).transpose(1, 0, 2)
-        k = self.proj_k(keys_values).reshape(nk, h, dh).transpose(1, 0, 2)
-        v = self.proj_v(keys_values).reshape(nk, h, dh).transpose(1, 0, 2)
-        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / float(np.sqrt(dh)))
-        if mask is not None:
-            scores = scores + Tensor(mask[None, :, :].astype(scores.data.dtype))
-        attn = softmax(scores, axis=-1)
-        out = (attn @ v).transpose(1, 0, 2).reshape(nq, h * dh)
-        return self.proj_out(out)
+        q = self.proj_q(queries)
+        k = self.proj_k(keys_values)
+        v = self.proj_v(keys_values)
+        return self.proj_out(attention(q, k, v, self.heads, mask))
 
 
 class MemoryUpdater(Layer):

@@ -576,7 +576,9 @@ class RecipeModel(Layer):
         one-hot under ``config.hard_selection``, else the soft relaxation.
         Conditioning follows ``config.conditioning``: teacher mode pins the
         forwarded event (and the reselection mask) to the oracle label while
-        gradients still flow through the sampled relaxation.
+        gradients still flow through the sampled relaxation; free mode
+        forwards the sampled event, and a step whose oracle label an earlier
+        choice has masked adds no event loss.
         """
         cfg = self.config
         tau = cfg.tau if tau is None else tau
@@ -590,7 +592,8 @@ class RecipeModel(Layer):
         s_mems = self.sent_tf.initial_memory()
         forbidden: set[int] = set()
         traces: list[SelectionTrace] = []
-        step_logps: list[Tensor] = []
+        event_logps: list[Tensor] = []
+        event_labels: list[int] = []
         sentence_rows: list[Tensor] = []
         l_vsim = None
         l_tattn = None
@@ -598,13 +601,16 @@ class RecipeModel(Layer):
 
         for t in range(n_steps + 1):
             h, logits, v_new, sim = self._score_candidates(ctx, v_mems, ing_state, forbidden)
-            step_logps.append(log_softmax(logits, axis=-1))
+            label = labels.oracle_indices[t] if t < n_steps else n
+            # an oracle label masked by an earlier free-running choice adds no loss
+            if not (cfg.no_reselection and label in forbidden):
+                event_logps.append(log_softmax(logits, axis=-1))
+                event_labels.append(label)
             probs = softmax(logits, axis=-1).data.copy()
             if t == n_steps:
                 traces.append(SelectionTrace(probs, n, hard))
                 break
 
-            label = labels.oracle_indices[t]
             sample = gumbel_softmax(logits[:n], tau, hard=False, rng=rng)
             if cfg.conditioning == "teacher":
                 chosen = label
@@ -640,7 +646,7 @@ class RecipeModel(Layer):
             v_mems, s_mems = self._mix(v_new, s_new)
 
         zero = Tensor(np.zeros((), dtype=cfg.dtype))
-        l_event = loss_event(step_logps, labels.oracle_indices + [n])
+        l_event = loss_event(event_logps, event_labels)
         l_sentence = loss_sentence(sentence_rows, labels.token_ids)
         total = loss_total(l_event, l_sentence)
         if use_sim:

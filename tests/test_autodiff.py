@@ -3,8 +3,11 @@ import pytest
 
 from recipegen.autodiff import (
     Tensor,
+    attention,
     concat,
     gumbel_softmax,
+    layer_norm,
+    linear,
     log_softmax,
     no_grad,
     softmax,
@@ -90,6 +93,120 @@ class TestPrimitives:
         a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2)))
         s = stack([a, b], axis=0)
         assert s.shape == (2, 2, 2)
+
+
+def unfused_linear(x, weight, bias):
+    y = x @ weight
+    return y if bias is None else y + bias
+
+
+def unfused_layer_norm(x, gain, shift, eps):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    return centered / ((var + eps) ** 0.5) * gain + shift
+
+
+def unfused_attention(q, k, v, heads, mask):
+    (nq, dim), nk = q.shape, k.shape[0]
+    dh = dim // heads
+    qh = q.reshape(nq, heads, dh).transpose(1, 0, 2)
+    kh = k.reshape(nk, heads, dh).transpose(1, 0, 2)
+    vh = v.reshape(nk, heads, dh).transpose(1, 0, 2)
+    scores = (qh @ kh.transpose(0, 2, 1)) * (1.0 / float(np.sqrt(dh)))
+    if mask is not None:
+        scores = scores + Tensor(mask[None, :, :].astype(scores.data.dtype))
+    return (softmax(scores, axis=-1) @ vh).transpose(1, 0, 2).reshape(nq, dim)
+
+
+def key_mask(nq, nk, hidden):
+    """Additive (nq, nk) mask hiding the keys in ``hidden`` from every query."""
+    mask = np.zeros((nq, nk))
+    mask[:, hidden] = -1e9
+    return mask
+
+
+# (name, fused op, unfused reference, input shapes, extra arguments)
+FUSED_CASES = [
+    ("linear", linear, unfused_linear, [(5, 4), (4, 3), (3,)], ()),
+    ("linear_no_bias", linear, unfused_linear, [(5, 4), (4, 3)], (None,)),
+    ("layer_norm", layer_norm, unfused_layer_norm, [(3, 6), (6,), (6,)], (1e-5,)),
+    ("attention", attention, unfused_attention, [(3, 8), (5, 8), (5, 8)], (2, None)),
+    ("attention_causal", attention, unfused_attention, [(4, 8)] * 3, (2, causal_mask(4))),
+    (
+        "attention_masked_keys",
+        attention,
+        unfused_attention,
+        [(2, 6), (5, 6), (5, 6)],
+        (3, key_mask(2, 5, [1, 4])),
+    ),
+]
+
+
+def fused_inputs(shapes, seed):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+
+
+@pytest.mark.parametrize(
+    "op, reference, shapes, extra",
+    [case[1:] for case in FUSED_CASES],
+    ids=[case[0] for case in FUSED_CASES],
+)
+class TestFusedOps:
+    def test_gradients_match_finite_differences(self, op, reference, shapes, extra):
+        inputs = fused_inputs(shapes, 0)
+        out_shape = op(*inputs, *extra).shape
+        weights = Tensor(np.random.default_rng(1).standard_normal(out_shape))
+        assert grad_check(lambda: (op(*inputs, *extra) * weights).sum(), inputs) < 1e-6
+
+    def test_matches_unfused_composition(self, op, reference, shapes, extra):
+        fused_in, unfused_in = fused_inputs(shapes, 2), fused_inputs(shapes, 2)
+        fused, unfused = op(*fused_in, *extra), reference(*unfused_in, *extra)
+        np.testing.assert_array_equal(fused.data, unfused.data)
+        weights = Tensor(np.random.default_rng(3).standard_normal(fused.shape))
+        (fused * weights).sum().backward()
+        (unfused * weights).sum().backward()
+        for a, b in zip(fused_in, unfused_in):
+            np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-10)
+
+    def test_one_graph_node(self, op, reference, shapes, extra):
+        inputs = fused_inputs(shapes, 4)
+        out = op(*inputs, *extra)
+        assert out._parents == tuple(inputs)
+        with no_grad():
+            assert not op(*inputs, *extra).requires_grad
+
+
+class TestFusedOpEdges:
+    def test_masked_keys_receive_zero_gradient(self):
+        q, k, v = fused_inputs([(3, 8), (6, 8), (6, 8)], 5)
+        weights = Tensor(np.random.default_rng(6).standard_normal((3, 8)))
+        (attention(q, k, v, 2, key_mask(3, 6, [0, 4])) * weights).sum().backward()
+        for grad in (k.grad, v.grad):
+            assert np.all(grad[[0, 4]] == 0.0)
+            assert np.all(np.abs(grad[[1, 2, 3, 5]]).sum(axis=1) > 0)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_linear_rejects_non_matrix_input(self, shape):
+        x = Tensor(np.zeros(shape))
+        with pytest.raises(ValueError, match="2-d"):
+            linear(x, Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+
+
+class TestBackward:
+    def test_diamond_accumulates_every_path(self):
+        x = Tensor(np.array([0.3, -1.2]), requires_grad=True)
+        h = x.exp()
+        (h * h + h).sum().backward()
+        np.testing.assert_allclose(x.grad, (2 * np.exp(x.data) + 1) * np.exp(x.data))
+
+    def test_long_chain_needs_no_recursion(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        y = x
+        for _ in range(5000):
+            y = y * 1.0001
+        y.sum().backward()
+        np.testing.assert_allclose(x.grad, [1.0001**5000])
 
 
 class TestLinear:

@@ -366,6 +366,15 @@ class TestTrainingForward:
         labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, False)
         result = model.training_forward(record, labels, np.random.default_rng(3))
         assert np.isfinite(result.loss.item())
+        # with this rng an earlier free-running choice masks a later oracle
+        # label; that step adds no event loss instead of about 1e9
+        chosen = [trace.chosen for trace in result.traces[:-1]]
+        targets = labels.oracle_indices + [len(record.candidates)]
+        reachable = [t for t, label in enumerate(targets) if label not in chosen[:t]]
+        assert len(reachable) < len(targets)
+        want = -sum(math.log(result.traces[t].probabilities[targets[t]]) for t in reachable)
+        assert result.loss_event.item() < 1e3
+        assert result.loss_event.item() == pytest.approx(want, rel=1e-9)
 
     def test_separate_memory_mode_differs_from_joint(self):
         record = RECORDS[0]

@@ -1,7 +1,10 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
-from recipegen import training
+from recipegen import cli, training
 from recipegen.synth import WorldConfig, generate_world
 from recipegen.training import ExperimentConfig, train
 
@@ -52,3 +55,38 @@ class TestTrain:
         result = train(RECORDS, tiny_experiment())
         assert len(result.log_rows) == 2
         assert result.best_epoch == best_epoch
+
+
+class TestAblate:
+    def test_one_row_per_cell_and_one_dataset_per_budget(self):
+        world = {"num_videos": 10, "seed": 3, "steps_range": [2, 4]}
+        exp = tiny_experiment(max_epochs=1, world=world)
+        rows = training.ablate(exp, ["B", "BI"], n_list=[4, 6])
+        cells = [(row["variant"], row["n_candidates"]) for row in rows]
+        assert cells == [("B", 4), ("BI", 4), ("B", 6), ("BI", 6)]
+        for n in (4, 6):
+            records = generate_world(exp.world_config(), n_override=n)
+            assert {len(r.candidates) for r in records} == {n}
+            digests = {row["dataset_hash"] for row in rows if row["n_candidates"] == n}
+            assert digests == {training.dataset_digest(records)}
+        assert all("soda.cider_d" in row for row in rows)
+
+    def test_cli_writes_csv(self, tmp_path):
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({
+            "world": {"num_videos": 10, "seed": 3, "steps_range": [2, 4]},
+            "model": {"hidden": 16, "heads": 2},
+            "max_epochs": 1,
+            "batch_size": 4,
+            "vocab_min_count": 1,
+            "val_fraction": 0.3,
+        }))
+        out = tmp_path / "ablation.csv"
+        code = cli.main([
+            "ablate", "--config", str(config), "--variants", "B", "--n-list", "4",
+            "--out", str(out), "--quiet",
+        ])
+        assert code == cli.EXIT_OK
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["variant"], row["n_candidates"]) for row in rows] == [("B", "4")]
