@@ -106,9 +106,27 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _check_predictions(preds, records) -> None:
+    """Each predicted index names one of its video's candidates, with that
+    candidate's interval."""
+    events_of = {r.video_id: r.candidates.events for r in records}
+    # evaluate_corpus names the videos missing from either side
+    for pred in (p for p in preds if p.video_id in events_of):
+        events = events_of[pred.video_id]
+        for pos, (index, interval) in enumerate(zip(pred.selections, pred.intervals)):
+            where = f"{pred.video_id}: result {pos}"
+            if not 0 <= index < len(events):
+                raise ValidationError(f"{where}: index {index} outside 0..{len(events) - 1}")
+            for field in ("start", "end"):
+                want, got = getattr(events[index], field), getattr(interval, field)
+                if got != want:
+                    raise ValidationError(f"{where}: {field} {got} != candidate {index}'s {want}")
+
+
 def _cmd_evaluate(args) -> int:
     records = load_dataset(args.dataset)
     preds = load_predictions(args.predictions)
+    _check_predictions(preds, records)
     report = evaluate_corpus(preds, [r.ground_truth for r in records])
     data.save_report(report, args.out)
     for key in sorted(report["metrics"]):

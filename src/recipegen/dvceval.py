@@ -7,6 +7,12 @@ Conventions, also recorded in report metadata:
   * SODA is single-reference and reported as F-measure; corpus scores are the
     mean of per-video F1.
   * An empty prediction has precision 0 and F1 0.
+
+Each quantity is computed once per report: the scorers of ``sentence_metrics``
+remember each (candidate, reference) pair's score for as long as they live,
+``score_video`` hands one tIoU matrix per video to dvc_eval and to SODA (which
+weights a copy), and ``oracle.oracle_sweep`` shares one set of scorers across
+its budgets, whose ground truth is the same.
 """
 
 from __future__ import annotations
@@ -86,6 +92,19 @@ def soda_from_matrix(scores: np.ndarray) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+def _soda(
+    mat: np.ndarray, pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric | None
+) -> tuple[float, float, float]:
+    """SODA over a precomputed tIoU matrix, which is weighted in a copy."""
+    if metric is not None:
+        mat = mat.copy()
+        for i, sent in enumerate(pred.sentences):
+            for j, step in enumerate(gt.steps):
+                if mat[i, j] > 0.0:
+                    mat[i, j] *= metric(sent, step.sentence) if sent else 0.0
+    return soda_from_matrix(mat)
+
+
 def soda(
     pred: PredictionRecipe,
     gt: GroundTruthRecipe,
@@ -96,13 +115,24 @@ def soda(
     Pair scores are ``tiou * metric(pred_sentence, gt_sentence)``; with
     ``metric=None`` the score is tIoU alone (the SODA-tIoU variant).
     """
-    mat = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
-    if metric is not None:
-        for i, sent in enumerate(pred.sentences):
-            for j, step in enumerate(gt.steps):
-                if mat[i, j] > 0.0:
-                    mat[i, j] *= metric(sent, step.sentence) if sent else 0.0
-    return soda_from_matrix(mat)
+    return _soda(tiou_matrix(pred.intervals, [s.interval for s in gt.steps]), pred, gt, metric)
+
+
+def _dvc_eval(
+    mat: np.ndarray, pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric,
+    thresholds: Sequence[float] = DVC_EVAL_THRESHOLDS,
+) -> float:
+    """dvc_eval over a precomputed tIoU matrix."""
+    per_threshold = []
+    for t in thresholds:
+        qualifying = [
+            metric(pred.sentences[i], gt.steps[j].sentence) if pred.sentences[i] else 0.0
+            for i in range(mat.shape[0])
+            for j in range(mat.shape[1])
+            if mat[i, j] > t
+        ]
+        per_threshold.append(sum(qualifying) / len(qualifying) if qualifying else 0.0)
+    return float(np.mean(per_threshold))
 
 
 def dvc_eval(
@@ -115,24 +145,7 @@ def dvc_eval(
     metric over all prediction x ground-truth pairs whose tIoU exceeds it
     (0 when none qualifies), then average over thresholds."""
     mat = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
-    cache: dict[tuple[int, int], float] = {}
-
-    def pair_score(i: int, j: int) -> float:
-        if (i, j) not in cache:
-            sent = pred.sentences[i]
-            cache[(i, j)] = metric(sent, gt.steps[j].sentence) if sent else 0.0
-        return cache[(i, j)]
-
-    per_threshold = []
-    for t in thresholds:
-        qualifying = [
-            pair_score(i, j)
-            for i in range(mat.shape[0])
-            for j in range(mat.shape[1])
-            if mat[i, j] > t
-        ]
-        per_threshold.append(sum(qualifying) / len(qualifying) if qualifying else 0.0)
-    return float(np.mean(per_threshold))
+    return _dvc_eval(mat, pred, gt, metric, thresholds)
 
 
 def event_count_stats(
@@ -167,13 +180,27 @@ REPORT_METADATA = {
 }
 
 
+def _memo(metric: SentenceMetric) -> SentenceMetric:
+    """``metric`` scoring each distinct (candidate, reference) pair once."""
+    scores: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
+
+    def scored(c: list[str], r: list[str]) -> float:
+        key = (tuple(c), tuple(r))
+        if key not in scores:
+            scores[key] = metric(c, r)
+        return scores[key]
+
+    return scored
+
+
 def sentence_metrics(df: CorpusDF) -> dict[str, SentenceMetric]:
     """The three sentence scorers used by dvc_eval and SODA, with CIDEr-D
-    bound to document frequencies from the evaluation references."""
+    bound to document frequencies from the evaluation references.  Each
+    remembers its scores for as long as the returned scorers live."""
     return {
-        "bleu4": lambda c, r: bleu4(c, [r]) if c else 0.0,
-        "meteor": lambda c, r: meteor_lite(c, r) if c else 0.0,
-        "cider_d": lambda c, r: cider_d(c, [r], df),
+        "bleu4": _memo(lambda c, r: bleu4(c, [r]) if c else 0.0),
+        "meteor": _memo(lambda c, r: meteor_lite(c, r) if c else 0.0),
+        "cider_d": _memo(lambda c, r: cider_d(c, [r], df)),
     }
 
 
@@ -195,11 +222,13 @@ def score_video(
     pred: PredictionRecipe, gt: GroundTruthRecipe, metrics: dict[str, SentenceMetric]
 ) -> dict[str, float]:
     """The ``VIDEO_SCORES`` of one video: dvc_eval with every sentence metric,
-    and SODA F1 with METEOR, with CIDEr-D and with tIoU alone."""
-    row = {f"dvc_eval.{name}": dvc_eval(pred, gt, fn) for name, fn in metrics.items()}
+    and SODA F1 with METEOR, with CIDEr-D and with tIoU alone, all over one
+    tIoU matrix."""
+    mat = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
+    row = {f"dvc_eval.{name}": _dvc_eval(mat, pred, gt, fn) for name, fn in metrics.items()}
     for name in ("meteor", "cider_d"):
-        row[f"soda.{name}"] = soda(pred, gt, metrics[name])[2]
-    row["soda.tiou"] = soda(pred, gt, None)[2]
+        row[f"soda.{name}"] = _soda(mat, pred, gt, metrics[name])[2]
+    row["soda.tiou"] = _soda(mat, pred, gt, None)[2]
     return row
 
 

@@ -105,8 +105,13 @@ def oracle_report(records: list[DatasetRecord], mode: str = "gt-sentences") -> d
     oracle tIoU, duplicate-assignment counts, and a tIoU histogram with bin
     width 0.1.
     """
+    metrics = sentence_metrics(reference_df([r.ground_truth for r in records]))
+    return _report(records, mode, metrics)
+
+
+def _report(records: list[DatasetRecord], mode: str, metrics: dict) -> dict:
+    """``oracle_report`` with the given sentence scorers."""
     gts = [r.ground_truth for r in records]
-    metrics = sentence_metrics(reference_df(gts))
     per_video = []
     all_tious: list[float] = []
     duplicates = 0
@@ -170,11 +175,15 @@ def subset_candidates(record: DatasetRecord, n: int, seed: int = 0) -> DatasetRe
 
 
 def oracle_sweep(records: list[DatasetRecord], n_list: list[int], seed: int = 0) -> dict:
-    """Oracle metrics at nested candidate-count budgets (Table-style sweep)."""
+    """Oracle metrics at nested candidate-count budgets (Table-style sweep).
+
+    Every budget keeps the same ground truth, so one set of scorers serves
+    them all."""
+    metrics = sentence_metrics(reference_df([r.ground_truth for r in records]))
     rows = []
     for n in sorted(n_list):
         subset = [subset_candidates(r, n, seed) for r in records]
-        report = oracle_report(subset, mode="gt-sentences")
+        report = _report(subset, "gt-sentences", metrics)
         row = {"n_candidates": n}
         row.update(report["metrics"])
         rows.append(row)

@@ -327,6 +327,11 @@ def generate_world(config: WorldConfig, n_override: int | None = None) -> list[D
     budget; for a fixed config seed the candidate sets it produces are nested
     across increasing budgets.
     """
+    if n_override is not None and n_override < config.steps_range[1]:
+        raise ValueError(
+            f"n_override={n_override} is below the largest step count of "
+            f"steps_range={list(config.steps_range)}"
+        )
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.num_videos)
     return [

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from recipegen import cli
-from recipegen.data import save_dataset
-from recipegen.synth import WorldConfig, generate_world
+from recipegen.data import TimedEvent, Vocabulary, save_dataset, save_predictions
+from recipegen.model import ModelConfig, RecipeModel, save_checkpoint
+from recipegen.oracle import oracle_prediction
+from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
 
 EXPERIMENT = {
     "world": {"num_videos": 10, "seed": 3},
@@ -77,3 +79,68 @@ def test_malformed_predictions_exit_validation(tmp_path, capsys, predictions, na
     err = capsys.readouterr().err
     for name in names:
         assert name in err
+
+
+def _evaluate(tmp_path, predictions, dataset):
+    return cli.main([
+        "evaluate", "--predictions", str(predictions), "--dataset", str(dataset),
+        "--out", str(tmp_path / "report.json"),
+    ])
+
+
+@pytest.mark.parametrize("field", ["index", "start"])
+def test_evaluate_rejects_results_off_the_candidates(tmp_path, capsys, field):
+    dataset, pred_path = tmp_path / "world.json", tmp_path / "pred.json"
+    records = generate_world(WorldConfig(num_videos=2, seed=3))
+    save_dataset(records, dataset)
+    preds = [oracle_prediction(r)[0] for r in records]
+    save_predictions(preds, pred_path)
+    assert _evaluate(tmp_path, pred_path, dataset) == cli.EXIT_OK
+    if field == "index":
+        preds[1].selections[2] = len(records[1].candidates)
+    else:
+        shifted = preds[1].intervals[2]
+        preds[1].intervals[2] = TimedEvent(shifted.start + 0.25, shifted.end + 0.25)
+    save_predictions(preds, pred_path)
+    capsys.readouterr()
+    assert _evaluate(tmp_path, pred_path, dataset) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    for name in ("video_0001", "result 2", field):
+        assert name in err
+
+
+def test_evaluate_missing_predictions_exit_validation(tmp_path):
+    dataset = tmp_path / "world.json"
+    save_dataset(generate_world(WorldConfig(num_videos=2, seed=3)), dataset)
+    assert _evaluate(tmp_path, tmp_path / "absent.json", dataset) == cli.EXIT_VALIDATION
+
+
+def test_generate_rejects_feature_dim_mismatch(tmp_path, capsys):
+    dataset, checkpoint = tmp_path / "world.json", tmp_path / "model.npz"
+    save_dataset(generate_world(WorldConfig(num_videos=2, seed=3, feature_dim=16)), dataset)
+    config = ModelConfig(hidden=16, heads=2, feature_dim=32)
+    save_checkpoint(checkpoint, RecipeModel(config, Vocabulary(["stir"]), list(DEFAULT_ACTIONS)))
+    code = cli.main([
+        "generate", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+        "--out", str(tmp_path / "pred.json"),
+    ])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "feature dim 32" in err and "has 16" in err
+
+
+def test_attached_oracle_needs_candidate_sentences(tmp_path, capsys):
+    dataset = tmp_path / "world.json"
+    world = WorldConfig(num_videos=2, seed=3, attach_candidate_sentences=False)
+    save_dataset(generate_world(world), dataset)
+    code = cli.main(["oracle", "--dataset", str(dataset), "--mode", "attached"])
+    assert code == cli.EXIT_VALIDATION
+    assert "video_0000" in capsys.readouterr().err
+
+
+def test_ablate_rejects_budget_below_step_count(tmp_path, capsys):
+    # the default world draws up to 6 steps per video
+    code = cli.main(["ablate", "--n-list", "4", "--out", str(tmp_path / "a.csv"), "--quiet"])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "n_override" in err and "steps_range" in err

@@ -10,6 +10,7 @@ from recipegen.data import (
     TimedEvent,
 )
 from recipegen.dvceval import (
+    VIDEO_SCORES,
     dp_alignment,
     dvc_eval,
     evaluate_corpus,
@@ -19,6 +20,7 @@ from recipegen.dvceval import (
     tiou,
     tiou_matrix,
 )
+from recipegen.oracle import oracle_prediction
 from recipegen.textmetrics import meteor_lite
 
 
@@ -228,3 +230,15 @@ class TestEvaluateCorpus:
         assert report["metrics"]["soda.tiou"] == 1.0
         assert report["metrics"]["count_stats.eta0"] == 100.0
         assert len(report["per_video"]) == 1
+
+
+class TestSharedScoring:
+    def test_rows_equal_unmemoized_public_scorers(self, repeated_world, unmemoized_scores):
+        preds = [oracle_prediction(r, mode="attached")[0] for r in repeated_world]
+        preds[1].sentences[0] = []
+        gts = [r.ground_truth for r in repeated_world]
+        report = evaluate_corpus(preds, gts)
+        rows = [{key: row[key] for key in VIDEO_SCORES} for row in report["per_video"]]
+        assert rows == unmemoized_scores(preds, gts)
+        # the world is not one where every pair scores the same
+        assert len({row["soda.cider_d"] for row in rows}) > 2

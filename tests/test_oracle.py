@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from recipegen import dvceval
 from recipegen.data import (
     DatasetRecord,
     EventCandidateSet,
@@ -9,7 +12,7 @@ from recipegen.data import (
     RecipeStep,
     TimedEvent,
 )
-from recipegen.dvceval import soda, tiou
+from recipegen.dvceval import VIDEO_SCORES, soda, tiou
 from recipegen.oracle import (
     oracle_prediction,
     oracle_report,
@@ -172,3 +175,38 @@ class TestSweep:
         sweep = oracle_sweep(records, [5, 10, 20])
         means = [row["mean_tiou"] for row in sweep["rows"]]
         assert means == sorted(means)
+
+
+class TestSharedScorers:
+    @pytest.mark.parametrize("mode", ["attached", "gt-sentences"])
+    def test_report_rows_equal_unmemoized_public_scorers(
+        self, repeated_world, unmemoized_scores, mode
+    ):
+        record = repeated_world[1]
+        _, assignment = oracle_prediction(record, mode="attached")
+        record.candidates.sentences[assignment.indices[0]] = ""
+        preds = [oracle_prediction(r, mode=mode)[0] for r in repeated_world]
+        if mode == "attached":
+            assert preds[1].sentences[0] == []
+        report = oracle_report(repeated_world, mode=mode)
+        rows = [{key: row[key] for key in VIDEO_SCORES} for row in report["per_video"]]
+        assert rows == unmemoized_scores(preds, [r.ground_truth for r in repeated_world])
+
+    def test_sweep_rows_equal_reports_made_on_their_own(self, repeated_world):
+        sweep = oracle_sweep(repeated_world, [3, 6, 8], seed=1)
+        assert [row["n_candidates"] for row in sweep["rows"]] == [3, 6, 8]
+        for row in sweep["rows"]:
+            n = row["n_candidates"]
+            subset = [subset_candidates(r, n, seed=1) for r in repeated_world]
+            assert row == {"n_candidates": n, **oracle_report(subset)["metrics"]}
+
+    def test_sweep_scores_each_pair_once(self, monkeypatch, repeated_world):
+        real, calls = dvceval.cider_d, Counter()
+
+        def counting(candidate, references, df):
+            calls[(tuple(candidate), tuple(references[0]))] += 1
+            return real(candidate, references, df)
+
+        monkeypatch.setattr(dvceval, "cider_d", counting)
+        oracle_sweep(repeated_world, [3, 6, 8], seed=1)
+        assert calls and max(calls.values()) == 1

@@ -71,6 +71,13 @@ class TestAblate:
             assert digests == {training.dataset_digest(records)}
         assert all("soda.cider_d" in row for row in rows)
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_budget_below_largest_step_count_rejected(self, n):
+        world = WorldConfig(num_videos=10, seed=3, steps_range=(2, 4))
+        with pytest.raises(ValueError, match=rf"n_override={n}\b.*steps_range=\[2, 4\]"):
+            generate_world(world, n_override=n)
+        assert {len(r.candidates) for r in generate_world(world, n_override=4)} == {4}
+
     def test_cli_writes_csv(self, tmp_path):
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps({
