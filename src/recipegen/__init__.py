@@ -40,9 +40,7 @@ from .model import (
     build_labels,
     load_checkpoint,
     loss_event,
-    loss_extended,
     loss_sentence,
-    loss_total,
     mix_memories,
     pool_memory,
     preset_config,

@@ -17,7 +17,7 @@ import numpy as np
 from . import data
 from .data import ParseError, ValidationError, load_dataset, load_predictions
 from .dvceval import evaluate_corpus
-from .model import load_checkpoint, save_checkpoint
+from .model import VARIANTS, load_checkpoint, save_checkpoint
 from .oracle import oracle_report, oracle_sweep
 from .training import (
     ExperimentConfig,
@@ -179,7 +179,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--variant", choices=("B", "BI", "BIV", "BIVT"), default=None)
+    p.add_argument("--variant", choices=VARIANTS, default=None)
     p.add_argument("--n-candidates", dest="n_candidates", type=int, default=None)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=_cmd_train)

@@ -42,6 +42,14 @@ class ParseError(ValueError):
     """The input file is not well-formed JSON."""
 
 
+def check_config_keys(cls, d: dict, section: str) -> None:
+    """Reject keys of the config object ``d`` that are not fields of the
+    dataclass ``cls``, naming the section and the keys."""
+    unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown {section} config keys: {unknown}")
+
+
 class ValidationWarning(UserWarning):
     """Non-fatal irregularity found while loading (e.g. overlapping steps)."""
 

@@ -94,7 +94,9 @@ class MultiHeadAttention(Layer):
             raise ValueError(f"model dim {dim} not divisible by {heads} heads")
         self.heads = heads
         self.proj_q = Linear(dim, dim, rng, dtype=dtype)
-        self.proj_k = Linear(dim, dim, rng, dtype=dtype)
+        # no key bias: it adds one constant to each query's scores, which the
+        # softmax ignores
+        self.proj_k = Linear(dim, dim, rng, bias=False, dtype=dtype)
         self.proj_v = Linear(dim, dim, rng, dtype=dtype)
         self.proj_out = Linear(dim, dim, rng, dtype=dtype)
 
@@ -148,19 +150,15 @@ class MemTransformerLayer(Layer):
 
 
 class MemTransformer(Layer):
-    """Stack of memory-augmented layers; one memory slot matrix per layer."""
+    """Stack of memory-augmented layers; one memory slot per layer."""
 
-    def __init__(self, layers: int, dim: int, heads: int, slots: int, rng, dtype=np.float64):
+    def __init__(self, layers: int, dim: int, heads: int, rng, dtype=np.float64):
         self.layers = [MemTransformerLayer(dim, heads, rng, dtype=dtype) for _ in range(layers)]
-        self.slots = slots
         self.dim = dim
         self.dtype = dtype
 
     def initial_memory(self) -> list[Tensor]:
-        return [
-            Tensor(np.zeros((self.slots, self.dim), dtype=self.dtype))
-            for _ in self.layers
-        ]
+        return [Tensor(np.zeros((1, self.dim), dtype=self.dtype)) for _ in self.layers]
 
     def __call__(self, x: Tensor, memories: list[Tensor], self_mask: np.ndarray | None = None):
         """One pass over the rows ``x``; returns the last layer's rows and the

@@ -25,9 +25,12 @@ Model variants:
   BIV    + dot-product visual simulator (fused event representations, state)
   BIVT   + textual attention over ingredient state and event-weighted actions
 
-All variants allocate the full parameter set in the same order, so two
-variants built from one seed share identical initial weights and ablations
-differ only in the gated computations.
+Each variant builds only the modules it reads.  The extension modules are
+drawn last, in the order B < BI < BIV < BIVT, so a variant draws a prefix of
+that list, and every module it keeps starts from the same weights as in the
+variants above it built from the same seed.  Whether a step reads ingredients,
+runs the simulator or applies textual attention follows from which modules
+exist.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .data import (
     EventCandidateSet,
     PredictionRecipe,
     Vocabulary,
+    check_config_keys,
     tokenize,
 )
 from .extended import (
@@ -87,10 +91,7 @@ class ModelConfig:
     hidden: int = 64
     layers: int = 2
     heads: int = 4
-    memory_slots: int = 1
     feature_dim: int = 32
-    vocab_size: int = 0
-    num_actions: int = 0
     max_steps: int = 12
     max_sentence_len: int = 20
     variant: str = "B"
@@ -106,11 +107,13 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+            raise ValueError(f"variant {self.variant!r} must be one of {VARIANTS}")
         if self.conditioning not in ("teacher", "free"):
             raise ValueError("conditioning must be 'teacher' or 'free'")
         if self.memory_update not in ("joint", "separate"):
             raise ValueError("memory_update must be 'joint' or 'separate'")
+        if self.vsim_negatives not in ("skip", "null-event"):
+            raise ValueError("vsim_negatives must be 'skip' or 'null-event'")
         if self.precision not in ("float32", "float64"):
             raise ValueError("precision must be 'float32' or 'float64'")
 
@@ -123,6 +126,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        check_config_keys(cls, d, "model")
         return cls(**d)
 
 
@@ -207,14 +211,6 @@ def loss_sentence(
     if total is None:
         raise ValueError("no unmasked target tokens")
     return total
-
-
-def loss_total(l_event: Tensor, l_sentence: Tensor) -> Tensor:
-    return l_event + l_sentence
-
-
-def loss_extended(l_total: Tensor, l_vsim: Tensor, l_tattn: Tensor) -> Tensor:
-    return l_total + l_vsim + l_tattn
 
 
 # ---------------------------------------------------------------------------
@@ -316,15 +312,7 @@ class RecipeModel(Layer):
         action_lexicon: list[str],
         seed: int = 0,
     ):
-        if config.vocab_size and config.vocab_size != len(vocab):
-            raise ValueError(
-                f"config vocab_size {config.vocab_size} != vocabulary size {len(vocab)}"
-            )
-        if config.num_actions and config.num_actions != len(action_lexicon):
-            raise ValueError("config num_actions does not match the action lexicon")
-        self.config = replace(
-            config, vocab_size=len(vocab), num_actions=len(action_lexicon)
-        )
+        self.config = config
         self.vocab = vocab
         self.action_lexicon = list(action_lexicon)
         rng = np.random.default_rng(seed)
@@ -333,29 +321,32 @@ class RecipeModel(Layer):
         # event side
         self.feat_mlp = MLP(config.feature_dim, h, h, rng, dtype=dt)
         self.rel_enc = Linear(3, h, rng, dtype=dt)
-        self.event_tf = MemTransformer(config.layers, h, config.heads, config.memory_slots, rng, dtype=dt)
+        self.event_tf = MemTransformer(config.layers, h, config.heads, rng, dtype=dt)
         self.stop_vector = Tensor((rng.standard_normal(h) * 0.02).astype(dt), requires_grad=True)
 
         # sentence side
         self.word_embed = Embedding(len(vocab), h, rng, dtype=dt)
         self.word_adapter = Linear(h, h, rng, dtype=dt)
-        self.sent_tf = MemTransformer(config.layers, h, config.heads, config.memory_slots, rng, dtype=dt)
+        self.sent_tf = MemTransformer(config.layers, h, config.heads, rng, dtype=dt)
         self.vocab_head = Linear(h, len(vocab), rng, dtype=dt)
 
-        # memory mixing maps
-        self.mix_f1 = Linear(h, h, rng, dtype=dt)
-        self.mix_f2 = Linear(h, h, rng, dtype=dt)
-        self.mix_g1 = Linear(h, h, rng, dtype=dt)
-        self.mix_g2 = Linear(h, h, rng, dtype=dt)
+        # memory mixing maps; drawn under "separate" too, as later draws follow them
+        mix = [Linear(h, h, rng, dtype=dt) for _ in range(4)]
+        joint = config.memory_update == "joint"
+        self.mix_f1, self.mix_f2, self.mix_g1, self.mix_g2 = mix if joint else [None] * 4
 
-        # extension (allocated for every variant: keeps init order seed-stable)
-        self.ing_mlp_sel = MLP(h, h, h, rng, dtype=dt)
-        self.ing_mlp_gen = MLP(h, h, h, rng, dtype=dt)
-        self.action_embed = Embedding(max(1, len(action_lexicon)), h, rng, dtype=dt)
-        self.simulator = DotProductSimulator(h, rng, dtype=dt)
-        self.textual_attention = TextualAttention(h, rng, dtype=dt)
-        self.vocab_head_ing = Linear(h, len(vocab), rng, bias=False, dtype=dt)
-        self.vocab_head_act = Linear(h, len(vocab), rng, bias=False, dtype=dt)
+        # extension modules, drawn last so that each variant draws a prefix
+        level = VARIANTS.index(config.variant)
+        ing, sim, text = level >= 1, level >= 2, level >= 3
+        self.ing_mlp_sel = MLP(h, h, h, rng, dtype=dt) if ing else None
+        self.ing_mlp_gen = MLP(h, h, h, rng, dtype=dt) if ing else None
+        self.action_embed = (
+            Embedding(max(1, len(action_lexicon)), h, rng, dtype=dt) if sim else None
+        )
+        self.simulator = DotProductSimulator(h, rng, dtype=dt) if sim else None
+        self.textual_attention = TextualAttention(h, rng, dtype=dt) if text else None
+        self.vocab_head_ing = Linear(h, len(vocab), rng, bias=False, dtype=dt) if text else None
+        self.vocab_head_act = Linear(h, len(vocab), rng, bias=False, dtype=dt) if text else None
 
         self._pe = sinusoidal_encoding(512, h, dtype=dt)
 
@@ -414,7 +405,7 @@ class RecipeModel(Layer):
         return logits
 
     def _mix(self, v_mems: list[Tensor], s_mems: list[Tensor]):
-        if self.config.memory_update == "separate":
+        if self.mix_f1 is None:
             return v_mems, s_mems
         new_v, new_s = [], []
         for v, s in zip(v_mems, s_mems):
@@ -444,7 +435,7 @@ class RecipeModel(Layer):
         """Vocabulary log-probs of word hidden rows, plus the textual-attention
         weights (BIVT only, else None)."""
         logits = self.vocab_head(word_h)
-        if self.config.variant != "BIVT":
+        if self.textual_attention is None:
             return log_softmax(logits, axis=-1), None
         if sim is None:
             raise ValueError("textual attention needs simulator outputs")
@@ -528,15 +519,14 @@ class RecipeModel(Layer):
     def _context(self, record: DatasetRecord) -> dict:
         """Per-video inputs of every step: the candidate encodings, both
         ingredient encodings (all but B) and the action table (BIV, BIVT)."""
-        cfg = self.config
-        use_ing = cfg.variant != "B"
+        use_ing = self.ing_mlp_sel is not None
         return {
             "n": len(record.candidates),
             "events": self.encode_events(record.candidates, record.duration),
             "g_sel": self.encode_ingredients(record.ingredients, "selector") if use_ing else None,
             "g_gen": self.encode_ingredients(record.ingredients, "generator") if use_ing else None,
             "actions": self.action_embed(np.arange(len(self.action_lexicon)))
-            if cfg.variant in ("BIV", "BIVT")
+            if self.action_embed is not None
             else None,
         }
 
@@ -583,7 +573,6 @@ class RecipeModel(Layer):
         cfg = self.config
         tau = cfg.tau if tau is None else tau
         hard = cfg.hard_selection
-        use_sim = cfg.variant in ("BIV", "BIVT")
 
         ctx = self._context(record)
         n = ctx["n"]
@@ -645,22 +634,18 @@ class RecipeModel(Layer):
 
             v_mems, s_mems = self._mix(v_new, s_new)
 
-        zero = Tensor(np.zeros((), dtype=cfg.dtype))
         l_event = loss_event(event_logps, event_labels)
         l_sentence = loss_sentence(sentence_rows, labels.token_ids)
-        total = loss_total(l_event, l_sentence)
-        if use_sim:
-            l_vsim = l_vsim if l_vsim is not None else zero
-            l_tattn = l_tattn if l_tattn is not None else zero
-            final = loss_extended(total, l_vsim, l_tattn)
-        else:
-            final = total
+        total = l_event + l_sentence
+        for term in (l_vsim, l_tattn):
+            if term is not None:
+                total = total + term
         return ForwardResult(
-            loss=final,
+            loss=total,
             loss_event=l_event,
             loss_sentence=l_sentence,
-            loss_vsim=l_vsim if use_sim else None,
-            loss_tattn=l_tattn if cfg.variant == "BIVT" else None,
+            loss_vsim=l_vsim,
+            loss_tattn=l_tattn,
             traces=traces,
         )
 

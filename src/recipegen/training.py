@@ -13,10 +13,12 @@ from .data import (
     DatasetRecord,
     Vocabulary,
     build_vocabulary,
+    check_config_keys,
     _record_to_obj,
 )
 from .dvceval import evaluate_corpus
 from .model import (
+    VARIANTS,
     ModelConfig,
     RecipeModel,
     VideoLabels,
@@ -48,17 +50,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant {self.variant!r} must be one of {VARIANTS}")
+        check_config_keys(ModelConfig, self.model, "model")
+        check_config_keys(OptimizerConfig, self.optimizer, "optimizer")
+        check_config_keys(WorldConfig, self.world, "world")
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        unknown = set(d) - set(known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**known)
+        check_config_keys(cls, d, "experiment")
+        return cls(**d)
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(**self.optimizer)
@@ -129,7 +133,7 @@ def train(
     vocab = build_vocabulary(corpus, min_count=exp.vocab_min_count)
     feature_dim = train_recs[0].candidates.features.shape[1]
     model = make_model(exp, vocab, feature_dim)
-    with_distant = model.config.variant in ("BIV", "BIVT")
+    with_distant = model.simulator is not None
     labels = [
         build_labels(r, vocab, exp.actions, with_distant) for r in train_recs
     ]
@@ -234,6 +238,8 @@ def ablate(
     seed; returns one row per cell."""
     from .synth import generate_world
 
+    # every cell's config is checked before any cell trains
+    cell_exps = [ExperimentConfig.from_dict({**exp.to_dict(), "variant": v}) for v in variants]
     if n_list is None:
         if records is None:
             raise ValueError("ablate needs a dataset or a candidate-count list")
@@ -247,11 +253,10 @@ def ablate(
     rows = []
     for cell_records, n in cells:
         digest = dataset_digest(cell_records)
-        for variant in variants:
-            cell_exp = ExperimentConfig.from_dict({**exp.to_dict(), "variant": variant})
+        for cell_exp in cell_exps:
             result = train(cell_records, cell_exp, quiet=quiet)
             row = {
-                "variant": variant,
+                "variant": cell_exp.variant,
                 "n_candidates": n if n is not None else len(cell_records[0].candidates),
                 "dataset_hash": digest,
                 "best_epoch": result.best_epoch,

@@ -276,7 +276,7 @@ class TestMultiHeadAttention:
         out = mha(Tensor(q_in), Tensor(kv_in))
         # direct dense computation
         q = q_in @ mha.proj_q.weight.data + mha.proj_q.bias.data
-        k = kv_in @ mha.proj_k.weight.data + mha.proj_k.bias.data
+        k = kv_in @ mha.proj_k.weight.data
         v = kv_in @ mha.proj_v.weight.data + mha.proj_v.bias.data
         scores = q @ k.T / 2.0
         attn = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -297,7 +297,7 @@ class TestMultiHeadAttention:
 class TestMemTransformer:
     def test_deterministic_given_inputs(self):
         rng = np.random.default_rng(5)
-        tf = MemTransformer(2, 8, 2, 1, rng)
+        tf = MemTransformer(2, 8, 2, rng)
         x = Tensor(rng.standard_normal((4, 8)))
         mems = tf.initial_memory()
         out1, new1 = tf(x, mems, causal_mask(4))
@@ -308,7 +308,7 @@ class TestMemTransformer:
 
     def test_gradients_flow_through_memory_recurrence(self):
         rng = np.random.default_rng(6)
-        tf = MemTransformer(1, 8, 2, 1, rng)
+        tf = MemTransformer(1, 8, 2, rng)
         x = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
 
         def f():

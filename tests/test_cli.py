@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from recipegen import cli
+from recipegen import cli, training
 from recipegen.data import TimedEvent, Vocabulary, save_dataset, save_predictions
 from recipegen.model import ModelConfig, RecipeModel, save_checkpoint
 from recipegen.oracle import oracle_prediction
@@ -47,6 +48,33 @@ def test_train_rejects_zero_epochs(tmp_path, capsys):
     ])
     assert code == cli.EXIT_VALIDATION
     assert "max_epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["model", "optimizer", "world"])
+def test_train_rejects_unknown_section_key(tmp_path, capsys, section):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({**EXPERIMENT, section: {"memory_slotz": 1}}))
+    code = cli.main([
+        "train", "--config", str(config), "--dataset", str(tmp_path / "absent.json"),
+        "--checkpoint", str(tmp_path / "model.npz"),
+    ])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert section in err and "memory_slotz" in err
+
+
+def test_ablate_checks_variants_before_training(tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: trained.append(args))
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({**EXPERIMENT, "world": {"num_videos": 4, "steps_range": [2, 4]}}))
+    code = cli.main([
+        "ablate", "--config", str(config), "--variants", "B,BX", "--n-list", "4",
+        "--out", str(tmp_path / "a.csv"), "--quiet",
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert "BX" in capsys.readouterr().err
+    assert trained == []
 
 
 def _result(**fields):
@@ -144,3 +172,20 @@ def test_ablate_rejects_budget_below_step_count(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "n_override" in err and "steps_range" in err
+
+
+def test_generate_rejects_checkpoint_with_key_bias(tmp_path, capsys):
+    dataset, checkpoint = tmp_path / "world.json", tmp_path / "model.npz"
+    save_dataset(generate_world(WorldConfig(num_videos=2, seed=3)), dataset)
+    config = ModelConfig(hidden=16, heads=2)
+    save_checkpoint(checkpoint, RecipeModel(config, Vocabulary(["stir"]), list(DEFAULT_ACTIONS)))
+    with np.load(checkpoint) as blob:
+        arrays = {key: blob[key] for key in blob.files}
+    arrays["param/sent_tf.layers.1.mem_update.attn.proj_k.bias"] = np.zeros(16)
+    np.savez(checkpoint, **arrays)
+    code = cli.main([
+        "generate", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+        "--out", str(tmp_path / "pred.json"),
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert "sent_tf.layers.1.mem_update.attn.proj_k.bias" in capsys.readouterr().err

@@ -356,12 +356,16 @@ class TestAblationContainment:
             assert bivt.run_inference(record) == biv.run_inference(record)
 
     def test_shared_seed_shares_initial_parameters(self):
-        a = tiny_extended("B", seed=23)
-        b = tiny_extended("BIVT", seed=23)
-        pa, pb = a.parameters(), b.parameters()
-        assert pa.keys() == pb.keys()
-        for k in pa:
-            np.testing.assert_array_equal(pa[k].data, pb[k].data)
+        # each smaller variant holds a proper subset of BIVT's parameters
+        pb = tiny_extended("BIVT", seed=23).parameters()
+        separate = ModelConfig(hidden=16, layers=2, heads=2, feature_dim=WORLD.feature_dim,
+                               variant="BIVT", memory_update="separate")
+        smaller = [tiny_extended(v, seed=23) for v in ("B", "BI", "BIV")]
+        for model in smaller + [RecipeModel(separate, VOCAB, DEFAULT_ACTIONS, seed=23)]:
+            pa = model.parameters()
+            assert pa.keys() < pb.keys()
+            for k in pa:
+                np.testing.assert_array_equal(pa[k].data, pb[k].data)
 
     def test_extended_gradients_reach_all_extension_parameters(self):
         model = tiny_extended("BIVT", seed=29)

@@ -210,3 +210,25 @@ class TestSharedScorers:
         monkeypatch.setattr(dvceval, "cider_d", counting)
         oracle_sweep(repeated_world, [3, 6, 8], seed=1)
         assert calls and max(calls.values()) == 1
+
+
+class TestWorldKnobs:
+    @pytest.mark.parametrize(
+        "fraction, min_tiou", [(0.0, 0.3), (0.0, 0.8), (1.0, 0.3)]
+    )
+    def test_copies_keep_jitter_min_tiou(self, fraction, min_tiou):
+        world = WorldConfig(
+            num_videos=20, seed=2, distractor_fraction=fraction, jitter_min_tiou=min_tiou
+        )
+        best = [
+            max(tiou(event, step.interval) for step in record.steps)
+            for record in generate_world(world)
+            for event in record.candidates.events
+        ]
+        # without distractors every candidate is a jittered copy of a step
+        assert (min(best) >= min_tiou) == (fraction == 0.0)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_distractor_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="distractor_fraction"):
+            WorldConfig(distractor_fraction=fraction)

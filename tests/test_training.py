@@ -24,6 +24,19 @@ def tiny_experiment(**overrides):
     return ExperimentConfig(**fields)
 
 
+def fix_metrics(monkeypatch, metrics):
+    """Replace each epoch's early-stop metric with the next of ``metrics``."""
+    evaluate = training.evaluate_corpus
+    per_epoch = iter(metrics)
+
+    def fixed_metric(preds, gts):
+        report = evaluate(preds, gts)
+        report["metrics"]["soda.cider_d"] = next(per_epoch)
+        return report
+
+    monkeypatch.setattr(training, "evaluate_corpus", fixed_metric)
+
+
 class TestTrain:
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_max_epochs_below_one_rejected(self, epochs):
@@ -43,18 +56,16 @@ class TestTrain:
         "metrics, best_epoch", [([np.nan, np.nan], 0), ([np.nan, 0.5], 1)]
     )
     def test_nan_metric_never_counts_as_best(self, monkeypatch, metrics, best_epoch):
-        evaluate = training.evaluate_corpus
-        per_epoch = iter(metrics)
-
-        def fixed_metric(preds, gts):
-            report = evaluate(preds, gts)
-            report["metrics"]["soda.cider_d"] = next(per_epoch)
-            return report
-
-        monkeypatch.setattr(training, "evaluate_corpus", fixed_metric)
+        fix_metrics(monkeypatch, metrics)
         result = train(RECORDS, tiny_experiment())
         assert len(result.log_rows) == 2
         assert result.best_epoch == best_epoch
+
+    def test_patience_stops_after_epochs_without_gain(self, monkeypatch):
+        fix_metrics(monkeypatch, [1, 2, 0, 1, 3])
+        result = train(RECORDS, tiny_experiment(max_epochs=5, early_stop_patience=2))
+        assert len(result.log_rows) == 4
+        assert result.best_epoch == 1
 
 
 class TestAblate:
