@@ -8,6 +8,12 @@ reachable nodes in decreasing sequence order, a reverse topological order,
 accumulating gradients additively.  Gradient arrays are never mutated in
 place, so vjps may safely return views or shared arrays.
 
+``backward`` releases the graph as it walks it, so the activations a vjp
+read are freed before the walk ends: only leaf tensors keep ``.grad``, and a
+second ``backward()`` through a released node raises ``RuntimeError``.  A
+leaf weight of ``linear`` gets one stacked ``X.T @ G`` over all its uses
+(and its bias one ``G.sum(0)``) instead of one product per use.
+
 At small widths a graph costs Python overhead per node, so the layers' hot
 compositions are fused ops of one node each with a hand-written vjp:
 ``linear`` (matmul plus bias), ``layer_norm`` and ``attention`` (head split,
@@ -23,11 +29,26 @@ reproducibility tests.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 _grad_enabled = True
 _node_seq = itertools.count()
+
+
+def _released(g):
+    raise RuntimeError("backward() reached a node that an earlier backward() released")
+
+
+class _WeightRows(NamedTuple):
+    """One ``linear`` use's share of a leaf weight's gradient: the input rows
+    ``x`` and output gradient ``g``, whose products ``backward`` sums over
+    all the uses of the same (weight, bias) pair at once."""
+
+    bias: "Tensor | None"
+    x: np.ndarray
+    g: np.ndarray
 
 
 class no_grad:
@@ -272,10 +293,16 @@ class Tensor:
 
     def __getitem__(self, index):
         data = self.data[index]
+        parts = index if isinstance(index, tuple) else (index,)
+        # ints and slices select each element at most once; index arrays may repeat
+        basic = all(isinstance(i, (int, np.integer, slice)) for i in parts)
 
         def vjp(g):
             out = np.zeros_like(self.data)
-            np.add.at(out, index, g)
+            if basic:
+                out[index] = g
+            else:
+                np.add.at(out, index, g)
             return (out,)
 
         return Tensor._result(data, (self,), vjp)
@@ -283,6 +310,18 @@ class Tensor:
     # -- backward ------------------------------------------------------------
 
     def backward(self, grad: np.ndarray | None = None):
+        """Add the gradient of this tensor, seeded with ``grad`` (ones for a
+        scalar), to the ``.grad`` of every leaf that requires one.
+
+        The walk releases the graph behind it: once a node's vjp has run, the
+        node drops its ``grad``, ``_parents`` and ``_vjp``, so after the walk
+        only leaves hold gradients.  A later ``backward()`` that reaches a
+        released node raises ``RuntimeError``.  A ``linear`` use of a leaf
+        weight hands its input rows ``x`` and output gradient ``g`` to the
+        walk instead of a product; after the last vjp, each weight gets one
+        ``X.T @ G`` over the stacked rows of all its uses, and its bias one
+        ``G.sum(axis=0)``.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without a gradient needs a scalar output")
@@ -299,14 +338,28 @@ class Tensor:
                 if p._vjp is not None and p._seq not in nodes:
                     nodes[p._seq] = p
                     stack.append(p)
+        stacked: dict[tuple, list[_WeightRows]] = {}
         for seq in sorted(nodes, reverse=True):
-            node = nodes[seq]
-            if node.grad is None:
+            node = nodes.pop(seq)
+            g, parents, vjp = node.grad, node._parents, node._vjp
+            node.grad, node._parents, node._vjp = None, (), _released
+            if g is None:
                 continue
-            for parent, pg in zip(node._parents, node._vjp(node.grad)):
+            for parent, pg in zip(parents, vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                parent.grad = pg if parent.grad is None else parent.grad + pg
+                if type(pg) is _WeightRows:
+                    stacked.setdefault((parent, pg.bias), []).append(pg)
+                else:
+                    parent.grad = pg if parent.grad is None else parent.grad + pg
+        for (weight, bias), uses in stacked.items():
+            x = uses[0].x if len(uses) == 1 else np.concatenate([u.x for u in uses])
+            g = uses[0].g if len(uses) == 1 else np.concatenate([u.g for u in uses])
+            gw = x.T @ g
+            weight.grad = gw if weight.grad is None else weight.grad + gw
+            if bias is not None and bias.requires_grad:
+                gb = g.sum(axis=0)
+                bias.grad = gb if bias.grad is None else bias.grad + gb
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +426,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def vjp(g):
         gx = g @ weight.data.T if x.requires_grad else None
+        leaves = weight._vjp is None and (bias is None or bias._vjp is None)
+        if leaves and weight.requires_grad:
+            # backward forms the weight's and the bias's grads from stacked rows
+            return gx, _WeightRows(bias, x.data, g)
         if bias is None:
             return gx, x.data.T @ g
         return gx, x.data.T @ g, g.sum(axis=0)

@@ -183,16 +183,16 @@ def textual_attention_nll(
 ) -> Tensor | None:
     """Sum of -log attention mass on the matching item for every target word
     that equals an ingredient head word or a lexicon action; non-matching
-    positions contribute nothing."""
+    positions contribute nothing, and ``None`` means no word matched."""
     head_words = {tokenize(ing)[-1]: m for m, ing in enumerate(ingredients) if tokenize(ing)}
     action_ids = {a: r for r, a in enumerate(action_lexicon)}
-    total = None
-    eps = 1e-12
-    for k, token in enumerate(target_tokens):
-        if token in head_words:
-            term = -(alpha_ingredient[k, head_words[token]] + eps).log()
-            total = term if total is None else total + term
-        if token in action_ids:
-            term = -(alpha_action[k, action_ids[token]] + eps).log()
-            total = term if total is None else total + term
-    return total
+    picked = []
+    for alpha, item_ids in ((alpha_ingredient, head_words), (alpha_action, action_ids)):
+        pairs = [(k, item_ids[token]) for k, token in enumerate(target_tokens) if token in item_ids]
+        if pairs:
+            positions, items = np.array(pairs).T
+            picked.append(alpha[positions, items])
+    if not picked:
+        return None
+    gathered = picked[0] if len(picked) == 1 else concat(picked)
+    return -(gathered + 1e-12).log().sum()

@@ -595,7 +595,8 @@ class RecipeModel(Layer):
             if not (cfg.no_reselection and label in forbidden):
                 event_logps.append(log_softmax(logits, axis=-1))
                 event_labels.append(label)
-            probs = softmax(logits, axis=-1).data.copy()
+            with no_grad():  # the trace is read, not differentiated
+                probs = softmax(logits, axis=-1).data
             if t == n_steps:
                 traces.append(SelectionTrace(probs, n, hard))
                 break

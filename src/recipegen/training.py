@@ -188,8 +188,9 @@ def train(
                 f"epoch {epoch}: loss {row['loss']:.3f} "
                 f"{exp.early_stop_metric} {metric:.4f}"
             )
-        if metric > best_metric or best_epoch < 0:
-            # a NaN metric beats nothing: the first epoch stands until one does
+        if metric >= best_metric or best_epoch < 0:
+            # a tie keeps the later, longer-trained epoch; a NaN metric beats
+            # nothing: the first epoch stands until one does
             best_metric = float(np.fmax(best_metric, metric))
             best_epoch = epoch
             best_params = {k: p.data.copy() for k, p in model.parameters().items()}

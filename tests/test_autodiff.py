@@ -75,6 +75,20 @@ class TestPrimitives:
         np.testing.assert_allclose(w.grad[0], [2, 2, 2])
         np.testing.assert_allclose(w.grad[1], [0, 0, 0])
 
+    @pytest.mark.parametrize(
+        "index", [2, np.int64(1), slice(1, 3), (slice(None), 1), (1, slice(0, 2))],
+        ids=["int", "numpy-int", "slice", "column", "row-slice"],
+    )
+    def test_getitem_basic_index_grad_equals_add_at(self, index):
+        rng = np.random.default_rng(5)
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        out = w[index]
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        want = np.zeros_like(w.data)
+        np.add.at(want, index, g)
+        assert np.array_equal(w.grad, want)
+
     def test_softmax_log_softmax_consistency(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((2, 6)), requires_grad=True)
@@ -207,6 +221,84 @@ class TestBackward:
             y = y * 1.0001
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [1.0001**5000])
+
+
+def exact_rows(rng, shape, dtype):
+    """Small integers, whose products and sums are exact in float32 too."""
+    return rng.integers(-3, 4, size=shape).astype(dtype)
+
+
+class TestLeanBackward:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_leaf_weight_sums_every_use(self, dtype, with_bias):
+        rng = np.random.default_rng(0)
+        weight = Tensor(exact_rows(rng, (5, 4), dtype), requires_grad=True)
+        bias = Tensor(exact_rows(rng, 4, dtype), requires_grad=True) if with_bias else None
+        xs = [Tensor(exact_rows(rng, (n, 5), dtype), requires_grad=True) for n in (1, 3, 12)]
+        gs = [exact_rows(rng, (n, 4), dtype) for n in (1, 3, 12)]
+        terms = [(linear(x, weight, bias) * Tensor(g)).sum() for x, g in zip(xs, gs)]
+        (terms[0] + terms[1] + terms[2]).backward()
+        want = sum(x.data.astype(np.float64).T @ g for x, g in zip(xs, gs))
+        assert weight.grad.dtype == dtype
+        np.testing.assert_allclose(weight.grad, want, rtol=0, atol=1e-12)
+        if with_bias:
+            assert bias.grad.dtype == dtype
+            want_bias = sum(g.astype(np.float64).sum(axis=0) for g in gs)
+            np.testing.assert_allclose(bias.grad, want_bias, rtol=0, atol=1e-12)
+        for x, g in zip(xs, gs):
+            np.testing.assert_allclose(x.grad, g @ weight.data.T, rtol=0, atol=1e-12)
+
+    def test_computed_weight_and_bias_get_true_gradients(self):
+        rng = np.random.default_rng(1)
+        raw_w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        raw_b = Tensor(rng.standard_normal(3), requires_grad=True)
+        xs = [Tensor(rng.standard_normal((n, 4)), requires_grad=True) for n in (1, 5)]
+
+        def f():
+            weight, bias = raw_w.tanh(), raw_b * 2.0
+            return sum((linear(x, weight, bias) ** 2).sum() for x in xs)
+
+        assert grad_check(f, [raw_w, raw_b] + xs, eps=1e-6) < 1e-6
+
+    def test_interior_nodes_released_and_leaves_keep_grads(self):
+        rng = np.random.default_rng(2)
+        lin = Linear(3, 2, rng)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        hidden = linear(x, lin.weight, lin.bias).tanh()
+        loss = (hidden * hidden).sum()
+        loss.backward()
+        for node in (hidden, loss):
+            assert node.grad is None and node._parents == ()
+        for leaf in (x, lin.weight, lin.bias):
+            assert leaf.grad is not None and np.abs(leaf.grad).max() > 0
+
+    def test_backward_per_graph_accumulates_like_one_backward(self):
+        rng = np.random.default_rng(3)
+        lin = Linear(3, 2, rng)
+        xs = [rng.standard_normal((n, 3)) for n in (1, 4)]
+
+        def loss(x):
+            return (linear(Tensor(x), lin.weight, lin.bias).tanh() ** 2).sum() * 0.5
+
+        for x in xs:
+            loss(x).backward()
+        separate = lin.weight.grad, lin.bias.grad
+        lin.weight.grad = lin.bias.grad = None
+        (loss(xs[0]) + loss(xs[1])).backward()
+        np.testing.assert_allclose(separate[0], lin.weight.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(separate[1], lin.bias.grad, rtol=0, atol=1e-12)
+
+    def test_backward_through_released_graph_raises(self):
+        rng = np.random.default_rng(4)
+        lin = Linear(3, 2, rng)
+        hidden = lin(Tensor(rng.standard_normal((2, 3))))
+        loss = hidden.sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            (hidden * 2.0).sum().backward()
 
 
 class TestLinear:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from recipegen import model as model_module
 from recipegen.autodiff import Tensor, log_softmax
 from recipegen.data import (
     GroundTruthRecipe,
@@ -311,6 +312,19 @@ class TestSelectorLoss:
             selector_nll(Tensor(np.zeros((1, 2))), np.ones(1, dtype=int), 0, "whatever")
 
 
+def per_token_textual_nll(alpha_g, alpha_a, tokens, ingredients, actions):
+    """Reference: one -log term per matching (position, item) pair."""
+    head_words = {tokenize(ing)[-1]: m for m, ing in enumerate(ingredients) if tokenize(ing)}
+    action_ids = {a: r for r, a in enumerate(actions)}
+    total = None
+    for k, token in enumerate(tokens):
+        for alpha, item_ids in ((alpha_g, head_words), (alpha_a, action_ids)):
+            if token in item_ids:
+                term = -(alpha[k, item_ids[token]] + 1e-12).log()
+                total = term if total is None else total + term
+    return total
+
+
 class TestTextualAttentionLoss:
     def test_full_attention_zero_loss(self):
         alpha_g = Tensor(np.array([[1.0, 0.0]]))
@@ -336,6 +350,25 @@ class TestTextualAttentionLoss:
             alpha_g, alpha_a, ["cheese"], ["parmesan cheese", "eggs"], ["crack"]
         )
         assert out.item() == pytest.approx(math.log(2.0))
+
+    def test_gathered_textual_nll_matches_per_token_sum(self, monkeypatch):
+        model = tiny_extended("BIVT", seed=31)
+        record = RECORDS[0]
+        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, with_distant=True)
+        runs = {}
+        for name, nll in (("gathered", textual_attention_nll),
+                          ("per-token", per_token_textual_nll)):
+            monkeypatch.setattr(model_module, "textual_attention_nll", nll)
+            for p in model.parameters().values():
+                p.grad = None
+            result = model.training_forward(record, labels, np.random.default_rng(0))
+            result.loss.backward()
+            grads = {k: p.grad for k, p in model.parameters().items()}
+            runs[name] = result.loss_tattn.item(), grads
+        (value, grads), (want, want_grads) = runs["gathered"], runs["per-token"]
+        assert value > 0 and value == pytest.approx(want, rel=1e-12)
+        for k, grad in grads.items():
+            np.testing.assert_allclose(grad, want_grads[k], rtol=0, atol=1e-12, err_msg=k)
 
 
 class TestAblationContainment:

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 import math
@@ -5,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from recipegen import autodiff
+from recipegen import model as model_module
 from recipegen.autodiff import Tensor, log_softmax, softmax
 from recipegen.data import BOS, EOS, PAD, build_vocabulary
 from recipegen.layers import sinusoidal_encoding
@@ -436,6 +439,24 @@ class TestTrainingForward:
             assert loss is None or loss.data.dtype == np.float32
         for name, p in model.parameters().items():
             assert p.grad is None or p.grad.dtype == np.float32, name
+
+    def test_trace_probabilities_build_no_graph(self, monkeypatch):
+        model = tiny_model("BIVT")
+        record = RECORDS[0]
+        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, True)
+        runs = []
+        # the second run differentiates the trace softmax, as earlier versions did
+        for no_grad in (model_module.no_grad, contextlib.nullcontext):
+            monkeypatch.setattr(model_module, "no_grad", no_grad)
+            first = next(autodiff._node_seq)
+            result = model.training_forward(record, labels, np.random.default_rng(0))
+            runs.append((result, next(autodiff._node_seq) - first))
+        (lean, lean_nodes), (graphed, graphed_nodes) = runs
+        assert lean.loss.item() == graphed.loss.item()
+        assert lean_nodes + len(lean.traces) == graphed_nodes
+        for a, b in zip(lean.traces, graphed.traces, strict=True):
+            assert a.chosen == b.chosen
+            assert np.array_equal(a.probabilities, b.probabilities)
 
     def test_teacher_distribution_count_matches_targets(self):
         model = tiny_model()

@@ -61,6 +61,11 @@ class TestTrain:
         assert len(result.log_rows) == 2
         assert result.best_epoch == best_epoch
 
+    def test_tie_keeps_the_later_epoch(self, monkeypatch):
+        fix_metrics(monkeypatch, [0, 0, 0])
+        result = train(RECORDS, tiny_experiment(max_epochs=3))
+        assert result.best_epoch == 2
+
     def test_patience_stops_after_epochs_without_gain(self, monkeypatch):
         fix_metrics(monkeypatch, [1, 2, 0, 1, 3])
         result = train(RECORDS, tiny_experiment(max_epochs=5, early_stop_patience=2))
