@@ -12,8 +12,6 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from . import data
 from .data import ParseError, ValidationError, load_dataset, load_predictions
 from .dvceval import evaluate_corpus
@@ -26,7 +24,7 @@ from .training import (
     train,
     write_log_csv,
 )
-from .synth import WorldConfig, generate_world
+from .synth import generate_world
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -44,18 +42,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_experiment(path: str | None, overrides: argparse.Namespace) -> ExperimentConfig:
+    """The experiment of the config file at ``path``, with the command-line
+    options merged in before it is built, so they are checked like the file."""
     raw = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    exp = ExperimentConfig.from_dict(raw)
-    if getattr(overrides, "seed", None) is not None:
-        exp.seed = overrides.seed
-    if getattr(overrides, "variant", None) is not None:
-        exp.variant = overrides.variant
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: expected an experiment object")
+    for key in ("seed", "variant"):
+        if getattr(overrides, key, None) is not None:
+            raw[key] = getattr(overrides, key)
     if getattr(overrides, "n_candidates", None) is not None:
-        exp.n_candidates = overrides.n_candidates
-    return exp
+        raw["world"] = {**raw.get("world", {}), "n_candidates": overrides.n_candidates}
+    return ExperimentConfig.from_dict(raw)
 
 
 def _cmd_synth(args) -> int:
@@ -180,7 +180,6 @@ def build_parser() -> _Parser:
     p.add_argument("--log", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--variant", choices=VARIANTS, default=None)
-    p.add_argument("--n-candidates", dest="n_candidates", type=int, default=None)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(fn=_cmd_train)
 

@@ -13,6 +13,8 @@ Dataset JSON: a top-level array of objects::
 Prediction JSON: array of ``{"video_id": str, "results": [{"index": int,
 "start": float, "end": float, "sentence": str}]}``.
 
+Every number in a dataset or prediction file must be finite.
+
 Metric-report JSON: ``{"metrics": {name: float}, "per_video": [...],
 "metadata": {...}}``.
 """
@@ -20,10 +22,11 @@ Metric-report JSON: ``{"metrics": {name: float}, "per_video": [...],
 from __future__ import annotations
 
 import json
+import math
 import string
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +45,15 @@ class ParseError(ValueError):
     """The input file is not well-formed JSON."""
 
 
-def check_config_keys(cls, d: dict, section: str) -> None:
-    """Reject keys of the config object ``d`` that are not fields of the
-    dataclass ``cls``, naming the section and the keys."""
+def config_from_dict(cls, d: dict, section: str):
+    """``cls(**d)`` for the config object ``d``, whose keys must be fields of
+    the dataclass ``cls``; errors name the section and the keys."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{section} config must be an object, got {type(d).__name__}")
     unknown = sorted(set(d) - set(cls.__dataclass_fields__))
     if unknown:
         raise ValueError(f"unknown {section} config keys: {unknown}")
+    return cls(**d)
 
 
 class ValidationWarning(UserWarning):
@@ -249,41 +255,75 @@ def build_vocabulary(corpus: list[list[str]], min_count: int = 3) -> Vocabulary:
 # ---------------------------------------------------------------------------
 
 
-def _record_from_obj(obj: dict) -> DatasetRecord:
-    vid = obj.get("video_id", "<missing video_id>")
+def _field(obj, key: str, types, where: str):
+    """``obj[key]``, which must exist and be an instance of ``types``."""
+    if not isinstance(obj, dict):
+        raise ValidationError(
+            f"{where}: expected an object with field {key!r}, got {type(obj).__name__}"
+        )
+    value = obj.get(key)
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ValidationError(f"{where}: missing or mistyped field {key!r}")
+    return value
+
+
+def _finite(values: list, where: str, key: str) -> list:
+    """``values``, which must all be finite JSON numbers: not ``NaN`` or
+    ``Infinity``, and no integer beyond the float range."""
     try:
-        events, feats, cand_sents = [], [], []
-        for c in obj["candidates"]:
-            events.append(TimedEvent(float(c["start"]), float(c["end"])))
-            feats.append([float(x) for x in c["feature"]])
-            cand_sents.append(c.get("sentence"))
-        have_sents = any(s is not None for s in cand_sents)
-        if have_sents and not all(isinstance(s, str) for s in cand_sents):
-            raise ValidationError("candidate sentences must be all-present or absent")
-        candidates = EventCandidateSet(
-            events,
-            np.asarray(feats, dtype=np.float64),
-            sentences=cand_sents if have_sents else None,
-        )
-        steps = []
-        for s in obj["steps"][:MAX_STEPS]:
-            tokens = tokenize(s["sentence"])[:MAX_SENTENCE_LEN]
-            steps.append(RecipeStep(TimedEvent(float(s["start"]), float(s["end"])), tokens))
-        return DatasetRecord(
-            video_id=str(obj["video_id"]),
-            duration=float(obj["duration"]),
-            candidates=candidates,
-            steps=steps,
-            ingredients=[str(i) for i in obj["ingredients"]],
-        )
-    except KeyError as exc:
-        raise ValidationError(f"{vid}: missing field {exc}") from exc
+        if set(map(type, values)) <= {int, float} and all(map(math.isfinite, values)):
+            return values
+    except OverflowError:
+        pass
+    raise ValidationError(f"{where}: field {key!r} must hold finite numbers")
+
+
+def _number(obj, key: str, where: str) -> float:
+    return float(_finite([_field(obj, key, (int, float), where)], where, key)[0])
+
+
+def _located(where: str, make, *args):
+    """``make(*args)``, with ``where`` prefixed to a ``ValidationError``."""
+    try:
+        return make(*args)
     except ValidationError as exc:
-        raise ValidationError(f"{vid}: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
-def load_dataset(path) -> list[DatasetRecord]:
-    """Load and validate a dataset file; records come back ordered by video_id."""
+def _interval(obj, where: str) -> TimedEvent:
+    return _located(where, TimedEvent, _number(obj, "start", where), _number(obj, "end", where))
+
+
+def _record_from_obj(obj, where: str) -> DatasetRecord:
+    vid = _field(obj, "video_id", str, where)
+    events, feats, cand_sents = [], [], []
+    for i, c in enumerate(_field(obj, "candidates", list, vid)):
+        at = f"{vid}: candidates[{i}]"
+        events.append(_interval(c, at))
+        feats.append(_finite(_field(c, "feature", list, at), at, "feature"))
+        if len(feats[-1]) != len(feats[0]):
+            raise ValidationError(f"{at}: feature length {len(feats[-1])} != {len(feats[0])}")
+        cand_sents.append(c.get("sentence"))
+    have_sents = any(s is not None for s in cand_sents)
+    if have_sents and not all(isinstance(s, str) for s in cand_sents):
+        raise ValidationError(f"{vid}: candidate sentences must be all-present strings or absent")
+    candidates = _located(
+        vid, EventCandidateSet, events, np.asarray(feats, dtype=np.float64),
+        cand_sents if have_sents else None,
+    )
+    steps = []
+    for i, s in enumerate(_field(obj, "steps", list, vid)[:MAX_STEPS]):
+        at = f"{vid}: steps[{i}]"
+        tokens = tokenize(_field(s, "sentence", str, at))[:MAX_SENTENCE_LEN]
+        steps.append(_located(at, RecipeStep, _interval(s, at), tokens))
+    ingredients = _field(obj, "ingredients", list, vid)
+    if not all(isinstance(i, str) for i in ingredients):
+        raise ValidationError(f"{vid}: field 'ingredients' must hold strings")
+    return DatasetRecord(vid, _number(obj, "duration", vid), candidates, steps, ingredients)
+
+
+def _read_array(path, what: str) -> list:
+    """The top-level array of the JSON file at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -293,8 +333,14 @@ def load_dataset(path) -> list[DatasetRecord]:
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(raw, list):
-        raise ValidationError(f"{path}: expected a top-level array of records")
-    records = [_record_from_obj(obj) for obj in raw]
+        raise ValidationError(f"{path}: expected a top-level array of {what}")
+    return raw
+
+
+def load_dataset(path) -> list[DatasetRecord]:
+    """Load and validate a dataset file; records come back ordered by video_id."""
+    raw = _read_array(path, "records")
+    records = [_record_from_obj(obj, f"{path}: record {pos}") for pos, obj in enumerate(raw)]
     ids = [r.video_id for r in records]
     if len(set(ids)) != len(ids):
         raise ValidationError(f"{path}: duplicate video_id values")
@@ -341,25 +387,8 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _field(obj, key: str, types, where: str):
-    """``obj[key]``, which must exist and be an instance of ``types``."""
-    value = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ValidationError(f"{where}: missing or mistyped field {key!r}")
-    return value
-
-
 def load_predictions(path) -> list[PredictionRecipe]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(raw, list):
-        raise ValidationError(f"{path}: expected a top-level array of predictions")
+    raw = _read_array(path, "predictions")
     preds = []
     for pos, obj in enumerate(raw):
         vid = _field(obj, "video_id", str, f"{path}: prediction {pos}")
@@ -367,8 +396,7 @@ def load_predictions(path) -> list[PredictionRecipe]:
         for res in _field(obj, "results", list, vid):
             selections.append(_field(res, "index", int, vid))
             sentences.append(tokenize(_field(res, "sentence", str, vid)))
-            start, end = (float(_field(res, key, (int, float), vid)) for key in ("start", "end"))
-            intervals.append(TimedEvent(start, end))
+            intervals.append(_interval(res, vid))
         preds.append(PredictionRecipe(vid, selections, sentences, intervals))
     preds.sort(key=lambda p: p.video_id)
     return preds

@@ -216,6 +216,8 @@ VIDEO_SCORES = (
     "soda.cider_d",
     "soda.tiou",
 )
+# every key of a report's ``metrics``
+REPORT_METRICS = VIDEO_SCORES + tuple(f"count_stats.eta{eta}" for eta in COUNT_STAT_ETAS)
 
 
 def score_video(

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .data import (
     EventCandidateSet,
     PredictionRecipe,
     Vocabulary,
-    check_config_keys,
+    config_from_dict,
     tokenize,
 )
 from .extended import (
@@ -121,14 +121,6 @@ class ModelConfig:
     def dtype(self):
         return np.float64 if self.precision == "float64" else np.float32
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        check_config_keys(cls, d, "model")
-        return cls(**d)
-
 
 PRESETS = {
     # dims used for the full-scale experiments in the source setting
@@ -141,9 +133,7 @@ PRESETS = {
 def preset_config(preset: str = "toy", **overrides) -> ModelConfig:
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    kwargs = dict(PRESETS[preset])
-    kwargs.update(overrides)
-    return ModelConfig(**kwargs)
+    return config_from_dict(ModelConfig, {**PRESETS[preset], **overrides}, "model")
 
 
 def tau_schedule(config: ModelConfig, epoch: int, max_epochs: int) -> float:
@@ -654,7 +644,8 @@ class RecipeModel(Layer):
 
     def init_inference(self, record: DatasetRecord):
         """Pre-computed per-video context plus the initial recurrent state."""
-        ctx = self._context(record)
+        with no_grad():
+            ctx = self._context(record)
         state = InferenceState(
             v_mems=[m.data.copy() for m in self.event_tf.initial_memory()],
             s_mems=[m.data.copy() for m in self.sent_tf.initial_memory()],
@@ -714,7 +705,7 @@ class RecipeModel(Layer):
 def config_hash(config: ModelConfig, vocab: Vocabulary, action_lexicon: list[str]) -> str:
     payload = json.dumps(
         {
-            "config": config.to_dict(),
+            "config": asdict(config),
             "vocab": vocab.content_tokens,
             "actions": list(action_lexicon),
         },
@@ -725,7 +716,7 @@ def config_hash(config: ModelConfig, vocab: Vocabulary, action_lexicon: list[str
 
 def save_checkpoint(path, model: RecipeModel, extra_meta: dict | None = None):
     meta = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "vocab": model.vocab.content_tokens,
         "actions": model.action_lexicon,
         "config_hash": config_hash(model.config, model.vocab, model.action_lexicon),
@@ -739,7 +730,7 @@ def save_checkpoint(path, model: RecipeModel, extra_meta: dict | None = None):
 def load_checkpoint(path) -> tuple[RecipeModel, dict]:
     with np.load(path, allow_pickle=False) as blob:
         meta = json.loads(bytes(blob["meta"]).decode())
-        config = ModelConfig.from_dict(meta["config"])
+        config = config_from_dict(ModelConfig, meta["config"], "model")
         model = RecipeModel(config, Vocabulary(meta["vocab"]), meta["actions"], seed=0)
         want = config_hash(model.config, model.vocab, model.action_lexicon)
         if meta.get("config_hash") != want:

@@ -12,7 +12,7 @@ sequentially so candidate sets at increasing budgets are nested prefixes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .data import (
     EventCandidateSet,
     RecipeStep,
     TimedEvent,
+    config_from_dict,
     detokenize,
 )
 from .dvceval import tiou
@@ -76,31 +77,9 @@ class WorldConfig:
         if not (0.0 <= self.distractor_fraction <= 1.0):
             raise ValueError("distractor_fraction must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_videos": self.num_videos,
-            "ingredient_pool": list(self.ingredient_pool),
-            "actions": list(self.actions),
-            "ingredients_range": list(self.ingredients_range),
-            "steps_range": list(self.steps_range),
-            "duration_range": list(self.duration_range),
-            "feature_dim": self.feature_dim,
-            "n_candidates": self.n_candidates,
-            "jitter_sigma_frac": self.jitter_sigma_frac,
-            "jitter_min_tiou": self.jitter_min_tiou,
-            "distractor_fraction": self.distractor_fraction,
-            "noise_scale": self.noise_scale,
-            "attach_candidate_sentences": self.attach_candidate_sentences,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "WorldConfig":
-        kwargs = dict(d)
-        for key in ("ingredients_range", "steps_range", "duration_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return config_from_dict(cls, d, "world")
 
 
 @dataclass

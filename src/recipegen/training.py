@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -13,25 +13,29 @@ from .data import (
     DatasetRecord,
     Vocabulary,
     build_vocabulary,
-    check_config_keys,
+    config_from_dict,
     _record_to_obj,
 )
-from .dvceval import evaluate_corpus
+from .dvceval import REPORT_METRICS, evaluate_corpus
 from .model import (
-    VARIANTS,
     ModelConfig,
     RecipeModel,
-    VideoLabels,
     build_labels,
     preset_config,
     tau_schedule,
 )
 from .optim import Adam, OptimizerConfig
-from .synth import DEFAULT_ACTIONS, WorldConfig
+from .synth import WorldConfig
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment. Every section is built, and so checked, when the
+    config is: ``model`` overrides the preset's ``ModelConfig`` fields except
+    ``variant`` and ``feature_dim``, which the experiment and the dataset set;
+    ``world`` holds ``WorldConfig`` fields, and its ``actions`` are also the
+    model's action lexicon."""
+
     variant: str = "B"
     preset: str = "toy"
     model: dict = field(default_factory=dict)  # ModelConfig overrides
@@ -42,37 +46,43 @@ class ExperimentConfig:
     early_stop_patience: int | None = None
     vocab_min_count: int = 3
     val_fraction: float = 0.2
-    actions: list[str] = field(default_factory=lambda: list(DEFAULT_ACTIONS))
-    n_candidates: int | None = None
     seed: int = 0
     world: dict = field(default_factory=dict)  # WorldConfig overrides for synth
 
     def __post_init__(self):
+        for name in ("model", "optimizer", "world"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} config must be an object")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant {self.variant!r} must be one of {VARIANTS}")
-        check_config_keys(ModelConfig, self.model, "model")
-        check_config_keys(OptimizerConfig, self.optimizer, "optimizer")
-        check_config_keys(WorldConfig, self.world, "world")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        if self.early_stop_metric not in REPORT_METRICS:
+            raise ValueError(
+                f"early_stop_metric {self.early_stop_metric!r} is not a report metric; "
+                f"choose from {list(REPORT_METRICS)}"
+            )
+        self.model_config(self.world_config().feature_dim)
+        self.optimizer_config()
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        check_config_keys(cls, d, "experiment")
-        return cls(**d)
+        return config_from_dict(cls, d, "experiment")
+
+    def model_config(self, feature_dim: int) -> ModelConfig:
+        taken = sorted({"variant", "feature_dim"} & self.model.keys())
+        if taken:
+            raise ValueError(
+                f"model config keys {taken} are set by the experiment's variant "
+                "and the dataset's features"
+            )
+        return preset_config(
+            self.preset, **self.model, variant=self.variant, feature_dim=feature_dim
+        )
 
     def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(**self.optimizer)
+        return config_from_dict(OptimizerConfig, self.optimizer, "optimizer")
 
     def world_config(self) -> WorldConfig:
-        overrides = dict(self.world)
-        overrides.setdefault("seed", self.seed)
-        if self.n_candidates is not None:
-            overrides["n_candidates"] = self.n_candidates
-        return WorldConfig.from_dict(overrides)
+        return WorldConfig.from_dict({"seed": self.seed, **self.world})
 
 
 def split_dataset(
@@ -110,15 +120,6 @@ class TrainResult:
 LOG_METRICS = ("soda.tiou", "soda.cider_d", "soda.meteor", "count_stats.eta1")
 
 
-def make_model(
-    exp: ExperimentConfig, vocab: Vocabulary, feature_dim: int
-) -> RecipeModel:
-    overrides = dict(exp.model)
-    overrides.update(variant=exp.variant, feature_dim=feature_dim)
-    config = preset_config(exp.preset, **overrides)
-    return RecipeModel(config, vocab, exp.actions, seed=exp.seed)
-
-
 def train(
     records: list[DatasetRecord],
     exp: ExperimentConfig,
@@ -132,11 +133,10 @@ def train(
     corpus = [s.sentence for r in train_recs for s in r.steps]
     vocab = build_vocabulary(corpus, min_count=exp.vocab_min_count)
     feature_dim = train_recs[0].candidates.features.shape[1]
-    model = make_model(exp, vocab, feature_dim)
+    actions = exp.world_config().actions
+    model = RecipeModel(exp.model_config(feature_dim), vocab, actions, seed=exp.seed)
     with_distant = model.simulator is not None
-    labels = [
-        build_labels(r, vocab, exp.actions, with_distant) for r in train_recs
-    ]
+    labels = [build_labels(r, vocab, actions, with_distant) for r in train_recs]
     optimizer = Adam(model.parameters(), exp.optimizer_config())
 
     root = np.random.SeedSequence(exp.seed)
@@ -240,16 +240,14 @@ def ablate(
     from .synth import generate_world
 
     # every cell's config is checked before any cell trains
-    cell_exps = [ExperimentConfig.from_dict({**exp.to_dict(), "variant": v}) for v in variants]
+    cell_exps = [replace(exp, variant=v) for v in variants]
     if n_list is None:
         if records is None:
             raise ValueError("ablate needs a dataset or a candidate-count list")
         cells = [(records, None)]
     else:
-        cells = []
-        for n in n_list:
-            world = exp.world_config()
-            cells.append((generate_world(world, n_override=n), n))
+        world = exp.world_config()
+        cells = [(generate_world(world, n_override=n), n) for n in n_list]
 
     rows = []
     for cell_records, n in cells:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from recipegen import cli, training
+from recipegen import cli, synth, training
 from recipegen.data import TimedEvent, Vocabulary, save_dataset, save_predictions
 from recipegen.model import ModelConfig, RecipeModel, save_checkpoint
 from recipegen.oracle import oracle_prediction
@@ -189,3 +189,113 @@ def test_generate_rejects_checkpoint_with_key_bias(tmp_path, capsys):
     ])
     assert code == cli.EXIT_VALIDATION
     assert "sent_tf.layers.1.mem_update.attn.proj_k.bias" in capsys.readouterr().err
+
+
+def _train_args(tmp_path, config, *extra):
+    return [
+        "train", "--config", str(config), "--dataset", str(tmp_path / "world.json"),
+        "--checkpoint", str(tmp_path / "model.npz"), "--quiet", *extra,
+    ]
+
+
+@pytest.fixture
+def no_training(tmp_path, monkeypatch):
+    """A dataset on disk, and a ``train`` that records its calls instead."""
+    save_dataset(generate_world(WorldConfig(num_videos=4, seed=3)), tmp_path / "world.json")
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "change, names",
+    [
+        ({"model": {"hidden": 16, "heads": 2, "variant": "BIVT"}}, ["model", "variant"]),
+        ({"model": {"hidden": 16, "heads": 2, "feature_dim": 16}}, ["model", "feature_dim"]),
+        ({"early_stop_metric": "soda.ciderd"}, ["early_stop_metric", "soda.ciderd"]),
+        ({"actions": ["chop", "fry", "serve"]}, ["experiment", "actions"]),
+        ({"n_candidates": 12}, ["experiment", "n_candidates"]),
+    ],
+    ids=["model.variant", "model.feature_dim", "early_stop_metric", "actions", "n_candidates"],
+)
+def test_train_rejects_config_before_training(tmp_path, capsys, no_training, change, names):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({**EXPERIMENT, **change}))
+    assert cli.main(_train_args(tmp_path, config)) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    for name in names:
+        assert name in err
+    assert no_training == []
+
+
+def test_train_has_no_candidate_budget_option(tmp_path, no_training):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(EXPERIMENT))
+    assert cli.main(_train_args(tmp_path, config, "--n-candidates", "5")) == cli.EXIT_USAGE
+    assert no_training == []
+
+
+def test_synth_candidate_budget_sets_the_world(tmp_path):
+    config, dataset = tmp_path / "experiment.json", tmp_path / "world.json"
+    config.write_text(json.dumps(EXPERIMENT))
+    code = cli.main([
+        "synth", "--config", str(config), "--out", str(dataset), "--n-candidates", "12",
+    ])
+    assert code == cli.EXIT_OK
+    records = json.loads(dataset.read_text())
+    assert len(records) == 10
+    assert {len(r["candidates"]) for r in records} == {12}
+
+
+@pytest.mark.parametrize("source", ["--n-list", "--dataset"])
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("model", "conditioning", "bogus"),
+        ("optimizer", "lr", -1),
+        ("world", "steps_range", [5, 3]),
+    ],
+)
+def test_ablate_checks_sections_first(tmp_path, capsys, monkeypatch, source, section, key, value):
+    dataset = tmp_path / "world.json"
+    save_dataset(generate_world(WorldConfig(num_videos=4, seed=3)), dataset)
+    calls = []
+    monkeypatch.setattr(synth, "generate_world", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({**EXPERIMENT, section: {**EXPERIMENT.get(section, {}), key: value}}))
+    code = cli.main([
+        "ablate", "--config", str(config), "--variants", "B,BIVT",
+        *(["--n-list", "6"] if source == "--n-list" else ["--dataset", str(dataset)]),
+        "--out", str(tmp_path / "a.csv"), "--quiet",
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "path, value, names",
+    [
+        ((1,), 7, ["record 1"]),
+        ((0, "candidates"), {}, ["video_0000", "'candidates'"]),
+        ((0, "candidates", 2), 5, ["video_0000", "candidates[2]"]),
+        ((0, "steps", 1, "sentence"), 3, ["video_0000", "steps[1]", "'sentence'"]),
+        ((0, "duration"), float("nan"), ["video_0000", "'duration'"]),
+        ((1, "candidates", 0, "feature", 3), float("inf"), ["video_0001", "candidates[0]", "'feature'"]),
+    ],
+    ids=["record", "candidates", "candidate", "sentence", "nan-duration", "infinite-feature"],
+)
+def test_bad_dataset_record_exits_validation(tmp_path, capsys, path, value, names):
+    dataset = tmp_path / "world.json"
+    save_dataset(generate_world(WorldConfig(num_videos=2, seed=3)), dataset)
+    records = json.loads(dataset.read_text())
+    target = records
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    dataset.write_text(json.dumps(records))
+    assert cli.main(["oracle", "--dataset", str(dataset)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    for name in names:
+        assert name in err

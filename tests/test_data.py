@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recipegen.data import (
     EventCandidateSet,
@@ -19,6 +22,7 @@ from recipegen.data import (
     save_predictions,
     tokenize,
     ParseError,
+    _record_to_obj,
 )
 from recipegen.synth import WorldConfig, generate_world
 
@@ -139,6 +143,52 @@ class TestDatasetIO:
     def test_prediction_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             PredictionRecipe("v", [0], [], [TimedEvent(0, 1)])
+
+
+def _paths(value, prefix=()):
+    """The path of every value nested in a JSON object, the object's own
+    fields first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+RECORD_OBJ = json.loads(json.dumps(_record_to_obj(_toy_record())))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestDatasetFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(_paths(RECORD_OBJ))), value=JSON_VALUES)
+    def test_any_field_value_loads_or_fails_validation(self, tmp_path_factory, path, value):
+        record = copy.deepcopy(RECORD_OBJ)
+        target = record
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        dataset = tmp_path_factory.getbasetemp() / "fuzz.json"
+        dataset.write_text(json.dumps([record]))
+        try:
+            records = load_dataset(dataset)
+        except (ValidationError, ParseError) as exc:
+            assert str(exc)
+        else:
+            (loaded,) = records
+            assert np.isfinite(loaded.duration) and np.isfinite(loaded.candidates.features).all()
+
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999", "1" + "0" * 400])
+    def test_numbers_beyond_float_range_rejected(self, tmp_path, literal):
+        text = json.dumps([RECORD_OBJ]).replace('"duration": 10.0', f'"duration": {literal}')
+        dataset = tmp_path / "d.json"
+        dataset.write_text(text)
+        with pytest.raises(ValidationError, match="vid_a.*duration"):
+            load_dataset(dataset)
 
 
 class TestVocabulary:

@@ -9,12 +9,13 @@ import pytest
 from recipegen import autodiff
 from recipegen import model as model_module
 from recipegen.autodiff import Tensor, log_softmax, softmax
-from recipegen.data import BOS, EOS, PAD, build_vocabulary
+from recipegen.data import BOS, EOS, PAD, Vocabulary, build_vocabulary
 from recipegen.layers import sinusoidal_encoding
 from recipegen.model import (
     ModelConfig,
     RecipeModel,
     build_labels,
+    config_hash,
     load_checkpoint,
     loss_event,
     loss_sentence,
@@ -531,7 +532,24 @@ class TestInference:
         assert direct.tokens == resumed.tokens
 
 
+    @pytest.mark.parametrize("variant", ["B", "BIVT"])
+    def test_context_builds_no_graph(self, variant):
+        model = tiny_model(variant=variant, seed=5)
+        first = next(autodiff._node_seq)
+        ctx, _ = model.init_inference(RECORDS[1])
+        assert next(autodiff._node_seq) == first + 1
+        tensors = [t for t in ctx.values() if isinstance(t, Tensor)]
+        assert len(tensors) == (1 if variant == "B" else 4)
+        for t in tensors:
+            assert t._parents == () and not t.requires_grad
+
+
 class TestCheckpoint:
+    def test_config_hash_of_saved_checkpoints_unchanged(self):
+        config = preset_config("toy", variant="B", feature_dim=32)
+        digest = config_hash(config, Vocabulary(["stir", "the"]), DEFAULT_ACTIONS)
+        assert digest == "d998a5f6b2c2cdb9"
+
     def test_roundtrip_preserves_behavior(self, tmp_path):
         model = tiny_model(variant="BIVT", seed=7)
         path = tmp_path / "model.npz"

@@ -1,10 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from recipegen import cli, training
+from recipegen.dvceval import REPORT_METRICS
+from recipegen.oracle import oracle_prediction
 from recipegen.synth import WorldConfig, generate_world
 from recipegen.training import ExperimentConfig, train
 
@@ -113,3 +116,32 @@ class TestAblate:
         with open(out, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [(row["variant"], row["n_candidates"]) for row in rows] == [("B", "4")]
+
+
+class TestExperimentConfig:
+    def test_every_report_metric_is_a_valid_early_stop_metric(self):
+        preds = [oracle_prediction(r)[0] for r in RECORDS]
+        report = training.evaluate_corpus(preds, [r.ground_truth for r in RECORDS])
+        assert set(report["metrics"]) == set(REPORT_METRICS)
+        for name in REPORT_METRICS:
+            assert ExperimentConfig(early_stop_metric=name).early_stop_metric == name
+
+    def test_shipped_config_builds(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+        exp = ExperimentConfig.from_dict(json.loads(path.read_text()))
+        assert exp.model_config(exp.world_config().feature_dim).variant == exp.variant
+
+    def test_world_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match=r"world.*bogus"):
+            WorldConfig.from_dict({"bogus": 1})
+
+    def test_model_lexicon_is_the_worlds_actions(self):
+        actions = ["chop", "fry", "serve"]
+        exp = tiny_experiment(
+            variant="BIV", max_epochs=1, world={"num_videos": 10, "seed": 3, "actions": actions}
+        )
+        records = generate_world(exp.world_config())
+        assert {s.sentence[0] for r in records for s in r.steps} <= set(actions)
+        result = train(records, exp)
+        assert result.model.action_lexicon == actions
+        assert result.model.action_embed.weight.data.shape[0] == len(actions)
