@@ -8,6 +8,12 @@ reachable nodes in decreasing sequence order, a reverse topological order,
 accumulating gradients additively.  Gradient arrays are never mutated in
 place, so vjps may safely return views or shared arrays.
 
+Every operation builds its output with ``Tensor._result``, the single
+constructor of op results, which the benchmark's tracer wraps to count
+operations and graph nodes.  A forward computes only the value: what only
+the gradient reads (split offsets, an ``exp``, the kind of an index) is
+computed inside the vjp, so the no-grad decode path never pays for it.
+
 ``backward`` releases the graph as it walks it, so the activations a vjp
 read are freed before the walk ends: only leaf tensors keep ``.grad``, and a
 second ``backward()`` through a released node raises ``RuntimeError``.  A
@@ -29,6 +35,7 @@ reproducibility tests.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -98,12 +105,21 @@ class Tensor:
 
     @staticmethod
     def _result(data: np.ndarray, parents: tuple, vjp) -> "Tensor":
-        out = Tensor(data)
+        """An op's output: a graph node when grad is enabled and a parent
+        requires grad, else a plain tensor."""
+        out = object.__new__(Tensor)
+        # a numpy scalar (full reductions, 0-d indexing) keeps its precision
+        out.data = data if isinstance(data, np.ndarray) else np.asarray(data)
+        out.grad = None
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._vjp = vjp
             out._seq = next(_node_seq)
+        else:
+            out.requires_grad = False
+            out._parents = ()
+            out._vjp = None
         return out
 
     @property
@@ -292,12 +308,10 @@ class Tensor:
         )
 
     def __getitem__(self, index):
-        data = self.data[index]
-        parts = index if isinstance(index, tuple) else (index,)
-        # ints and slices select each element at most once; index arrays may repeat
-        basic = all(isinstance(i, (int, np.integer, slice)) for i in parts)
-
         def vjp(g):
+            parts = index if isinstance(index, tuple) else (index,)
+            # ints and slices select each element at most once; index arrays may repeat
+            basic = all(isinstance(i, (int, np.integer, slice)) for i in parts)
             out = np.zeros_like(self.data)
             if basic:
                 out[index] = g
@@ -305,7 +319,7 @@ class Tensor:
                 np.add.at(out, index, g)
             return (out,)
 
-        return Tensor._result(data, (self,), vjp)
+        return Tensor._result(self.data[index], (self,), vjp)
 
     # -- backward ------------------------------------------------------------
 
@@ -368,19 +382,21 @@ class Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    parents = tuple(tensors)
+    data = np.concatenate([t.data for t in parents], axis=axis)
+    sizes = tuple(t.data.shape[axis] for t in parents)
 
     def vjp(g):
         slicer = [slice(None)] * g.ndim
         outs = []
-        for k in range(len(sizes)):
-            slicer[axis] = slice(offsets[k], offsets[k + 1])
+        start = 0
+        for size in sizes:
+            slicer[axis] = slice(start, start + size)
             outs.append(g[tuple(slicer)])
+            start += size
         return tuple(outs)
 
-    return Tensor._result(data, tuple(tensors), vjp)
+    return Tensor._result(data, parents, vjp)
 
 
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -404,10 +420,9 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
-    soft = np.exp(data)
 
     def vjp(g):
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(data) * g.sum(axis=axis, keepdims=True),)
 
     return Tensor._result(data, (x,), vjp)
 
@@ -471,10 +486,10 @@ def attention(
     qh = q.data.reshape(nq, heads, dh).transpose(1, 0, 2)
     kh = k.data.reshape(nk, heads, dh).transpose(1, 0, 2)
     vh = v.data.reshape(nk, heads, dh).transpose(1, 0, 2)
-    scale = np.asarray(1.0 / float(np.sqrt(dh)), dtype=q.data.dtype)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
     scores = (qh @ kh.transpose(0, 2, 1)) * scale
     if mask is not None:
-        scores = scores + mask[None, :, :].astype(scores.dtype)
+        scores = scores + mask[None, :, :].astype(scores.dtype, copy=False)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
     data = (weights @ vh).transpose(1, 0, 2).reshape(nq, dim)

@@ -12,6 +12,7 @@ event-weighted actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,23 +88,41 @@ class DotProductSimulator(Layer):
         )
 
 
+class TextualKeys(NamedTuple):
+    """What every word of one sentence attends over: the ingredient state and
+    the event-weighted actions, with their bilinear keys."""
+
+    ingredients: Tensor      # (M, h)
+    actions: Tensor          # (R, h)
+    ingredient_keys: Tensor  # (h, M): map_ingredient(ingredients) transposed
+    action_keys: Tensor      # (h, R): map_action(actions) transposed
+
+
 class TextualAttention(Layer):
     """Bilinear word-to-ingredient and word-to-action attentions whose context
-    vectors extend the vocabulary projection."""
+    vectors extend the vocabulary projection.  The items and so the keys are
+    fixed for a sentence, so ``keys`` projects them once per sentence and
+    each call attends with them."""
 
     def __init__(self, dim: int, rng: np.random.Generator, dtype=np.float64):
         self.map_ingredient = Linear(dim, dim, rng, bias=False, dtype=dtype)
         self.map_action = Linear(dim, dim, rng, bias=False, dtype=dtype)
 
-    def __call__(self, word_hiddens: Tensor, ingredient_state: Tensor, action_context: Tensor):
+    def keys(self, ingredient_state: Tensor, action_context: Tensor) -> TextualKeys:
+        return TextualKeys(
+            ingredient_state,
+            action_context,
+            self.map_ingredient(ingredient_state).transpose(1, 0),
+            self.map_action(action_context).transpose(1, 0),
+        )
+
+    def __call__(self, word_hiddens: Tensor, keys: TextualKeys):
         """Returns (ingredient context (K, h), action context (K, h),
         ingredient attention (K, M), action attention (K, R))."""
-        logits_g = word_hiddens @ self.map_ingredient(ingredient_state).transpose(1, 0)
-        alpha_g = softmax(logits_g, axis=-1)
-        ctx_g = alpha_g @ ingredient_state
-        logits_a = word_hiddens @ self.map_action(action_context).transpose(1, 0)
-        alpha_a = softmax(logits_a, axis=-1)
-        ctx_a = alpha_a @ action_context
+        alpha_g = softmax(word_hiddens @ keys.ingredient_keys, axis=-1)
+        ctx_g = alpha_g @ keys.ingredients
+        alpha_a = softmax(word_hiddens @ keys.action_keys, axis=-1)
+        ctx_a = alpha_a @ keys.actions
         return ctx_g, ctx_a, alpha_g, alpha_a
 
 

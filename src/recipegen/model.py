@@ -65,6 +65,7 @@ from .extended import (
     DotProductSimulator,
     SimulatorStep,
     TextualAttention,
+    TextualKeys,
     distant_labels,
     selector_nll,
     textual_attention_nll,
@@ -421,17 +422,21 @@ class RecipeModel(Layer):
         pe = Tensor(self._pe[start : start + len(input_ids)])
         return w + pe + h_sel
 
-    def _vocab_log_probs(self, word_h: Tensor, sim: SimulatorStep | None):
+    def _textual_keys(self, sim: SimulatorStep | None) -> TextualKeys | None:
+        """A sentence's textual-attention keys (BIVT only, else None)."""
+        if self.textual_attention is None:
+            return None
+        if sim is None:
+            raise ValueError("textual attention needs simulator outputs")
+        return self.textual_attention.keys(sim.new_state, sim.action_context)
+
+    def _vocab_log_probs(self, word_h: Tensor, keys: TextualKeys | None):
         """Vocabulary log-probs of word hidden rows, plus the textual-attention
         weights (BIVT only, else None)."""
         logits = self.vocab_head(word_h)
-        if self.textual_attention is None:
+        if keys is None:
             return log_softmax(logits, axis=-1), None
-        if sim is None:
-            raise ValueError("textual attention needs simulator outputs")
-        ctx_g, ctx_a, alpha_g, alpha_a = self.textual_attention(
-            word_h, sim.new_state, sim.action_context
-        )
+        ctx_g, ctx_a, alpha_g, alpha_a = self.textual_attention(word_h, keys)
         logits = logits + self.vocab_head_ing(ctx_g) + self.vocab_head_act(ctx_a)
         return log_softmax(logits, axis=-1), (alpha_g, alpha_a)
 
@@ -454,8 +459,9 @@ class RecipeModel(Layer):
             n_ing = 0
         mask = self._sentence_mask(n_ing, len(input_ids))
         out, new_mems = self.sent_tf(seq, s_mems, mask)
+        keys = self._textual_keys(sim)
         word_h = out[n_ing:] if n_ing else out
-        logp, alphas = self._vocab_log_probs(word_h, sim)
+        logp, alphas = self._vocab_log_probs(word_h, keys)
         return logp, new_mems, alphas
 
     def generate_sentence(
@@ -474,11 +480,12 @@ class RecipeModel(Layer):
 
         Greedy mode returns one log-prob row per input position (BOS plus the
         emitted ids) and no attention weights.  It never emits PAD or BOS.  It
-        decodes incrementally: the ingredient rows go through the layers once,
-        then each token pushes one new word row, because no row reads a later
-        one and so no earlier hidden state changes.  The memories are updated
-        once, over the final rows, and equal those of one full
-        ``_decode_pass`` over BOS plus the emitted ids.
+        decodes incrementally: the ingredient rows go through the layers and
+        the textual-attention keys are projected once, then each token pushes
+        one new word row, because no row reads a later one and so no earlier
+        hidden state changes.  The memories are updated once, over the final
+        rows, and equal those of one full ``_decode_pass`` over BOS plus the
+        emitted ids.
         """
         if teacher_tokens is not None:
             input_ids = [BOS] + list(teacher_tokens[:-1])
@@ -490,12 +497,13 @@ class RecipeModel(Layer):
         decoder = IncrementalPass(self.sent_tf, s_mems)
         if gen_ing is not None:
             decoder.push(gen_ing)
+        keys = self._textual_keys(sim)
         decoded: list[int] = []
         rows: list[Tensor] = []
         token = BOS
         while True:
             word_h = decoder.push(self._word_rows([token], h_sel, start=len(decoded)))
-            logp, _ = self._vocab_log_probs(word_h, sim)
+            logp, _ = self._vocab_log_probs(word_h, keys)
             rows.append(logp)
             scores = logp.data[0].copy()
             scores[[PAD, BOS]] = -np.inf

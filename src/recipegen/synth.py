@@ -76,6 +76,13 @@ class WorldConfig:
             )
         if not (0.0 <= self.distractor_fraction <= 1.0):
             raise ValueError("distractor_fraction must lie in [0, 1]")
+        # a later step names the ingredients an action touched by its participle
+        for action in self.actions:
+            if not (isinstance(action, str) and action in PARTICIPLES):
+                raise ValueError(
+                    f"world action {action!r} has no participle; "
+                    f"choose from {sorted(PARTICIPLES)}"
+                )
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorldConfig":

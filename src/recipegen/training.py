@@ -53,8 +53,14 @@ class ExperimentConfig:
         for name in ("model", "optimizer", "world"):
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"{name} config must be an object")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        for name in ("batch_size", "max_epochs", "vocab_min_count"):
+            _check_int(name, getattr(self, name), 1)
+        if self.early_stop_patience is not None:
+            _check_int("early_stop_patience", self.early_stop_patience, 1)
+        _check_int("seed", self.seed, 0)
+        number = isinstance(self.val_fraction, (int, float)) and not isinstance(self.val_fraction, bool)
+        if not (number and 0 < self.val_fraction < 1):
+            raise ValueError(f"val_fraction must be a number in (0, 1), got {self.val_fraction!r}")
         if self.early_stop_metric not in REPORT_METRICS:
             raise ValueError(
                 f"early_stop_metric {self.early_stop_metric!r} is not a report metric; "
@@ -83,6 +89,11 @@ class ExperimentConfig:
 
     def world_config(self) -> WorldConfig:
         return WorldConfig.from_dict({"seed": self.seed, **self.world})
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def split_dataset(

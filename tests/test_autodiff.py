@@ -103,6 +103,42 @@ class TestPrimitives:
             y = (x * 2).sum()
         assert not y.requires_grad
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_concat_gradient(self, axis, count):
+        rng = np.random.default_rng(8)
+        shapes = [(k + 1, 3) if axis == 0 else (3, k + 1) for k in range(count)]
+        parts = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+        weights = Tensor(rng.standard_normal(concat(parts, axis=axis).shape))
+        err = grad_check(lambda: (concat(parts, axis=axis) ** 2 * weights).sum(), parts, eps=1e-6)
+        assert err < 1e-6
+
+    def test_concat_backward_ignores_later_appends_to_its_input_list(self):
+        rng = np.random.default_rng(9)
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((1, 3)), requires_grad=True)
+        parts = [a, b]
+        out = concat(parts, axis=0)
+        late = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        parts.append(late)
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        assert np.array_equal(a.grad, g[:2]) and np.array_equal(b.grad, g[2:])
+        assert late.grad is None
+
+    @pytest.mark.parametrize("requires_grad", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_op_results_are_arrays_of_the_input_dtype(self, dtype, requires_grad):
+        x = Tensor(np.arange(1, 7, dtype=dtype).reshape(2, 3), requires_grad=requires_grad)
+        v = Tensor(np.arange(1, 4, dtype=dtype), requires_grad=requires_grad)
+        results = [
+            x.sum(), v.sum(), x.mean(), v[0], x[1, 2], x[0], x.sum(axis=1), x * 2, x.exp(),
+            x.amax(axis=1), softmax(x), log_softmax(x), concat([x, x]), x @ x.transpose(1, 0),
+        ]
+        for out in results:
+            assert type(out.data) is np.ndarray and out.data.dtype == dtype
+            assert out.requires_grad == requires_grad
+
     def test_stack(self):
         a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2)))
         s = stack([a, b], axis=0)

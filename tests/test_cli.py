@@ -215,8 +215,20 @@ def no_training(tmp_path, monkeypatch):
         ({"early_stop_metric": "soda.ciderd"}, ["early_stop_metric", "soda.ciderd"]),
         ({"actions": ["chop", "fry", "serve"]}, ["experiment", "actions"]),
         ({"n_candidates": 12}, ["experiment", "n_candidates"]),
+        ({"max_epochs": "5"}, ["max_epochs", "'5'"]),
+        ({"batch_size": 0}, ["batch_size"]),
+        ({"batch_size": True}, ["batch_size"]),
+        ({"vocab_min_count": 1.5}, ["vocab_min_count"]),
+        ({"val_fraction": 7}, ["val_fraction"]),
+        ({"val_fraction": "0.2"}, ["val_fraction"]),
+        ({"early_stop_patience": 0}, ["early_stop_patience"]),
+        ({"seed": "1"}, ["seed"]),
     ],
-    ids=["model.variant", "model.feature_dim", "early_stop_metric", "actions", "n_candidates"],
+    ids=[
+        "model.variant", "model.feature_dim", "early_stop_metric", "actions", "n_candidates",
+        "max_epochs-str", "batch_size-0", "batch_size-bool", "vocab_min_count-float",
+        "val_fraction-7", "val_fraction-str", "early_stop_patience-0", "seed-str",
+    ],
 )
 def test_train_rejects_config_before_training(tmp_path, capsys, no_training, change, names):
     config = tmp_path / "experiment.json"
@@ -299,3 +311,12 @@ def test_bad_dataset_record_exits_validation(tmp_path, capsys, path, value, name
     err = capsys.readouterr().err
     for name in names:
         assert name in err
+
+
+def test_synth_rejects_action_without_participle(tmp_path, capsys):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({"world": {"num_videos": 3, "actions": ["grill", "serve"]}}))
+    code = cli.main(["synth", "--config", str(config), "--out", str(tmp_path / "world.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert "'grill'" in capsys.readouterr().err
+    assert not (tmp_path / "world.json").exists()

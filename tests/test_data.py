@@ -163,17 +163,33 @@ JSON_VALUES = st.recursive(
 )
 
 
+def _write_replaced(tmp_path_factory, obj, path, value):
+    """A file holding the array ``[obj]`` with the value at ``path`` replaced."""
+    obj = copy.deepcopy(obj)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    out = tmp_path_factory.getbasetemp() / "fuzz.json"
+    out.write_text(json.dumps([obj]))
+    return out
+
+
+# the form ``save_predictions`` writes
+PREDICTION_OBJ = {
+    "video_id": "vid_a",
+    "results": [
+        {"index": 2, "start": 0.0, "end": 2.0, "sentence": "crack the eggs"},
+        {"index": 0, "start": 3.0, "end": 4.0, "sentence": "stir"},
+    ],
+}
+
+
 class TestDatasetFuzz:
     @settings(max_examples=300, deadline=None)
     @given(path=st.sampled_from(list(_paths(RECORD_OBJ))), value=JSON_VALUES)
     def test_any_field_value_loads_or_fails_validation(self, tmp_path_factory, path, value):
-        record = copy.deepcopy(RECORD_OBJ)
-        target = record
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        dataset = tmp_path_factory.getbasetemp() / "fuzz.json"
-        dataset.write_text(json.dumps([record]))
+        dataset = _write_replaced(tmp_path_factory, RECORD_OBJ, path, value)
         try:
             records = load_dataset(dataset)
         except (ValidationError, ParseError) as exc:
@@ -181,6 +197,21 @@ class TestDatasetFuzz:
         else:
             (loaded,) = records
             assert np.isfinite(loaded.duration) and np.isfinite(loaded.candidates.features).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(_paths(PREDICTION_OBJ))), value=JSON_VALUES)
+    def test_any_prediction_field_loads_or_fails_validation(self, tmp_path_factory, path, value):
+        predictions = _write_replaced(tmp_path_factory, PREDICTION_OBJ, path, value)
+        try:
+            preds = load_predictions(predictions)
+        except (ValidationError, ParseError) as exc:
+            assert str(exc)
+        else:
+            (loaded,) = preds
+            assert isinstance(loaded.video_id, str)
+            assert all(type(i) is int for i in loaded.selections)
+            for iv in loaded.intervals:
+                assert np.isfinite(iv.start) and np.isfinite(iv.end)
 
     @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999", "1" + "0" * 400])
     def test_numbers_beyond_float_range_rejected(self, tmp_path, literal):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recipegen import model as model_module
-from recipegen.autodiff import Tensor, log_softmax
+from recipegen.autodiff import Tensor, log_softmax, softmax
 from recipegen.data import (
     GroundTruthRecipe,
     RecipeStep,
@@ -198,7 +198,7 @@ class TestTextualAttention:
         words = Tensor(rng.standard_normal((3, 8)))
         state = Tensor(rng.standard_normal((1, 8)))
         actions = Tensor(rng.standard_normal((2, 8)))
-        ctx_g, _, alpha_g, _ = tattn(words, state, actions)
+        ctx_g, _, alpha_g, _ = tattn(words, tattn.keys(state, actions))
         np.testing.assert_allclose(alpha_g.data, np.ones((3, 1)))
         for row in ctx_g.data:
             np.testing.assert_allclose(row, state.data[0], atol=1e-12)
@@ -210,7 +210,7 @@ class TestTextualAttention:
         words = Tensor(rng.standard_normal((2, 8)))
         state = Tensor(rng.standard_normal((5, 8)))
         actions = Tensor(rng.standard_normal((2, 8)))
-        _, _, alpha_g, _ = tattn(words, state, actions)
+        _, _, alpha_g, _ = tattn(words, tattn.keys(state, actions))
         np.testing.assert_allclose(alpha_g.data, np.full((2, 5), 0.2), atol=1e-12)
 
     def test_two_ingredient_hand_softmax(self):
@@ -218,9 +218,53 @@ class TestTextualAttention:
         identity_linear(tattn.map_ingredient)
         words = np.array([[1.0, 0.0]])
         state = np.array([[2.0, 0.0], [0.0, 3.0]])
-        _, _, alpha_g, _ = tattn(Tensor(words), Tensor(state), Tensor(np.zeros((1, 2))))
+        keys = tattn.keys(Tensor(state), Tensor(np.zeros((1, 2))))
+        _, _, alpha_g, _ = tattn(Tensor(words), keys)
         want = manual_softmax(np.array([[2.0, 0.0]]))
         np.testing.assert_allclose(alpha_g.data, want, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_keys_projected_once_equal_per_token_projection(self, dtype):
+        tattn = TextualAttention(8, np.random.default_rng(6), dtype=dtype)
+        rng = np.random.default_rng(7)
+        words, state, actions = (
+            Tensor(rng.standard_normal(shape).astype(dtype)) for shape in ((4, 8), (3, 8), (5, 8))
+        )
+        keys = tattn.keys(state, actions)
+        for k in range(4):
+            row = words[k : k + 1]
+            alpha_g = softmax(row @ tattn.map_ingredient(state).transpose(1, 0), axis=-1)
+            alpha_a = softmax(row @ tattn.map_action(actions).transpose(1, 0), axis=-1)
+            want = (alpha_g @ state, alpha_a @ actions, alpha_g, alpha_a)
+            for got, ref in zip(tattn(row, keys), want):
+                assert got.data.dtype == dtype
+                assert np.array_equal(got.data, ref.data)
+
+    def test_model_projects_keys_once_per_sentence(self, monkeypatch):
+        model = tiny_extended("BIVT", seed=5)
+        calls = []
+
+        def counted(name, project):
+            def call(x):
+                calls.append(name)
+                return project(x)
+
+            return call
+
+        for name in ("map_ingredient", "map_action"):
+            project = getattr(model.textual_attention, name)
+            monkeypatch.setattr(model.textual_attention, name, counted(name, project))
+        record = RECORDS[0]
+        pred = model.run_inference(record)
+        # each sentence pushed one word row per emitted token plus one for BOS
+        assert pred.sentences and sum(len(s) for s in pred.sentences) > 0
+        n = len(pred.sentences)
+        assert sorted(calls) == ["map_action"] * n + ["map_ingredient"] * n
+        calls.clear()
+        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, with_distant=True)
+        model.training_forward(record, labels, np.random.default_rng(0))
+        n = len(record.steps)
+        assert sorted(calls) == ["map_action"] * n + ["map_ingredient"] * n
 
 
 class TestDistantLabels:

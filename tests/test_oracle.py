@@ -22,6 +22,7 @@ from recipegen.oracle import (
     tiou_histogram,
 )
 from recipegen.synth import WorldConfig, generate_world
+from recipegen.training import dataset_digest
 
 
 def random_instance(rng, n_candidates=8, n_steps=4, duration=100.0):
@@ -232,3 +233,15 @@ class TestWorldKnobs:
     def test_distractor_fraction_outside_unit_interval_rejected(self, fraction):
         with pytest.raises(ValueError, match="distractor_fraction"):
             WorldConfig(distractor_fraction=fraction)
+
+    @pytest.mark.parametrize("action", ["grill", 7])
+    def test_action_without_participle_rejected(self, action):
+        with pytest.raises(ValueError, match=f"{action!r}.*no participle"):
+            WorldConfig(actions=[action, "serve"])
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [(0, "045b68c74002915a"), (1, "0babf98adf18348f"), (2, "749177efc812a306")],
+    )
+    def test_default_worlds_keep_their_digest(self, seed, digest):
+        assert dataset_digest(generate_world(WorldConfig(seed=seed))) == digest
