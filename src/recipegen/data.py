@@ -56,6 +56,30 @@ def config_from_dict(cls, d: dict, section: str):
     return cls(**d)
 
 
+def check_int(name: str, value, low: int, high: float = math.inf) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int (not a
+    bool) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def check_number(name: str, value, low: float, high: float = math.inf) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite int or
+    float (not a bool) in [low, high]."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # NaN fails the comparison; an int of any size is finite
+    if not (number and low <= value <= high and abs(value) < math.inf):
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
+def check_flag(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a bool."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
 class ValidationWarning(UserWarning):
     """Non-fatal irregularity found while loading (e.g. overlapping steps)."""
 

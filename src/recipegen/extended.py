@@ -1,12 +1,12 @@
 """Ingredient-grounded extensions: the dot-product visual simulator, textual
 attention, distant-supervision labels, and their losses.
 
-The simulator tracks ingredient state across selected events with three
-pieces: an action selector and an ingredient selector (paired dot-product
-attentions between the action/ingredient axes and the event axis) and an
-updater that residually advances the ingredient state.  Textual attention
-conditions the word distribution on the current ingredient state and the
-event-weighted actions.
+The simulator tracks ingredient state across selected events.  Each step
+projects the events once and runs four scaled dot-product attentions: actions
+over events and events over actions, ingredient state over events and events
+over ingredient state; an updater then residually advances the ingredient
+state.  Textual attention conditions the word distribution on the current
+ingredient state and the event-weighted actions.
 """
 
 from __future__ import annotations
@@ -39,10 +39,17 @@ class SimulatorStep:
     ingredient_event_logits: Tensor  # (M, N)
 
 
+def _attend(queries: Tensor, keys: Tensor, values: Tensor, scale: float):
+    """Scaled dot-product attention of projected rows: the logits (Q, K) and
+    the attention-weighted values (Q, h)."""
+    logits = (queries @ keys.transpose(1, 0)) * scale
+    return logits, softmax(logits, axis=-1) @ values
+
+
 class DotProductSimulator(Layer):
-    """Bidirectional dot-product attentions between actions/ingredients and
-    event candidates; the event-side projections are shared between the two
-    selectors."""
+    """Bidirectional dot-product attentions between the action table and the
+    events, and between the ingredient state and the events.  The events are
+    projected once per step and read by all four attentions."""
 
     def __init__(self, dim: int, rng: np.random.Generator, dtype=np.float64):
         self.dim = dim
@@ -56,29 +63,13 @@ class DotProductSimulator(Layer):
         self.k_ingredient = Linear(dim, dim, rng, bias=False, dtype=dtype)
         self.v_ingredient = Linear(dim, dim, rng, bias=False, dtype=dtype)
 
-    def action_selector(self, actions: Tensor, events: Tensor):
-        """Event-weighted actions (R, h), action-weighted events (N, h), and
-        the action-to-event attention logits (R, N)."""
-        scale = 1.0 / float(np.sqrt(self.dim))
-        logits_ae = (self.q_action(actions) @ self.k_event(events).transpose(1, 0)) * scale
-        weighted_events = softmax(logits_ae, axis=-1) @ self.v_event(events)
-        logits_ea = (self.q_event(events) @ self.k_action(actions).transpose(1, 0)) * scale
-        weighted_actions = softmax(logits_ea, axis=-1) @ self.v_action(actions)
-        return weighted_events, weighted_actions, logits_ae
-
-    def ingredient_selector(self, state: Tensor, events: Tensor):
-        """Same attention pair with the action table replaced by the current
-        ingredient state."""
-        scale = 1.0 / float(np.sqrt(self.dim))
-        logits_ge = (self.q_ingredient(state) @ self.k_event(events).transpose(1, 0)) * scale
-        weighted_events = softmax(logits_ge, axis=-1) @ self.v_event(events)
-        logits_eg = (self.q_event(events) @ self.k_ingredient(state).transpose(1, 0)) * scale
-        weighted_ingredients = softmax(logits_eg, axis=-1) @ self.v_ingredient(state)
-        return weighted_events, weighted_ingredients, logits_ge
-
     def step(self, events: Tensor, actions: Tensor, state: Tensor) -> SimulatorStep:
-        a_events, h_actions, logits_ae = self.action_selector(actions, events)
-        g_events, h_ingredients, logits_ge = self.ingredient_selector(state, events)
+        scale = 1.0 / float(np.sqrt(self.dim))
+        q_e, k_e, v_e = self.q_event(events), self.k_event(events), self.v_event(events)
+        logits_ae, a_events = _attend(self.q_action(actions), k_e, v_e, scale)
+        _, h_actions = _attend(q_e, self.k_action(actions), self.v_action(actions), scale)
+        logits_ge, g_events = _attend(self.q_ingredient(state), k_e, v_e, scale)
+        _, h_ingredients = _attend(q_e, self.k_ingredient(state), self.v_ingredient(state), scale)
         return SimulatorStep(
             fused_events=events + h_actions + h_ingredients,
             action_context=a_events,

@@ -58,6 +58,9 @@ from .data import (
     EventCandidateSet,
     PredictionRecipe,
     Vocabulary,
+    check_flag,
+    check_int,
+    check_number,
     config_from_dict,
     tokenize,
 )
@@ -107,6 +110,14 @@ class ModelConfig:
     precision: str = "float64"  # "float32" | "float64"
 
     def __post_init__(self):
+        for name in ("hidden", "layers", "heads", "feature_dim", "max_steps", "max_sentence_len"):
+            check_int(f"model.{name}", getattr(self, name), 1)
+        for name in ("tau", "tau_min"):
+            check_number(f"model.{name}", getattr(self, name), 0.0)
+            if getattr(self, name) == 0:
+                raise ValueError(f"model.{name} must be positive")
+        for name in ("tau_anneal", "hard_selection", "no_reselection"):
+            check_flag(f"model.{name}", getattr(self, name))
         if self.variant not in VARIANTS:
             raise ValueError(f"variant {self.variant!r} must be one of {VARIANTS}")
         if self.conditioning not in ("teacher", "free"):
@@ -132,7 +143,7 @@ PRESETS = {
 
 
 def preset_config(preset: str = "toy", **overrides) -> ModelConfig:
-    if preset not in PRESETS:
+    if not isinstance(preset, str) or preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     return config_from_dict(ModelConfig, {**PRESETS[preset], **overrides}, "model")
 
@@ -146,11 +157,11 @@ def tau_schedule(config: ModelConfig, epoch: int, max_epochs: int) -> float:
 
 
 def pool_memory(memories: list[Tensor]) -> Tensor:
-    """Element-wise max over layers, then over slots: one hidden-size vector."""
+    """Element-wise max over the rows of every layer's memory: one
+    hidden-size vector, from one concat and one max."""
     if not memories:
         raise ValueError("need at least one memory layer")
-    stacked = concat([m.reshape(1, *m.shape) for m in memories], axis=0)
-    return stacked.amax(axis=0).amax(axis=0)
+    return concat(memories, axis=0).amax(axis=0)
 
 
 def mix_memories(
@@ -360,16 +371,16 @@ class RecipeModel(Layer):
         )
         return self.feat_mlp(feats) + Tensor(self._pe[:n]) + self.rel_enc(Tensor(rel))
 
-    def encode_ingredients(self, ingredients: list[str], side: str) -> Tensor:
-        """Mean word embedding per ingredient through the side's own MLP."""
+    def encode_ingredients(self, ingredients: list[str]) -> Tensor:
+        """Mean word embedding of each ingredient's tokens: one row per
+        ingredient, which the selector and generator MLPs both read."""
         if not ingredients:
             raise ValueError("extended model requires at least one ingredient")
-        mlp = {"selector": self.ing_mlp_sel, "generator": self.ing_mlp_gen}[side]
-        rows = []
-        for ing in ingredients:
-            ids = self.vocab.encode(tokenize(ing))
-            rows.append(self.word_embed(ids).mean(axis=0, keepdims=True))
-        return mlp(concat(rows, axis=0))
+        rows = [
+            self.word_embed(self.vocab.encode(tokenize(ing))).mean(axis=0, keepdims=True)
+            for ing in ingredients
+        ]
+        return concat(rows, axis=0)
 
     # -- event side -----------------------------------------------------------
 
@@ -517,12 +528,13 @@ class RecipeModel(Layer):
     def _context(self, record: DatasetRecord) -> dict:
         """Per-video inputs of every step: the candidate encodings, both
         ingredient encodings (all but B) and the action table (BIV, BIVT)."""
-        use_ing = self.ing_mlp_sel is not None
+        events = self.encode_events(record.candidates, record.duration)
+        ing = self.encode_ingredients(record.ingredients) if self.ing_mlp_sel is not None else None
         return {
             "n": len(record.candidates),
-            "events": self.encode_events(record.candidates, record.duration),
-            "g_sel": self.encode_ingredients(record.ingredients, "selector") if use_ing else None,
-            "g_gen": self.encode_ingredients(record.ingredients, "generator") if use_ing else None,
+            "events": events,
+            "g_sel": None if ing is None else self.ing_mlp_sel(ing),
+            "g_gen": None if ing is None else self.ing_mlp_gen(ing),
             "actions": self.action_embed(np.arange(len(self.action_lexicon)))
             if self.action_embed is not None
             else None,
@@ -735,17 +747,41 @@ def save_checkpoint(path, model: RecipeModel, extra_meta: dict | None = None):
     np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
 
+def _checkpoint_meta(path, blob) -> dict:
+    """A checkpoint's metadata object, with the type of every field the loader
+    reads checked."""
+    try:
+        meta = json.loads(bytes(blob["meta"]).decode())
+    except (KeyError, ValueError) as exc:  # no array, pickled, not UTF-8 JSON
+        raise ValueError(f"checkpoint {path}: no readable 'meta' ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint {path}: 'meta' must be an object, got {type(meta).__name__}")
+    for key, kind in (("config", dict), ("vocab", list), ("actions", list), ("config_hash", str)):
+        value = meta.get(key)
+        typed = isinstance(value, kind)
+        if typed and kind is list:
+            typed = all(isinstance(t, str) for t in value)
+        if not typed:
+            what = "a list of strings" if kind is list else f"a {kind.__name__}"
+            raise ValueError(f"checkpoint {path}: meta {key!r} must be {what}")
+    return meta
+
+
 def load_checkpoint(path) -> tuple[RecipeModel, dict]:
     with np.load(path, allow_pickle=False) as blob:
-        meta = json.loads(bytes(blob["meta"]).decode())
-        config = config_from_dict(ModelConfig, meta["config"], "model")
-        model = RecipeModel(config, Vocabulary(meta["vocab"]), meta["actions"], seed=0)
-        want = config_hash(model.config, model.vocab, model.action_lexicon)
-        if meta.get("config_hash") != want:
+        meta = _checkpoint_meta(path, blob)
+        try:
+            config = config_from_dict(ModelConfig, meta["config"], "model")
+            vocab = Vocabulary(meta["vocab"])
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path}: {exc}") from None
+        want = config_hash(config, vocab, meta["actions"])
+        if meta["config_hash"] != want:
             raise ValueError(
-                f"checkpoint {path}: stored config_hash {meta.get('config_hash')!r} "
+                f"checkpoint {path}: stored config_hash {meta['config_hash']!r} "
                 f"does not match {want!r} computed from its config, vocabulary and actions"
             )
+        model = RecipeModel(config, vocab, meta["actions"], seed=0)
         params = model.parameters()
         stored = {key[len("param/"):] for key in blob.files if key.startswith("param/")}
         missing = sorted(params.keys() - stored)
@@ -756,7 +792,10 @@ def load_checkpoint(path) -> tuple[RecipeModel, dict]:
                 name = key[len("param/"):]
                 if name not in params:
                     raise ValueError(f"checkpoint parameter {name!r} unknown to the model")
-                if params[name].data.shape != blob[key].shape:
+                array = blob[key]
+                if params[name].data.shape != array.shape:
                     raise ValueError(f"checkpoint parameter {name!r} has wrong shape")
-                params[name].data = blob[key].astype(config.dtype)
+                if array.dtype.kind != "f" or not np.isfinite(array).all():
+                    raise ValueError(f"checkpoint parameter {name!r} must hold finite floats")
+                params[name].data = array.astype(config.dtype)
     return model, meta

@@ -12,17 +12,23 @@ sequentially so candidate sets at increasing budgets are nested prefixes.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import (
+    MAX_STEPS,
     DatasetRecord,
     EventCandidateSet,
     RecipeStep,
     TimedEvent,
+    check_flag,
+    check_int,
+    check_number,
     config_from_dict,
     detokenize,
+    tokenize,
 )
 from .dvceval import tiou
 
@@ -49,6 +55,16 @@ VESSELS = {
 }
 
 
+def _check_range(name: str, pair, check, low, high=math.inf) -> None:
+    """A ``[low, high]`` pair whose ends each pass ``check`` within the bounds."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ValueError(f"{name} must be a [low, high] pair, got {pair!r}")
+    for value in pair:
+        check(name, value, low, high)
+    if pair[0] > pair[1]:
+        raise ValueError(f"{name} must have low <= high, got {list(pair)}")
+
+
 @dataclass
 class WorldConfig:
     num_videos: int = 200
@@ -67,22 +83,39 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (1 <= self.steps_range[0] <= self.steps_range[1] <= 12):
-            raise ValueError("steps_range must lie within [1, 12]")
-        if self.n_candidates < self.steps_range[1]:
+        check_int("world.num_videos", self.num_videos, 1)
+        pool = self.ingredient_pool
+        # sentences carry an ingredient's words verbatim, and labels match its tokens
+        words = isinstance(pool, list) and all(
+            isinstance(ing, str) and ing.split() == tokenize(ing) for ing in pool
+        )
+        if not (words and pool and "" not in pool and len(set(pool)) == len(pool)):
             raise ValueError(
-                f"n_candidates={self.n_candidates} must be >= max steps "
-                f"{self.steps_range[1]}"
+                "world.ingredient_pool must be a non-empty list of distinct ingredients, "
+                f"each lowercase words without punctuation, got {pool!r}"
             )
-        if not (0.0 <= self.distractor_fraction <= 1.0):
-            raise ValueError("distractor_fraction must lie in [0, 1]")
         # a later step names the ingredients an action touched by its participle
+        if not isinstance(self.actions, list):
+            raise ValueError(f"world.actions must be a list, got {self.actions!r}")
         for action in self.actions:
             if not (isinstance(action, str) and action in PARTICIPLES):
                 raise ValueError(
-                    f"world action {action!r} has no participle; "
+                    f"world.actions: {action!r} has no participle; "
                     f"choose from {sorted(PARTICIPLES)}"
                 )
+        if not set(self.actions) - {"serve"}:
+            raise ValueError("world.actions must hold an action other than 'serve'")
+        _check_range("world.ingredients_range", self.ingredients_range, check_int, 1, len(pool))
+        _check_range("world.steps_range", self.steps_range, check_int, 1, MAX_STEPS)
+        _check_range("world.duration_range", self.duration_range, check_number, 1.0)
+        check_int("world.feature_dim", self.feature_dim, 1)
+        check_int("world.n_candidates", self.n_candidates, self.steps_range[1])
+        check_number("world.jitter_sigma_frac", self.jitter_sigma_frac, 0.0)
+        check_number("world.jitter_min_tiou", self.jitter_min_tiou, 0.0, 1.0)
+        check_number("world.distractor_fraction", self.distractor_fraction, 0.0, 1.0)
+        check_number("world.noise_scale", self.noise_scale, 0.0)
+        check_flag("world.attach_candidate_sentences", self.attach_candidate_sentences)
+        check_int("world.seed", self.seed, 0)
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorldConfig":

@@ -13,6 +13,7 @@ from .data import (
     DatasetRecord,
     Vocabulary,
     build_vocabulary,
+    check_int,
     config_from_dict,
     _record_to_obj,
 )
@@ -54,10 +55,10 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), dict):
                 raise ValueError(f"{name} config must be an object")
         for name in ("batch_size", "max_epochs", "vocab_min_count"):
-            _check_int(name, getattr(self, name), 1)
+            check_int(name, getattr(self, name), 1)
         if self.early_stop_patience is not None:
-            _check_int("early_stop_patience", self.early_stop_patience, 1)
-        _check_int("seed", self.seed, 0)
+            check_int("early_stop_patience", self.early_stop_patience, 1)
+        check_int("seed", self.seed, 0)
         number = isinstance(self.val_fraction, (int, float)) and not isinstance(self.val_fraction, bool)
         if not (number and 0 < self.val_fraction < 1):
             raise ValueError(f"val_fraction must be a number in (0, 1), got {self.val_fraction!r}")
@@ -89,11 +90,6 @@ class ExperimentConfig:
 
     def world_config(self) -> WorldConfig:
         return WorldConfig.from_dict({"seed": self.seed, **self.world})
-
-
-def _check_int(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def split_dataset(

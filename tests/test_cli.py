@@ -320,3 +320,44 @@ def test_synth_rejects_action_without_participle(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     assert "'grill'" in capsys.readouterr().err
     assert not (tmp_path / "world.json").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, field",
+    [
+        ({"world": {"num_videos": "5"}}, "world.num_videos"),
+        ({"world": {"num_videos": 0}}, "world.num_videos"),
+        ({"world": {"num_videos": 3, "feature_dim": 0}}, "world.feature_dim"),
+        ({"world": {"num_videos": 3, "noise_scale": "x"}}, "world.noise_scale"),
+        ({"world": {"num_videos": 3, "actions": []}}, "world.actions"),
+        ({"preset": ["toy"]}, "preset"),
+    ],
+    ids=["num-videos-string", "no-videos", "no-features", "noise-string", "no-actions", "preset-list"],
+)
+def test_synth_rejects_bad_setting_naming_it(tmp_path, capsys, experiment, field):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(experiment))
+    code = cli.main(["synth", "--config", str(config), "--out", str(tmp_path / "world.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "world.json").exists()
+
+
+@pytest.mark.parametrize("field", ["vocab", "actions"])
+def test_generate_rejects_malformed_checkpoint_meta(tmp_path, capsys, field):
+    dataset, checkpoint = tmp_path / "world.json", tmp_path / "model.npz"
+    save_dataset(generate_world(WorldConfig(num_videos=2, seed=3)), dataset)
+    config = ModelConfig(hidden=8, layers=1, heads=2, feature_dim=32)
+    save_checkpoint(checkpoint, RecipeModel(config, Vocabulary(["stir"]), list(DEFAULT_ACTIONS)))
+    with np.load(checkpoint) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta[field] = 5
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(checkpoint, **arrays)
+    code = cli.main([
+        "generate", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+        "--out", str(tmp_path / "p.json"),
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert f"'{field}'" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import io
 import json
 
 import numpy as np
@@ -24,6 +26,7 @@ from recipegen.data import (
     ParseError,
     _record_to_obj,
 )
+from recipegen.model import ModelConfig, RecipeModel, load_checkpoint, save_checkpoint
 from recipegen.synth import WorldConfig, generate_world
 
 
@@ -220,6 +223,59 @@ class TestDatasetFuzz:
         dataset.write_text(text)
         with pytest.raises(ValidationError, match="vid_a.*duration"):
             load_dataset(dataset)
+
+
+def _saved_checkpoint():
+    model = RecipeModel(
+        ModelConfig(hidden=4, layers=1, heads=1, feature_dim=3, variant="BIVT"),
+        Vocabulary(["crack", "eggs"]),
+        ["crack", "serve"],
+    )
+    buffer = io.BytesIO()
+    save_checkpoint(buffer, model)
+    buffer.seek(0)
+    with np.load(buffer) as blob:
+        return {key: blob[key] for key in blob.files}
+
+
+CHECKPOINT_ARRAYS = _saved_checkpoint()
+CHECKPOINT_META = json.loads(bytes(CHECKPOINT_ARRAYS["meta"]).decode())
+# a rehashed checkpoint whose fuzzed dims are huge would allocate a huge model
+MODEL_SIZE_FIELDS = {"hidden", "layers", "heads", "feature_dim"}
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        path=st.sampled_from([()] + list(_paths(CHECKPOINT_META))),
+        value=JSON_VALUES,
+        rehash=st.booleans(),
+    )
+    def test_any_meta_value_loads_or_fails_validation(self, tmp_path_factory, path, value, rehash):
+        """With ``rehash`` the stored config_hash is recomputed after the edit,
+        so the loader's own field checks, not the hash, must catch it."""
+        meta = copy.deepcopy(CHECKPOINT_META)
+        if path:
+            target = meta
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            meta = value
+        sized = path[:1] == ("config",) and set(path[1:2]) <= MODEL_SIZE_FIELDS
+        if rehash and isinstance(meta, dict) and not sized:
+            payload = {key: meta.get(key) for key in ("config", "vocab", "actions")}
+            digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+            meta["config_hash"] = digest[:16]
+        arrays = dict(CHECKPOINT_ARRAYS, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        checkpoint = tmp_path_factory.getbasetemp() / "fuzz.npz"
+        np.savez(checkpoint, **arrays)
+        try:
+            model, _ = load_checkpoint(checkpoint)
+        except ValueError as exc:
+            assert str(exc)
+        else:
+            assert all(np.isfinite(p.data).all() for p in model.parameters().values())
 
 
 class TestVocabulary:

@@ -51,77 +51,106 @@ def tiny_extended(variant="BIVT", seed=0):
     return RecipeModel(cfg, VOCAB, DEFAULT_ACTIONS, seed=seed)
 
 
+def sim_inputs(rng, n_events=4, n_actions=3, n_ingredients=2, dim=8):
+    return tuple(
+        Tensor(rng.standard_normal((rows, dim))) for rows in (n_events, n_actions, n_ingredients)
+    )
+
+
+def counted(calls, name, fn):
+    def call(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return call
+
+
 class TestActionSelector:
     def test_zero_value_projection_zeroes_outputs(self):
         sim = DotProductSimulator(8, np.random.default_rng(0))
         zero_linear(sim.v_event)
-        rng = np.random.default_rng(1)
-        a, h = Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((4, 8)))
-        weighted_events, _, _ = sim.action_selector(a, h)
-        np.testing.assert_array_equal(weighted_events.data, np.zeros((3, 8)))
+        events, actions, state = sim_inputs(np.random.default_rng(1))
+        step = sim.step(events, actions, state)
+        np.testing.assert_array_equal(step.action_context.data, np.zeros((3, 8)))
 
     def test_single_event_rows_equal_its_value(self):
         sim = DotProductSimulator(8, np.random.default_rng(2))
-        rng = np.random.default_rng(3)
-        a, h = Tensor(rng.standard_normal((5, 8))), Tensor(rng.standard_normal((1, 8)))
-        weighted_events, _, _ = sim.action_selector(a, h)
-        value = sim.v_event(h).data[0]
-        for row in weighted_events.data:
+        events, actions, state = sim_inputs(np.random.default_rng(3), n_events=1, n_actions=5)
+        step = sim.step(events, actions, state)
+        value = sim.v_event(events).data[0]
+        for row in step.action_context.data:
             np.testing.assert_allclose(row, value, atol=1e-12)
 
     def test_identity_projections_hand_case(self):
         sim = DotProductSimulator(2, np.random.default_rng(4))
         for lin in (sim.q_action, sim.k_event, sim.v_event, sim.q_event, sim.k_action, sim.v_action):
             identity_linear(lin)
+        zero_linear(sim.v_ingredient)  # no ingredient-weighted part in the fused events
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
         h = np.array([[2.0, 0.0], [0.0, 1.0]])
-        weighted_events, weighted_actions, logits_ae = sim.action_selector(Tensor(a), Tensor(h))
+        step = sim.step(Tensor(h), Tensor(a), Tensor(np.ones((1, 2))))
         scale = 1 / math.sqrt(2)
         want_logits = a @ h.T * scale
-        np.testing.assert_allclose(logits_ae.data, want_logits, atol=1e-12)
-        np.testing.assert_allclose(weighted_events.data, manual_softmax(want_logits) @ h, atol=1e-12)
+        np.testing.assert_allclose(step.action_event_logits.data, want_logits, atol=1e-12)
         np.testing.assert_allclose(
-            weighted_actions.data, manual_softmax(h @ a.T * scale) @ a, atol=1e-12
+            step.action_context.data, manual_softmax(want_logits) @ h, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            step.fused_events.data - h, manual_softmax(h @ a.T * scale) @ a, atol=1e-12
         )
 
     def test_attention_rows_on_simplex(self):
         sim = DotProductSimulator(8, np.random.default_rng(5))
-        rng = np.random.default_rng(6)
-        a, h = Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((4, 8)))
-        _, _, logits = sim.action_selector(a, h)
+        events, actions, state = sim_inputs(np.random.default_rng(6))
+        logits = sim.step(events, actions, state).action_event_logits
+        assert logits.shape == (3, 4)
         rows = manual_softmax(logits.data)
         np.testing.assert_allclose(rows.sum(axis=-1), np.ones(3))
 
 
 class TestIngredientSelector:
     def test_zero_value_projection(self):
+        # zero event values leave the ingredient-side event mix, and so the state, unchanged
         sim = DotProductSimulator(8, np.random.default_rng(0))
         zero_linear(sim.v_event)
-        rng = np.random.default_rng(1)
-        g, h = Tensor(rng.standard_normal((2, 8))), Tensor(rng.standard_normal((4, 8)))
-        weighted_events, _, _ = sim.ingredient_selector(g, h)
-        np.testing.assert_array_equal(weighted_events.data, np.zeros((2, 8)))
+        events, actions, state = sim_inputs(np.random.default_rng(1))
+        step = sim.step(events, actions, state)
+        np.testing.assert_array_equal(step.new_state.data, state.data)
 
     def test_single_event(self):
+        # one event: both event mixes are its value v, so the state moves by v * v
         sim = DotProductSimulator(8, np.random.default_rng(2))
-        rng = np.random.default_rng(3)
-        g, h = Tensor(rng.standard_normal((2, 8))), Tensor(rng.standard_normal((1, 8)))
-        weighted_events, _, _ = sim.ingredient_selector(g, h)
-        for row in weighted_events.data:
-            np.testing.assert_allclose(row, sim.v_event(h).data[0], atol=1e-12)
+        events, actions, state = sim_inputs(np.random.default_rng(3), n_events=1)
+        step = sim.step(events, actions, state)
+        value = sim.v_event(events).data[0]
+        for row, before in zip(step.new_state.data, state.data):
+            np.testing.assert_allclose(row - before, value * value, atol=1e-12)
 
     def test_matches_action_selector_with_substituted_table(self):
-        # the ingredient selector is the action selector with the table swapped
+        # the ingredient attentions are the action attentions with the table swapped
         sim = DotProductSimulator(8, np.random.default_rng(7))
         sim.q_ingredient.weight.data = sim.q_action.weight.data.copy()
         sim.k_ingredient.weight.data = sim.k_action.weight.data.copy()
         sim.v_ingredient.weight.data = sim.v_action.weight.data.copy()
-        rng = np.random.default_rng(8)
-        table, h = Tensor(rng.standard_normal((3, 8))), Tensor(rng.standard_normal((5, 8)))
-        a_out = sim.action_selector(table, h)
-        g_out = sim.ingredient_selector(table, h)
-        for x, y in zip(a_out, g_out):
-            np.testing.assert_allclose(x.data, y.data, atol=1e-12)
+        events, table, _ = sim_inputs(np.random.default_rng(8), n_events=5)
+        step = sim.step(events, table, table)
+        np.testing.assert_array_equal(step.ingredient_event_logits.data, step.action_event_logits.data)
+        a_events = step.action_context.data
+        np.testing.assert_array_equal(
+            step.new_state.data, table.data + a_events * a_events.max(axis=0, keepdims=True)
+        )
+        h_actions = manual_softmax(
+            sim.q_event(events).data @ sim.k_action(table).data.T / math.sqrt(8)
+        ) @ sim.v_action(table).data
+        np.testing.assert_allclose(step.fused_events.data, events.data + 2 * h_actions, atol=1e-12)
+
+    def test_step_projects_events_once(self, monkeypatch):
+        sim = DotProductSimulator(8, np.random.default_rng(9))
+        calls = []
+        for name in ("q_event", "k_event", "v_event"):
+            monkeypatch.setattr(sim, name, counted(calls, name, getattr(sim, name)))
+        sim.step(*sim_inputs(np.random.default_rng(10)))
+        assert sorted(calls) == ["k_event", "q_event", "v_event"]
 
 
 class TestUpdater:
@@ -164,16 +193,18 @@ class TestFusedRepresentations:
 
     def test_fused_difference_equals_attention_sum(self):
         sim = DotProductSimulator(8, np.random.default_rng(2))
-        rng = np.random.default_rng(3)
-        events = Tensor(rng.standard_normal((4, 8)))
-        actions = Tensor(rng.standard_normal((3, 8)))
-        state = Tensor(rng.standard_normal((2, 8)))
+        events, actions, state = sim_inputs(np.random.default_rng(3))
         step = sim.step(events, actions, state)
-        _, weighted_actions, _ = sim.action_selector(actions, events)
-        _, weighted_ingredients, _ = sim.ingredient_selector(state, events)
+        scale = 1 / math.sqrt(8)
+        q_e = sim.q_event(events).data
+
+        def weighted(table, key, value):
+            return manual_softmax(q_e @ key(table).data.T * scale) @ value(table).data
+
         np.testing.assert_allclose(
             step.fused_events.data - events.data,
-            weighted_actions.data + weighted_ingredients.data,
+            weighted(actions, sim.k_action, sim.v_action)
+            + weighted(state, sim.k_ingredient, sim.v_ingredient),
             atol=1e-12,
         )
 
@@ -243,17 +274,9 @@ class TestTextualAttention:
     def test_model_projects_keys_once_per_sentence(self, monkeypatch):
         model = tiny_extended("BIVT", seed=5)
         calls = []
-
-        def counted(name, project):
-            def call(x):
-                calls.append(name)
-                return project(x)
-
-            return call
-
         for name in ("map_ingredient", "map_action"):
             project = getattr(model.textual_attention, name)
-            monkeypatch.setattr(model.textual_attention, name, counted(name, project))
+            monkeypatch.setattr(model.textual_attention, name, counted(calls, name, project))
         record = RECORDS[0]
         pred = model.run_inference(record)
         # each sentence pushed one word row per emitted token plus one for BOS
@@ -460,7 +483,7 @@ class TestAblationContainment:
     def test_empty_ingredients_rejected_for_extended(self):
         model = tiny_extended("BI")
         with pytest.raises(ValueError):
-            model.encode_ingredients([], "selector")
+            model.encode_ingredients([])
 
     def test_multiword_ingredient_mean_embedding(self):
         model = tiny_extended("BI")
@@ -469,12 +492,25 @@ class TestAblationContainment:
             model.word_embed([i]).data[0] for i in ids
         ]
         pre_mlp = np.mean(single, axis=0, keepdims=True)
-        want = model.ing_mlp_sel(Tensor(pre_mlp)).data
-        got = model.encode_ingredients(["parmesan cheese"], "selector").data
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        rows = model.encode_ingredients(["parmesan cheese"]).data
+        np.testing.assert_allclose(rows, pre_mlp, atol=1e-12)
+        np.testing.assert_allclose(
+            model.ing_mlp_sel(Tensor(rows)).data, model.ing_mlp_sel(Tensor(pre_mlp)).data, atol=1e-12
+        )
 
     def test_selector_and_generator_encoders_unshared(self):
         model = tiny_extended("BI")
-        sel = model.encode_ingredients(["eggs"], "selector").data
-        gen = model.encode_ingredients(["eggs"], "generator").data
-        assert not np.allclose(sel, gen)
+        record = RECORDS[0]
+        ctx = model._context(record)
+        rows = model.encode_ingredients(record.ingredients)
+        np.testing.assert_array_equal(ctx["g_sel"].data, model.ing_mlp_sel(rows).data)
+        np.testing.assert_array_equal(ctx["g_gen"].data, model.ing_mlp_gen(rows).data)
+        assert not np.allclose(ctx["g_sel"].data, ctx["g_gen"].data)
+
+    def test_context_gathers_ingredient_embeddings_once(self, monkeypatch):
+        model = tiny_extended("BIVT")
+        calls = []
+        monkeypatch.setattr(model, "word_embed", counted(calls, "word_embed", model.word_embed))
+        record = RECORDS[0]
+        model._context(record)
+        assert len(calls) == len(record.ingredients)

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,25 @@ class TestConfig:
             ModelConfig(vsim_negatives="bogus")
         with pytest.raises(ValueError):
             preset_config("huge")
+        with pytest.raises(ValueError, match="preset"):
+            preset_config(["toy"])
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"hidden": "16"}, "model.hidden"),
+            ({"layers": 0}, "model.layers"),
+            ({"heads": 2.0}, "model.heads"),
+            ({"max_sentence_len": True}, "model.max_sentence_len"),
+            ({"tau": 0.0}, "model.tau"),
+            ({"tau_min": float("nan")}, "model.tau_min"),
+            ({"tau_anneal": "no"}, "model.tau_anneal"),
+            ({"no_reselection": 0}, "model.no_reselection"),
+        ],
+    )
+    def test_scalar_field_type_and_range(self, overrides, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            ModelConfig(**overrides)
 
     def test_tau_schedule(self):
         cfg = ModelConfig(tau=1.0, tau_anneal=False)
@@ -176,6 +196,13 @@ class TestPoolMemory:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             pool_memory([])
+
+    @pytest.mark.parametrize("layers", [1, 2, 5])
+    def test_two_graph_nodes_for_any_layer_count(self, layers):
+        mems = [Tensor(np.ones((1, 4)), requires_grad=True) for _ in range(layers)]
+        first = next(autodiff._node_seq)
+        pool_memory(mems)
+        assert next(autodiff._node_seq) == first + 1 + 2  # one concat, one max
 
 
 class TestEventProbabilities:
@@ -599,6 +626,54 @@ class TestCheckpoint:
         arrays["param/event_tf.layers.0.attn.proj_k.bias"] = np.zeros(16)
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=r"event_tf\.layers\.0\.attn\.proj_k\.bias"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda meta: meta.update(vocab=5), "'vocab'"),
+            (lambda meta: meta.update(vocab=["stir", 3]), "'vocab'"),
+            (lambda meta: meta.update(actions=5), "'actions'"),
+            (lambda meta: meta.update(config_hash=7), "'config_hash'"),
+            (lambda meta: meta.pop("config"), "'config'"),
+            (lambda meta: meta["config"].update(hidden="16"), "model.hidden"),
+            (lambda meta: meta["config"].update(hard_selection=1), "model.hard_selection"),
+            (lambda meta: meta["vocab"].append("<pad>"), "not unique"),
+        ],
+        ids=["vocab", "vocab-entry", "actions", "config-hash", "no-config", "hidden",
+             "flag", "reserved-token"],
+    )
+    def test_malformed_meta_field_rejected(self, tmp_path, edit, field):
+        path = tmp_path / "m.npz"
+        arrays = self._saved_arrays(path)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        edit(meta)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta", [b"[1, 2]", b"{not json", b"\xff"], ids=["list", "text", "bytes"])
+    def test_meta_that_is_no_object_rejected(self, tmp_path, meta):
+        path = tmp_path / "m.npz"
+        arrays = self._saved_arrays(path)
+        arrays["meta"] = np.frombuffer(meta, dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="'meta'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.nan, np.inf, "0.5", True, 1j],
+        ids=["nan", "inf", "string", "bool", "complex"],
+    )
+    def test_non_finite_or_non_numeric_parameter_rejected(self, tmp_path, value):
+        path = tmp_path / "m.npz"
+        arrays = self._saved_arrays(path)
+        shape = arrays["param/rel_enc.weight"].shape
+        arrays["param/rel_enc.weight"] = np.full(shape, value)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=r"'rel_enc\.weight' must hold finite floats"):
             load_checkpoint(path)
 
     def test_removed_config_field_rejected(self, tmp_path):

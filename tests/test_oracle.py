@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -238,6 +239,35 @@ class TestWorldKnobs:
     def test_action_without_participle_rejected(self, action):
         with pytest.raises(ValueError, match=f"{action!r}.*no participle"):
             WorldConfig(actions=[action, "serve"])
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"num_videos": 2.0}, "world.num_videos"),
+            ({"ingredient_pool": "eggs"}, "world.ingredient_pool"),
+            ({"ingredient_pool": ["eggs", "eggs", "salt", "milk"]}, "world.ingredient_pool"),
+            ({"ingredient_pool": ["Eggs", "salt", "milk", "rice"]}, "world.ingredient_pool"),
+            ({"actions": "chop"}, "world.actions"),
+            ({"actions": ["serve"]}, "world.actions"),
+            ({"ingredients_range": (2, 21)}, "world.ingredients_range"),
+            ({"ingredients_range": (3, 2)}, "world.ingredients_range"),
+            ({"steps_range": (3,)}, "world.steps_range"),
+            ({"steps_range": (3, 13)}, "world.steps_range"),
+            ({"duration_range": (0.0, 10.0)}, "world.duration_range"),
+            ({"duration_range": (10.0, float("inf"))}, "world.duration_range"),
+            ({"feature_dim": True}, "world.feature_dim"),
+            ({"n_candidates": 5}, "world.n_candidates"),
+            ({"jitter_sigma_frac": -0.1}, "world.jitter_sigma_frac"),
+            ({"jitter_min_tiou": 1.5}, "world.jitter_min_tiou"),
+            ({"distractor_fraction": "all"}, "world.distractor_fraction"),
+            ({"noise_scale": float("nan")}, "world.noise_scale"),
+            ({"attach_candidate_sentences": 1}, "world.attach_candidate_sentences"),
+            ({"seed": -1}, "world.seed"),
+        ],
+    )
+    def test_bad_field_rejected_by_name(self, overrides, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            WorldConfig(**overrides)
 
     @pytest.mark.parametrize(
         "seed, digest",
