@@ -513,38 +513,23 @@ def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
     return -np.log(-np.log(u + 1e-20) + 1e-20)
 
 
-def gumbel_softmax(
-    logits: Tensor,
-    tau: float,
-    hard: bool,
-    rng: np.random.Generator,
-) -> Tensor:
-    """Gumbel-softmax sample on the last axis.
-
-    Soft mode returns ``softmax((logits + g) / tau)`` with standard Gumbel
-    noise ``g``.  Hard mode returns a one-hot forward value at the sample's
-    argmax while gradients follow the soft sample (straight-through).
-    """
+def gumbel_softmax(logits: Tensor, tau: float, rng: np.random.Generator) -> Tensor:
+    """Gumbel-softmax sample on the last axis: ``softmax((logits + g) / tau)``
+    with standard Gumbel noise ``g``."""
     if tau <= 0:
         raise ValueError("gumbel_softmax temperature must be positive")
     if not isinstance(logits, Tensor):
         logits = Tensor(logits)
     noise = gumbel_noise(logits.shape, rng).astype(logits.data.dtype)
-    y = softmax((logits + Tensor(noise)) * (1.0 / tau), axis=-1)
-    if hard:
-        return straight_through_onehot(y)
-    return y
+    return softmax((logits + Tensor(noise)) * (1.0 / tau), axis=-1)
 
 
-def straight_through_onehot(y: Tensor, index: int | None = None) -> Tensor:
-    """One-hot forward value with identity gradient into the soft input.
-
-    ``index`` overrides the argmax, which implements teacher-forced hard
-    selection while keeping the gradient path of the sampled relaxation.
-    """
+def straight_through_onehot(y: Tensor, index: int) -> Tensor:
+    """One-hot forward value at ``index`` with identity gradient into the soft
+    input: teacher-forced hard selection that keeps the gradient path of the
+    sampled relaxation."""
     if y.ndim != 1:
         raise ValueError("straight_through_onehot expects a 1-d simplex vector")
-    idx = int(np.argmax(y.data)) if index is None else int(index)
     hard = np.zeros_like(y.data)
-    hard[idx] = 1.0
+    hard[int(index)] = 1.0
     return Tensor._result(hard, (y,), lambda g: (g,))

@@ -157,31 +157,19 @@ def distant_labels(
 
 
 def selector_nll(
-    event_logits: Tensor,
-    item_labels: np.ndarray,
-    oracle_event: int,
-    negatives: str = "skip",
+    event_logits: Tensor, item_labels: np.ndarray, oracle_event: int
 ) -> Tensor | None:
     """NLL over the event axis for one step of one selector.
 
     ``event_logits`` is (items, N).  Labeled items are pushed toward the
-    oracle event; with ``negatives="null-event"`` unlabeled items are pushed
-    toward an appended null event of logit 0, with ``"skip"`` they are
-    ignored.
+    oracle event and unlabeled items are ignored; ``None`` means no item is
+    labeled.
     """
-    if negatives not in ("skip", "null-event"):
-        raise ValueError(f"unknown vsim negatives mode: {negatives!r}")
     labeled = np.flatnonzero(item_labels)
-    if negatives == "skip":
-        if labeled.size == 0:
-            return None
-        logp = log_softmax(event_logits[labeled], axis=-1)
-        return -logp[:, oracle_event].sum()
-    n_items = event_logits.shape[0]
-    null = Tensor(np.zeros((n_items, 1), dtype=event_logits.data.dtype))
-    logp = log_softmax(concat([event_logits, null], axis=1), axis=-1)
-    target = np.where(item_labels > 0, oracle_event, event_logits.shape[1])
-    return -logp[np.arange(n_items), target].sum()
+    if labeled.size == 0:
+        return None
+    logp = log_softmax(event_logits[labeled], axis=-1)
+    return -logp[:, oracle_event].sum()
 
 
 def textual_attention_nll(

@@ -11,7 +11,8 @@ a step before the selection are shared code; training and inference differ
 only in their callers: training selects through a straight-through
 Gumbel-softmax pinned to the oracle label (so the sentence loss reaches the
 selector) and scores the sentence teacher-forced, while inference takes the
-argmax and decodes greedily.
+argmax and decodes greedily.  Neither ever selects a candidate twice, and
+both mix the two memory banks after every step.
 
 Greedy decoding is incremental: ingredient rows never read word rows and a
 word row reads only earlier words, so appending a token changes no earlier
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -58,7 +60,6 @@ from .data import (
     EventCandidateSet,
     PredictionRecipe,
     Vocabulary,
-    check_flag,
     check_int,
     check_number,
     config_from_dict,
@@ -90,6 +91,20 @@ from .oracle import oracle_select
 VARIANTS = ("B", "BI", "BIV", "BIVT")
 
 
+# Switches of ablations the model no longer has, each fixed to the value of
+# its one training path.  They stay fields so that stored configs and their
+# hashes keep their shape; any other value is rejected.
+FIXED_FIELDS = {
+    "tau_anneal": False,  # tau stays at ``tau``
+    "tau_min": 0.5,
+    "hard_selection": True,  # straight-through one-hot selection
+    "no_reselection": True,  # a chosen candidate is masked afterwards
+    "conditioning": "teacher",  # training forwards the oracle event
+    "memory_update": "joint",  # the memories are mixed after each step
+    "vsim_negatives": "skip",  # unlabeled items add no simulator loss
+}
+
+
 @dataclass
 class ModelConfig:
     hidden: int = 64
@@ -99,33 +114,29 @@ class ModelConfig:
     max_steps: int = 12
     max_sentence_len: int = 20
     variant: str = "B"
-    tau: float = 1.0
+    tau: float = 1.0  # Gumbel-softmax temperature of the training selection
+    # fixed, see FIXED_FIELDS
     tau_anneal: bool = False
     tau_min: float = 0.5
     hard_selection: bool = True
     no_reselection: bool = True
-    conditioning: str = "teacher"  # or "free"
-    memory_update: str = "joint"  # or "separate"
-    vsim_negatives: str = "skip"  # or "null-event"
+    conditioning: str = "teacher"
+    memory_update: str = "joint"
+    vsim_negatives: str = "skip"
     precision: str = "float64"  # "float32" | "float64"
 
     def __post_init__(self):
         for name in ("hidden", "layers", "heads", "feature_dim", "max_steps", "max_sentence_len"):
             check_int(f"model.{name}", getattr(self, name), 1)
-        for name in ("tau", "tau_min"):
-            check_number(f"model.{name}", getattr(self, name), 0.0)
-            if getattr(self, name) == 0:
-                raise ValueError(f"model.{name} must be positive")
-        for name in ("tau_anneal", "hard_selection", "no_reselection"):
-            check_flag(f"model.{name}", getattr(self, name))
+        check_number("model.tau", self.tau, 0.0)
+        if self.tau == 0:
+            raise ValueError("model.tau must be positive")
+        for name, fixed in FIXED_FIELDS.items():
+            value = getattr(self, name)
+            if type(value) is not type(fixed) or value != fixed:
+                raise ValueError(f"model.{name} is fixed at {fixed!r}, got {value!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant {self.variant!r} must be one of {VARIANTS}")
-        if self.conditioning not in ("teacher", "free"):
-            raise ValueError("conditioning must be 'teacher' or 'free'")
-        if self.memory_update not in ("joint", "separate"):
-            raise ValueError("memory_update must be 'joint' or 'separate'")
-        if self.vsim_negatives not in ("skip", "null-event"):
-            raise ValueError("vsim_negatives must be 'skip' or 'null-event'")
         if self.precision not in ("float32", "float64"):
             raise ValueError("precision must be 'float32' or 'float64'")
 
@@ -146,14 +157,6 @@ def preset_config(preset: str = "toy", **overrides) -> ModelConfig:
     if not isinstance(preset, str) or preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     return config_from_dict(ModelConfig, {**PRESETS[preset], **overrides}, "model")
-
-
-def tau_schedule(config: ModelConfig, epoch: int, max_epochs: int) -> float:
-    """Fixed tau by default; optional exponential anneal down to tau_min."""
-    if not config.tau_anneal or max_epochs <= 1:
-        return config.tau
-    frac = min(1.0, epoch / (max_epochs - 1))
-    return config.tau * (config.tau_min / config.tau) ** frac
 
 
 def pool_memory(memories: list[Tensor]) -> Tensor:
@@ -236,7 +239,7 @@ def build_labels(
     with_distant: bool,
 ) -> VideoLabels:
     assignment = oracle_select(record.candidates, record.ground_truth)
-    # the no-reselection mask would zero out a repeated label, so a duplicate
+    # the reselection mask would zero out a repeated label, so a duplicate
     # oracle assignment falls back to that step's best still-unused candidate
     indices: list[int] = []
     for t, idx in enumerate(assignment.indices):
@@ -275,7 +278,6 @@ def build_labels(
 class SelectionTrace:
     probabilities: np.ndarray  # over candidates + STOP (last entry)
     chosen: int  # candidate index, or N for STOP
-    hard: bool
 
 
 @dataclass
@@ -332,10 +334,10 @@ class RecipeModel(Layer):
         self.sent_tf = MemTransformer(config.layers, h, config.heads, rng, dtype=dt)
         self.vocab_head = Linear(h, len(vocab), rng, dtype=dt)
 
-        # memory mixing maps; drawn under "separate" too, as later draws follow them
-        mix = [Linear(h, h, rng, dtype=dt) for _ in range(4)]
-        joint = config.memory_update == "joint"
-        self.mix_f1, self.mix_f2, self.mix_g1, self.mix_g2 = mix if joint else [None] * 4
+        # memory mixing maps
+        self.mix_f1, self.mix_f2, self.mix_g1, self.mix_g2 = (
+            Linear(h, h, rng, dtype=dt) for _ in range(4)
+        )
 
         # extension modules, drawn last so that each variant draws a prefix
         level = VARIANTS.index(config.variant)
@@ -407,8 +409,6 @@ class RecipeModel(Layer):
         return logits
 
     def _mix(self, v_mems: list[Tensor], s_mems: list[Tensor]):
-        if self.mix_f1 is None:
-            return v_mems, s_mems
         new_v, new_s = [], []
         for v, s in zip(v_mems, s_mems):
             mv, ms = mix_memories(v, s, self.mix_f1, self.mix_f2, self.mix_g1, self.mix_g2)
@@ -545,8 +545,7 @@ class RecipeModel(Layer):
     ):
         """The part of a step before the selection: the event transformer over
         ``[ingredient state; candidates]``, the simulator (BIV, BIVT), and the
-        logits over the candidates plus STOP, with ``forbidden`` masked under
-        ``no_reselection``.
+        logits over the candidates plus STOP, with ``forbidden`` masked.
 
         Returns (candidate rows the selection reads, logits, new event
         memories, simulator step or None).
@@ -557,8 +556,7 @@ class RecipeModel(Layer):
         if ctx["actions"] is not None:
             sim = self.simulator.step(h_events, ctx["actions"], ing_state)
             h_events = sim.fused_events
-        masked = forbidden if self.config.no_reselection else set()
-        logits = self.event_logits(h_events, pool_memory(v_new), masked)
+        logits = self.event_logits(h_events, pool_memory(v_new), forbidden)
         return h_events, logits, v_new, sim
 
     # -- training --------------------------------------------------------------
@@ -568,22 +566,14 @@ class RecipeModel(Layer):
         record: DatasetRecord,
         labels: VideoLabels,
         rng: np.random.Generator,
-        tau: float | None = None,
     ) -> ForwardResult:
         """Losses for one video.
 
-        Each step selects through a Gumbel-softmax sample: straight-through
-        one-hot under ``config.hard_selection``, else the soft relaxation.
-        Conditioning follows ``config.conditioning``: teacher mode pins the
-        forwarded event (and the reselection mask) to the oracle label while
-        gradients still flow through the sampled relaxation; free mode
-        forwards the sampled event, and a step whose oracle label an earlier
-        choice has masked adds no event loss.
+        Each step forwards the oracle event as a straight-through one-hot of a
+        Gumbel-softmax sample at temperature ``config.tau``: the forward value
+        is the oracle row, while gradients flow through the sampled
+        relaxation.  The oracle event is then masked for later steps.
         """
-        cfg = self.config
-        tau = cfg.tau if tau is None else tau
-        hard = cfg.hard_selection
-
         ctx = self._context(record)
         n = ctx["n"]
         ing_state = ctx["g_sel"]
@@ -601,26 +591,20 @@ class RecipeModel(Layer):
         for t in range(n_steps + 1):
             h, logits, v_new, sim = self._score_candidates(ctx, v_mems, ing_state, forbidden)
             label = labels.oracle_indices[t] if t < n_steps else n
-            # an oracle label masked by an earlier free-running choice adds no loss
-            if not (cfg.no_reselection and label in forbidden):
+            # build_labels repeats an oracle label only when the steps outnumber
+            # the candidates; the masked repeat adds no event loss
+            if label not in forbidden:
                 event_logps.append(log_softmax(logits, axis=-1))
                 event_labels.append(label)
             with no_grad():  # the trace is read, not differentiated
                 probs = softmax(logits, axis=-1).data
+            traces.append(SelectionTrace(probs, label))
             if t == n_steps:
-                traces.append(SelectionTrace(probs, n, hard))
                 break
 
-            sample = gumbel_softmax(logits[:n], tau, hard=False, rng=rng)
-            if cfg.conditioning == "teacher":
-                chosen = label
-                weights = straight_through_onehot(sample, index=label) if hard else sample
-            else:
-                chosen = int(np.argmax(sample.data))
-                weights = straight_through_onehot(sample) if hard else sample
-            h_sel = weights.reshape(1, n) @ h
-            traces.append(SelectionTrace(probs, chosen, hard))
-            forbidden.add(chosen)
+            sample = gumbel_softmax(logits[:n], self.config.tau, rng)
+            h_sel = straight_through_onehot(sample, index=label).reshape(1, n) @ h
+            forbidden.add(label)
 
             _, rows, s_new, alphas = self.generate_sentence(
                 h_sel, s_mems, ctx["g_gen"], teacher_tokens=labels.token_ids[t], sim=sim
@@ -632,7 +616,7 @@ class RecipeModel(Layer):
                     (sim.action_event_logits, labels.act_labels[t]),
                     (sim.ingredient_event_logits, labels.ing_labels[t]),
                 ):
-                    term = selector_nll(logits_mat, lab, label, cfg.vsim_negatives)
+                    term = selector_nll(logits_mat, lab, label)
                     if term is not None:
                         l_vsim = term if l_vsim is None else l_vsim + term
                 ing_state = sim.new_state
@@ -747,12 +731,16 @@ def save_checkpoint(path, model: RecipeModel, extra_meta: dict | None = None):
     np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
 
+# what numpy raises for a file or archive member it cannot read
+_DAMAGE = (EOFError, ValueError, zipfile.BadZipFile)
+
+
 def _checkpoint_meta(path, blob) -> dict:
     """A checkpoint's metadata object, with the type of every field the loader
     reads checked."""
     try:
         meta = json.loads(bytes(blob["meta"]).decode())
-    except (KeyError, ValueError) as exc:  # no array, pickled, not UTF-8 JSON
+    except (KeyError, *_DAMAGE) as exc:  # no array, unreadable, not UTF-8 JSON
         raise ValueError(f"checkpoint {path}: no readable 'meta' ({exc})") from None
     if not isinstance(meta, dict):
         raise ValueError(f"checkpoint {path}: 'meta' must be an object, got {type(meta).__name__}")
@@ -767,8 +755,20 @@ def _checkpoint_meta(path, blob) -> dict:
     return meta
 
 
+def _open_checkpoint(path):
+    """The checkpoint's ``.npz`` archive; a file numpy cannot open as one
+    raises a ``ValueError`` naming it."""
+    try:
+        blob = np.load(path, allow_pickle=False)
+    except _DAMAGE as exc:
+        raise ValueError(f"checkpoint {path}: not a readable .npz archive ({exc})") from None
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise ValueError(f"checkpoint {path}: not a readable .npz archive (a single .npy array)")
+    return blob
+
+
 def load_checkpoint(path) -> tuple[RecipeModel, dict]:
-    with np.load(path, allow_pickle=False) as blob:
+    with _open_checkpoint(path) as blob:
         meta = _checkpoint_meta(path, blob)
         try:
             config = config_from_dict(ModelConfig, meta["config"], "model")
@@ -792,7 +792,10 @@ def load_checkpoint(path) -> tuple[RecipeModel, dict]:
                 name = key[len("param/"):]
                 if name not in params:
                     raise ValueError(f"checkpoint parameter {name!r} unknown to the model")
-                array = blob[key]
+                try:  # read one member at a time, so only one is held twice
+                    array = blob[key]
+                except _DAMAGE as exc:
+                    raise ValueError(f"checkpoint {path}: parameter {name!r} is unreadable ({exc})") from None
                 if params[name].data.shape != array.shape:
                     raise ValueError(f"checkpoint parameter {name!r} has wrong shape")
                 if array.dtype.kind != "f" or not np.isfinite(array).all():

@@ -8,6 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import Tensor, no_grad
+from .data import check_int, check_number
 
 
 @dataclass
@@ -20,10 +21,15 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
+        for name in ("lr", "beta1", "beta2", "weight_decay", "eps"):
+            check_number(f"optimizer.{name}", getattr(self, name), 0.0)
+        for name in ("lr", "eps"):
+            if getattr(self, name) == 0:
+                raise ValueError(f"optimizer.{name} must be positive")
+        for name in ("beta1", "beta2"):
+            if getattr(self, name) >= 1:
+                raise ValueError(f"optimizer.{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        check_int("optimizer.warmup_epochs", self.warmup_epochs, 0)
 
 
 def warmup_lr(config: OptimizerConfig, epoch: int) -> float:

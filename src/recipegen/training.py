@@ -23,7 +23,6 @@ from .model import (
     RecipeModel,
     build_labels,
     preset_config,
-    tau_schedule,
 )
 from .optim import Adam, OptimizerConfig
 from .synth import WorldConfig
@@ -159,7 +158,6 @@ def train(
     log_rows: list[dict] = []
 
     for epoch in range(exp.max_epochs):
-        tau = tau_schedule(model.config, epoch, exp.max_epochs)
         order = shuffle_rng.permutation(len(train_recs))
         sums = {"loss": 0.0, "loss_event": 0.0, "loss_sentence": 0.0,
                 "loss_vsim": 0.0, "loss_tattn": 0.0}
@@ -168,9 +166,7 @@ def train(
             optimizer.zero_grad()
             scale = 1.0 / len(batch)
             for i in batch:
-                result = model.training_forward(
-                    train_recs[i], labels[i], gumbel_rng, tau=tau
-                )
+                result = model.training_forward(train_recs[i], labels[i], gumbel_rng)
                 (result.loss * scale).backward()
                 sums["loss"] += result.loss.item()
                 sums["loss_event"] += result.loss_event.item()

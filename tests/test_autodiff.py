@@ -452,7 +452,7 @@ class TestMemTransformer:
 class TestGumbelSoftmax:
     def test_zero_noise_equals_tempered_softmax(self):
         logits = Tensor(np.array([2.0, -1.0, 0.5]))
-        out = gumbel_softmax(logits, 2.0, hard=False, rng=FrozenUniform(np.exp(-1.0)))
+        out = gumbel_softmax(logits, 2.0, rng=FrozenUniform(np.exp(-1.0)))
         want = softmax(Tensor(np.array([2.0, -1.0, 0.5]) / 2.0)).data
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
@@ -466,38 +466,33 @@ class TestGumbelSoftmax:
             def random(self, shape):
                 return np.exp(-np.exp(-g))
 
-        out = gumbel_softmax(Tensor(logits), 1e-4, hard=False, rng=Replay())
+        out = gumbel_softmax(Tensor(logits), 1e-4, rng=Replay())
         onehot = np.zeros(4)
         onehot[target] = 1.0
         np.testing.assert_allclose(out.data, onehot, atol=1e-9)
 
     def test_non_positive_tau_errors(self):
         with pytest.raises(ValueError):
-            gumbel_softmax(Tensor(np.ones(3)), 0.0, hard=False, rng=np.random.default_rng(0))
-
-    def test_hard_mode_exactly_one_hot(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            out = gumbel_softmax(Tensor(rng.standard_normal(6)), 1.0, hard=True, rng=rng)
-            assert sorted(out.data.tolist()) == [0, 0, 0, 0, 0, 1]
+            gumbel_softmax(Tensor(np.ones(3)), 0.0, rng=np.random.default_rng(0))
 
     def test_soft_sums_to_one(self):
         rng = np.random.default_rng(9)
-        out = gumbel_softmax(Tensor(rng.standard_normal(5)), 0.7, hard=False, rng=rng)
+        out = gumbel_softmax(Tensor(rng.standard_normal(5)), 0.7, rng=rng)
         assert out.data.sum() == pytest.approx(1.0)
 
     def test_straight_through_gradient_equals_soft_gradient(self):
         # the hard output's Jacobian w.r.t. the logits is defined to equal the
-        # soft sample's Jacobian, so for a loss linear in the selection the
-        # scalar gradients coincide exactly (frozen noise)
+        # soft sample's Jacobian, whichever row it forwards, so for a loss
+        # linear in the selection the scalar gradients coincide exactly
+        # (frozen noise)
         rng_logits = np.random.default_rng(10)
         logits_data = rng_logits.standard_normal(4)
         w = Tensor(rng_logits.standard_normal(4))
 
         def grad_of(hard):
             logits = Tensor(logits_data.copy(), requires_grad=True)
-            y = gumbel_softmax(logits, 1.0, hard=False, rng=np.random.default_rng(99))
-            sel = straight_through_onehot(y) if hard else y
+            y = gumbel_softmax(logits, 1.0, rng=np.random.default_rng(99))
+            sel = straight_through_onehot(y, index=2) if hard else y
             (sel * w).sum().backward()
             return logits.grad
 
@@ -511,7 +506,7 @@ class TestGumbelSoftmax:
         w = Tensor(rng.standard_normal(4))
 
         def f():
-            y = gumbel_softmax(logits, 1.0, hard=False, rng=np.random.default_rng(99))
+            y = gumbel_softmax(logits, 1.0, rng=np.random.default_rng(99))
             return (y * w).sum()
 
         assert grad_check(f, [logits], eps=1e-6) < 1e-6

@@ -331,8 +331,11 @@ def test_synth_rejects_action_without_participle(tmp_path, capsys):
         ({"world": {"num_videos": 3, "noise_scale": "x"}}, "world.noise_scale"),
         ({"world": {"num_videos": 3, "actions": []}}, "world.actions"),
         ({"preset": ["toy"]}, "preset"),
+        ({"optimizer": {"lr": "x"}}, "optimizer.lr"),
+        ({"optimizer": {"warmup_epochs": "x"}}, "optimizer.warmup_epochs"),
     ],
-    ids=["num-videos-string", "no-videos", "no-features", "noise-string", "no-actions", "preset-list"],
+    ids=["num-videos-string", "no-videos", "no-features", "noise-string", "no-actions", "preset-list",
+         "lr-string", "warmup-string"],
 )
 def test_synth_rejects_bad_setting_naming_it(tmp_path, capsys, experiment, field):
     config = tmp_path / "experiment.json"
@@ -361,3 +364,28 @@ def test_generate_rejects_malformed_checkpoint_meta(tmp_path, capsys, field):
     ])
     assert code == cli.EXIT_VALIDATION
     assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupted", "text", "empty", "npy"])
+def test_generate_rejects_unreadable_checkpoint(tmp_path, capsys, damage):
+    dataset, checkpoint = tmp_path / "world.json", tmp_path / "model.npz"
+    save_dataset(generate_world(WorldConfig(num_videos=2, seed=3)), dataset)
+    config = ModelConfig(hidden=8, layers=1, heads=2, feature_dim=32)
+    save_checkpoint(checkpoint, RecipeModel(config, Vocabulary(["stir"]), list(DEFAULT_ACTIONS)))
+    saved = checkpoint.read_bytes()
+    middle = len(saved) // 2
+    np.save(tmp_path / "array.npy", np.zeros(3))
+    content = {
+        "truncated": saved[:middle],
+        "corrupted": saved[:middle] + bytes(64) + saved[middle + 64 :],
+        "text": b"not a checkpoint\n",
+        "empty": b"",
+        "npy": (tmp_path / "array.npy").read_bytes(),
+    }
+    checkpoint.write_bytes(content[damage])
+    code = cli.main([
+        "generate", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+        "--out", str(tmp_path / "p.json"),
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert str(checkpoint) in capsys.readouterr().err

@@ -13,6 +13,7 @@ from recipegen.autodiff import Tensor, log_softmax, softmax
 from recipegen.data import BOS, EOS, PAD, Vocabulary, build_vocabulary
 from recipegen.layers import sinusoidal_encoding
 from recipegen.model import (
+    FIXED_FIELDS,
     ModelConfig,
     RecipeModel,
     build_labels,
@@ -24,7 +25,6 @@ from recipegen.model import (
     pool_memory,
     preset_config,
     save_checkpoint,
-    tau_schedule,
 )
 from recipegen.optim import Adam, OptimizerConfig, grad_check
 from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
@@ -57,10 +57,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(variant="BX")
         with pytest.raises(ValueError):
-            ModelConfig(conditioning="maybe")
-        with pytest.raises(ValueError, match="vsim_negatives"):
-            ModelConfig(vsim_negatives="bogus")
-        with pytest.raises(ValueError):
             preset_config("huge")
         with pytest.raises(ValueError, match="preset"):
             preset_config(["toy"])
@@ -82,12 +78,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(field)):
             ModelConfig(**overrides)
 
-    def test_tau_schedule(self):
-        cfg = ModelConfig(tau=1.0, tau_anneal=False)
-        assert tau_schedule(cfg, 10, 50) == 1.0
-        cfg = ModelConfig(tau=1.0, tau_anneal=True, tau_min=0.5)
-        assert tau_schedule(cfg, 0, 11) == pytest.approx(1.0)
-        assert tau_schedule(cfg, 10, 11) == pytest.approx(0.5)
+    @pytest.mark.parametrize(
+        "field, other",
+        [("tau_anneal", True), ("tau_min", 0.25), ("hard_selection", False),
+         ("no_reselection", False), ("conditioning", "free"), ("memory_update", "separate"),
+         ("vsim_negatives", "null-event")],
+    )
+    def test_fixed_field_rejects_another_value(self, tmp_path, field, other):
+        assert getattr(ModelConfig(), field) == FIXED_FIELDS[field]
+        with pytest.raises(ValueError, match=re.escape(f"model.{field}")):
+            ModelConfig(**{field: other})
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, tiny_model())
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta["config"][field] = other
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=re.escape(f"model.{field}")):
+            load_checkpoint(path)
 
 
 class TestEncodeEvents:
@@ -250,9 +260,8 @@ class TestEventProbabilities:
         assert probs[1] == 0.0 and probs[4] == 0.0
         assert probs.sum() == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("no_reselection", [False, True])
-    def test_no_reselection_masks_forbidden_logit(self, no_reselection):
-        model = tiny_model(no_reselection=no_reselection)
+    def test_forbidden_logit_masked(self):
+        model = tiny_model()
         ctx, _ = model.init_inference(RECORDS[0])
 
         def logits(forbidden):
@@ -260,11 +269,8 @@ class TestEventProbabilities:
             return model._score_candidates(ctx, mems, None, forbidden)[1].data
 
         free, masked = logits(set()), logits({1})
-        if no_reselection:
-            assert masked[1] <= -1e8
-            np.testing.assert_array_equal(np.delete(masked, 1), np.delete(free, 1))
-        else:
-            np.testing.assert_array_equal(masked, free)
+        assert masked[1] <= -1e8
+        np.testing.assert_array_equal(np.delete(masked, 1), np.delete(free, 1))
 
 
 class TestMixMemories:
@@ -361,15 +367,10 @@ class TestLosses:
 
 
 class TestTrainingForward:
-    @pytest.mark.parametrize(
-        "variant, overrides",
-        [("B", {}), ("BI", {}), ("BIV", {}), ("BIVT", {}),
-         ("BIVT", {"memory_update": "separate"})],
-        ids=["B", "BI", "BIV", "BIVT", "BIVT-separate"],
-    )
-    def test_used_parameters_receive_gradient(self, variant, overrides):
+    @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
+    def test_used_parameters_receive_gradient(self, variant):
         # a model holds only what it reads: rounding noise (~1e-16) fails too
-        model = tiny_model(variant, **overrides)
+        model = tiny_model(variant)
         for i, record in enumerate(RECORDS[:3]):
             labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, variant in ("BIV", "BIVT"))
             model.training_forward(record, labels, np.random.default_rng(i)).loss.backward()
@@ -379,7 +380,7 @@ class TestTrainingForward:
     @pytest.mark.parametrize(
         "variant, overrides, count",
         [("B", {}, 132), ("BI", {}, 140), ("BIV", {}, 150), ("BIVT", {}, 154),
-         ("BIVT", {"memory_update": "separate"}, 146)],
+         ("BIVT", {"precision": "float32"}, 154)],
     )
     def test_parameter_tensor_counts(self, variant, overrides, count):
         assert len(tiny_model(variant, **overrides).parameters()) == count
@@ -404,53 +405,43 @@ class TestTrainingForward:
         result = model.training_forward(record, labels, np.random.default_rng(2))
         assert [t.chosen for t in result.traces[:-1]] == labels.oracle_indices
 
-    def test_free_running_mode_runs(self):
-        model = tiny_model(conditioning="free")
+    def test_repeated_oracle_label_adds_no_event_loss(self):
+        # build_labels repeats a label only when the steps outnumber the
+        # candidates; the repeat is masked, so its event loss would be ~1e9
+        model = tiny_model()
         record = RECORDS[1]
         labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, False)
+        labels.oracle_indices[1] = labels.oracle_indices[0]
         result = model.training_forward(record, labels, np.random.default_rng(3))
-        assert np.isfinite(result.loss.item())
-        # with this rng an earlier free-running choice masks a later oracle
-        # label; that step adds no event loss instead of about 1e9
-        chosen = [trace.chosen for trace in result.traces[:-1]]
         targets = labels.oracle_indices + [len(record.candidates)]
-        reachable = [t for t, label in enumerate(targets) if label not in chosen[:t]]
-        assert len(reachable) < len(targets)
-        want = -sum(math.log(result.traces[t].probabilities[targets[t]]) for t in reachable)
-        assert result.loss_event.item() < 1e3
+        kept = [t for t, label in enumerate(targets) if label not in targets[:t]]
+        assert len(kept) == len(targets) - 1
+        want = -sum(math.log(result.traces[t].probabilities[targets[t]]) for t in kept)
         assert result.loss_event.item() == pytest.approx(want, rel=1e-9)
 
-    def test_separate_memory_mode_differs_from_joint(self):
-        record = RECORDS[0]
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, False)
-        joint = tiny_model(seed=5).training_forward(record, labels, np.random.default_rng(0))
-        separate = tiny_model(seed=5, memory_update="separate").training_forward(
-            record, labels, np.random.default_rng(0)
-        )
-        assert joint.loss.item() != pytest.approx(separate.loss.item())
-
-    def test_null_event_negatives_change_vsim_loss(self):
-        record = RECORDS[0]
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, True)
-        loss = {
-            mode: tiny_model("BIV", vsim_negatives=mode)
-            .training_forward(record, labels, np.random.default_rng(0))
-            .loss_vsim.item()
-            for mode in ("skip", "null-event")
-        }
-        assert np.isfinite(loss["null-event"]) and loss["null-event"] != loss["skip"]
-
-    @pytest.mark.parametrize("variant", ["B", "BIVT"])
-    def test_soft_selection_gradients_match_finite_differences(self, variant):
-        model = tiny_model(variant, hard_selection=False)
+    @pytest.mark.parametrize(
+        "variant, names",
+        [
+            ("B", ["stop_vector", "vocab_head.weight", "vocab_head.bias"]),
+            ("BIVT", ["stop_vector", "vocab_head.weight", "vocab_head.bias",
+                      "vocab_head_ing.weight", "vocab_head_act.weight",
+                      "textual_attention.map_ingredient.weight",
+                      "textual_attention.map_action.weight"]),
+        ],
+        ids=["B", "BIVT"],
+    )
+    def test_gradients_outside_the_selection_match_finite_differences(self, variant, names):
+        # the straight-through gradient is not the derivative of the one-hot
+        # it forwards, so only parameters it does not reach are checked: the
+        # STOP logit and the vocabulary heads after the selected row
+        model = tiny_model(variant)
         record = RECORDS[0]
         labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, variant == "BIVT")
         params = model.parameters()
-        checked = [params[k] for k in ("stop_vector", "feat_mlp.lin2.weight", "rel_enc.weight")]
         # a freshly seeded rng per call draws the same Gumbel noise each time
         err = grad_check(
             lambda: model.training_forward(record, labels, np.random.default_rng(4)).loss,
-            checked,
+            [params[k] for k in names],
             max_coords_per_param=6,
         )
         assert err <= 1e-5
