@@ -446,6 +446,32 @@ class TestTrainingForward:
         )
         assert err <= 1e-5
 
+    @pytest.mark.parametrize("variant", ["B", "BIVT"])
+    def test_soft_selection_gradients_match_finite_differences(self, variant):
+        # the straight-through one-hot passes back the gradient of the soft
+        # Gumbel-softmax selection; check that relaxation at the first step,
+        # through the encoders that score the candidates
+        model = tiny_model(variant)
+        record = RECORDS[0]
+        n = len(record.candidates)
+        weights = Tensor(np.random.default_rng(1).normal(size=(1, model.config.hidden)))
+        params = model.parameters()
+        names = ["feat_mlp.lin2.weight", "rel_enc.weight"]
+        if variant == "BIVT":
+            names += ["ing_mlp_sel.lin2.weight", "simulator.q_event.weight"]
+
+        def soft_selection():
+            ctx = model._context(record)
+            h, logits, _, _ = model._score_candidates(
+                ctx, model.event_tf.initial_memory(), ctx["g_sel"], set()
+            )
+            # a freshly seeded rng per call draws the same Gumbel noise each time
+            sample = autodiff.gumbel_softmax(logits[:n], model.config.tau, np.random.default_rng(4))
+            return ((sample.reshape(1, n) @ h) * weights).sum()
+
+        err = grad_check(soft_selection, [params[k] for k in names], max_coords_per_param=6)
+        assert err <= 1e-5
+
     @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
     def test_float32_losses_and_grads_stay_float32(self, variant):
         model = tiny_model(variant, precision="float32")
