@@ -8,11 +8,15 @@ Conventions, also recorded in report metadata:
     mean of per-video F1.
   * An empty prediction has precision 0 and F1 0.
 
-Each quantity is computed once per report: the scorers of ``sentence_metrics``
-remember each (candidate, reference) pair's score for as long as they live,
-``score_video`` hands one tIoU matrix per video to dvc_eval and to SODA (which
-weights a copy), and ``oracle.oracle_sweep`` shares one set of scorers across
-its budgets, whose ground truth is the same.
+Each quantity is computed once per report: the report's ``CorpusDF`` makes
+each sentence's n-gram profile and TF-IDF vector once, which BLEU-4 and
+CIDEr-D share; the scorers of ``sentence_metrics`` remember each (candidate,
+reference) pair's score for as long as they live; ``score_video`` hands one
+tIoU matrix per video to dvc_eval and to SODA (which weights a copy); dvc_eval
+scores the pairs above its lowest threshold once and filters that one list
+per threshold; and ``oracle.oracle_sweep`` shares one set of scorers across
+its budgets, whose ground truth is the same.  Nothing is kept between
+reports.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import GroundTruthRecipe, PredictionRecipe, TimedEvent
-from .textmetrics import CorpusDF, bleu4, build_df, cider_d, meteor_lite
+from .textmetrics import CorpusDF, bleu4_from_profiles, build_df, cider_d, meteor_lite
 
 DVC_EVAL_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)
 COUNT_STAT_ETAS = (0, 1, 2, 3)
@@ -123,14 +127,14 @@ def _dvc_eval(
     thresholds: Sequence[float] = DVC_EVAL_THRESHOLDS,
 ) -> float:
     """dvc_eval over a precomputed tIoU matrix."""
+    lowest = min(thresholds, default=np.inf)
+    scored = [
+        (mat[i, j], metric(pred.sentences[i], gt.steps[j].sentence) if pred.sentences[i] else 0.0)
+        for i, j in zip(*np.nonzero(mat > lowest))
+    ]
     per_threshold = []
     for t in thresholds:
-        qualifying = [
-            metric(pred.sentences[i], gt.steps[j].sentence) if pred.sentences[i] else 0.0
-            for i in range(mat.shape[0])
-            for j in range(mat.shape[1])
-            if mat[i, j] > t
-        ]
+        qualifying = [score for value, score in scored if value > t]
         per_threshold.append(sum(qualifying) / len(qualifying) if qualifying else 0.0)
     return float(np.mean(per_threshold))
 
@@ -196,9 +200,12 @@ def _memo(metric: SentenceMetric) -> SentenceMetric:
 def sentence_metrics(df: CorpusDF) -> dict[str, SentenceMetric]:
     """The three sentence scorers used by dvc_eval and SODA, with CIDEr-D
     bound to document frequencies from the evaluation references.  Each
-    remembers its scores for as long as the returned scorers live."""
+    remembers its scores for as long as the returned scorers live, and
+    BLEU-4 and CIDEr-D share the sentence profiles that ``df`` keeps."""
     return {
-        "bleu4": _memo(lambda c, r: bleu4(c, [r]) if c else 0.0),
+        "bleu4": _memo(
+            lambda c, r: bleu4_from_profiles(df.profile(c), [df.profile(r)]) if c else 0.0
+        ),
         "meteor": _memo(lambda c, r: meteor_lite(c, r) if c else 0.0),
         "cider_d": _memo(lambda c, r: cider_d(c, [r], df)),
     }

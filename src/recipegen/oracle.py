@@ -17,6 +17,7 @@ from .data import (
     EventCandidateSet,
     GroundTruthRecipe,
     PredictionRecipe,
+    check_int,
     tokenize,
 )
 from .dvceval import VIDEO_SCORES, mean_scores, reference_df, score_video, sentence_metrics, tiou
@@ -153,6 +154,7 @@ def subset_candidates(record: DatasetRecord, n: int, seed: int = 0) -> DatasetRe
     the size-n subset whenever m <= n, which makes candidate-count sweeps
     monotone by construction.
     """
+    check_int("candidate budget", n, 1)
     total = len(record.candidates)
     if n >= total:
         return record
@@ -179,6 +181,8 @@ def oracle_sweep(records: list[DatasetRecord], n_list: list[int], seed: int = 0)
 
     Every budget keeps the same ground truth, so one set of scorers serves
     them all."""
+    for n in n_list:
+        check_int("candidate budget", n, 1)
     metrics = sentence_metrics(reference_df([r.ground_truth for r in records]))
     rows = []
     for n in sorted(n_list):

@@ -11,9 +11,11 @@ sequentially so candidate sets at increasing budgets are nested prefixes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -124,12 +126,14 @@ class WorldConfig:
 
 @dataclass
 class StepProgram:
-    """Latent semantics of one ground-truth step."""
+    """Latent semantics of one ground-truth step, with the base feature
+    vector that every candidate covering the step draws on."""
 
     ordinal: int
     action: str
     ingredients: list[str]
     sentence: list[str]
+    base: np.ndarray = field(compare=False, repr=False)
 
 
 def _hash_vector(seed: int, kind: str, name: str, dim: int) -> np.ndarray:
@@ -139,10 +143,13 @@ def _hash_vector(seed: int, kind: str, name: str, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _step_base_vector(seed: int, step: StepProgram, dim: int) -> np.ndarray:
-    parts = [_hash_vector(seed, "action", step.action, dim)]
-    parts.extend(_hash_vector(seed, "ingredient", ing, dim) for ing in step.ingredients)
-    parts.append(_hash_vector(seed, "ordinal", str(step.ordinal), dim))
+HashVectors = Callable[[str, str], np.ndarray]
+
+
+def _step_base_vector(vector: HashVectors, t: int, action: str, ings: list[str]) -> np.ndarray:
+    parts = [vector("action", action)]
+    parts.extend(vector("ingredient", ing) for ing in ings)
+    parts.append(vector("ordinal", str(t)))
     return np.sum(parts, axis=0) / np.sqrt(len(parts))
 
 
@@ -153,7 +160,9 @@ def _ingredient_phrase(ingredient: str, last_action: str | None) -> list[str]:
     return [PARTICIPLES[last_action]] + tokens
 
 
-def _build_program(config: WorldConfig, rng: np.random.Generator) -> list[StepProgram]:
+def _build_program(
+    config: WorldConfig, rng: np.random.Generator, vector: HashVectors
+) -> list[StepProgram]:
     n_steps = int(rng.integers(config.steps_range[0], config.steps_range[1] + 1))
     n_ing = int(rng.integers(config.ingredients_range[0], config.ingredients_range[1] + 1))
     pool_idx = rng.choice(len(config.ingredient_pool), size=n_ing, replace=False)
@@ -189,7 +198,8 @@ def _build_program(config: WorldConfig, rng: np.random.Generator) -> list[StepPr
             tokens += ["in", "the", VESSELS[action]]
         for ing in step_ings:
             last_action[ing] = action
-        program.append(StepProgram(ordinal=t, action=action, ingredients=step_ings, sentence=tokens))
+        base = _step_base_vector(vector, t, action, step_ings)
+        program.append(StepProgram(t, action, step_ings, tokens, base))
     return program
 
 
@@ -242,14 +252,14 @@ def featurize_event(
     """
     dim = config.feature_dim
     if step_semantics is not None:
-        base = _step_base_vector(config.seed, step_semantics, dim)
+        base = step_semantics.base
     else:
         base = np.zeros(dim)
         for ev, prog in gt_steps:
             inter = max(0.0, min(interval.end, ev.end) - max(interval.start, ev.start))
             frac = inter / interval.length if interval.length > 0 else 0.0
             if frac > 0:
-                base = base + frac * _step_base_vector(config.seed, prog, dim)
+                base = base + frac * prog.base
     return base + config.noise_scale * rng.standard_normal(dim)
 
 
@@ -317,11 +327,12 @@ def propose_candidates(
 
 
 def generate_video(
-    config: WorldConfig, index: int, seed_seq: np.random.SeedSequence, n: int | None = None
+    config: WorldConfig, index: int, seed_seq: np.random.SeedSequence, vector: HashVectors,
+    n: int | None = None,
 ) -> DatasetRecord:
     program_ss, cand_ss = seed_seq.spawn(2)
     program_rng = np.random.default_rng(program_ss)
-    program = _build_program(config, program_rng)
+    program = _build_program(config, program_rng, vector)
     duration = round(float(program_rng.uniform(*config.duration_range)), 4)
     intervals = _place_intervals(len(program), duration, program_rng)
     gt_steps = list(zip(intervals, program))
@@ -345,15 +356,21 @@ def generate_world(config: WorldConfig, n_override: int | None = None) -> list[D
     ``n_override`` regenerates the same videos at a different candidate
     budget; for a fixed config seed the candidate sets it produces are nested
     across increasing budgets.
+
+    Each hash vector is made once per (kind, name) for the call, and each
+    step's base vector once per step; nothing outlives the call.
     """
     if n_override is not None and n_override < config.steps_range[1]:
         raise ValueError(
             f"n_override={n_override} is below the largest step count of "
             f"steps_range={list(config.steps_range)}"
         )
+    vector = functools.cache(
+        lambda kind, name: _hash_vector(config.seed, kind, name, config.feature_dim)
+    )
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.num_videos)
     return [
-        generate_video(config, i, child, n=n_override)
+        generate_video(config, i, child, vector, n=n_override)
         for i, child in enumerate(children)
     ]

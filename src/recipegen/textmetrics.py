@@ -4,18 +4,26 @@ All three operate on pre-tokenized sentences (lists of token strings) and are
 pure functions of surface forms.  METEOR-lite is an exact-match-only variant
 (no stemming, no synonymy); reports produced downstream carry
 ``"meteor_variant": "exact-lite"`` so scores are self-describing.
+
+BLEU-4 and CIDEr-D each score per-sentence profiles in one core (n-gram
+profiles, TF-IDF vectors), which ``bleu4`` and ``cider_d`` wrap.  A ``CorpusDF``
+makes both profiles of each sentence once and keeps them while it lives.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 MAX_NGRAM = 4
 
+Profile = dict[int, Counter]
+# per n, the TF-IDF weights and their norm; then the sentence length
+TfIdf = tuple[list[dict], list[float], int]
 
-def ngram_profile(tokens: list[str], max_n: int = MAX_NGRAM) -> dict[int, Counter]:
+
+def ngram_profile(tokens: list[str], max_n: int = MAX_NGRAM) -> Profile:
     """Multisets of n-grams for n = 1..max_n."""
     profile = {}
     for n in range(1, max_n + 1):
@@ -27,10 +35,23 @@ def ngram_profile(tokens: list[str], max_n: int = MAX_NGRAM) -> dict[int, Counte
 
 @dataclass
 class CorpusDF:
-    """Document frequencies over an evaluation corpus (one document per video)."""
+    """Document frequencies over an evaluation corpus (one document per video),
+    with the profiles of each sentence seen so far, which ``==`` ignores."""
 
     df: dict[int, dict[tuple, int]]
     num_docs: int
+    profiles: dict[tuple, Profile] = field(default_factory=dict, compare=False, repr=False)
+    vectors: dict[tuple, TfIdf] = field(default_factory=dict, compare=False, repr=False)
+
+    def profile(self, tokens: list[str]) -> Profile:
+        if (key := tuple(tokens)) not in self.profiles:
+            self.profiles[key] = ngram_profile(tokens)
+        return self.profiles[key]
+
+    def tfidf(self, tokens: list[str]) -> TfIdf:
+        if (key := tuple(tokens)) not in self.vectors:
+            self.vectors[key] = (*_tfidf_vector(self.profile(tokens), self), len(tokens))
+        return self.vectors[key]
 
 
 def build_df(reference_sets: list[list[list[str]]]) -> CorpusDF:
@@ -41,16 +62,16 @@ def build_df(reference_sets: list[list[list[str]]]) -> CorpusDF:
     """
     if not reference_sets:
         raise ValueError("need at least one video to build document frequencies")
-    df: dict[int, dict[tuple, int]] = {n: {} for n in range(1, MAX_NGRAM + 1)}
+    corpus = CorpusDF({n: {} for n in range(1, MAX_NGRAM + 1)}, len(reference_sets))
     for refs in reference_sets:
         seen: dict[int, set] = {n: set() for n in range(1, MAX_NGRAM + 1)}
         for ref in refs:
-            for n, grams in ngram_profile(ref).items():
+            for n, grams in corpus.profile(ref).items():
                 seen[n].update(grams)
         for n in range(1, MAX_NGRAM + 1):
             for gram in seen[n]:
-                df[n][gram] = df[n].get(gram, 0) + 1
-    return CorpusDF(df=df, num_docs=len(reference_sets))
+                corpus.df[n][gram] = corpus.df[n].get(gram, 0) + 1
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +91,11 @@ def bleu4(candidate: list[str], references: list[list[str]]) -> float:
         raise ValueError("candidate must be non-empty")
     if not references or any(not r for r in references):
         raise ValueError("need at least one non-empty reference")
+    return bleu4_from_profiles(ngram_profile(candidate), [ngram_profile(r) for r in references])
 
-    cand_prof = ngram_profile(candidate)
-    ref_profs = [ngram_profile(r) for r in references]
 
+def bleu4_from_profiles(cand_prof: Profile, ref_profs: list[Profile]) -> float:
+    """``bleu4`` of the n-gram profiles of non-empty sentences."""
     log_sum = 0.0
     for n in range(1, MAX_NGRAM + 1):
         total = sum(cand_prof[n].values())
@@ -89,8 +111,8 @@ def bleu4(candidate: list[str], references: list[list[str]]) -> float:
             precision = (matched + 1) / (total + 1)
         log_sum += math.log(precision) / MAX_NGRAM
 
-    c = len(candidate)
-    r = min((abs(len(ref) - c), len(ref)) for ref in references)[1]
+    c = sum(cand_prof[1].values())
+    r = min((abs(len_r - c), len_r) for len_r in (sum(p[1].values()) for p in ref_profs))[1]
     bp = math.exp(1.0 - r / c) if c < r else 1.0
     return bp * math.exp(log_sum)
 
@@ -144,7 +166,7 @@ def gaussian_length_penalty(len_candidate: int, len_reference: int, sigma: float
     return math.exp(-(delta**2) / (2.0 * sigma**2))
 
 
-def _tfidf_vector(profile: dict[int, Counter], df: CorpusDF) -> tuple[list[dict], list[float]]:
+def _tfidf_vector(profile: Profile, df: CorpusDF) -> tuple[list[dict], list[float]]:
     log_docs = math.log(df.num_docs)
     vecs, norms = [], []
     for n in range(1, MAX_NGRAM + 1):
@@ -172,11 +194,15 @@ def cider_d(
         raise ValueError("cider_d requires document frequencies (build_df)")
     if not references:
         raise ValueError("need at least one reference")
-    cand_vecs, cand_norms = _tfidf_vector(ngram_profile(candidate), df)
+    return cider_d_from_vectors(df.tfidf(candidate), [df.tfidf(r) for r in references], sigma)
+
+
+def cider_d_from_vectors(candidate: TfIdf, references: list[TfIdf], sigma: float = 6.0) -> float:
+    """``cider_d`` of the TF-IDF vectors made by ``CorpusDF.tfidf``."""
+    cand_vecs, cand_norms, cand_len = candidate
     total = 0.0
-    for ref in references:
-        ref_vecs, ref_norms = _tfidf_vector(ngram_profile(ref), df)
-        penalty = gaussian_length_penalty(len(candidate), len(ref), sigma)
+    for ref_vecs, ref_norms, ref_len in references:
+        penalty = gaussian_length_penalty(cand_len, ref_len, sigma)
         per_n = 0.0
         for n in range(MAX_NGRAM):
             num = 0.0

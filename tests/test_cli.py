@@ -389,3 +389,16 @@ def test_generate_rejects_unreadable_checkpoint(tmp_path, capsys, damage):
     ])
     assert code == cli.EXIT_VALIDATION
     assert str(checkpoint) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["-2", "0"])
+def test_oracle_rejects_budget_below_one(tmp_path, capsys, budget):
+    dataset = tmp_path / "world.json"
+    save_dataset(generate_world(WorldConfig(num_videos=3)), str(dataset))
+    out = tmp_path / "oracle.json"
+    code = cli.main([
+        "oracle", "--dataset", str(dataset), "--n-list", budget, "4", "--out", str(out)
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert f"candidate budget must be an integer >= 1, got {budget}" in capsys.readouterr().err
+    assert not out.exists()

@@ -15,13 +15,14 @@ from recipegen.dvceval import (
     dvc_eval,
     evaluate_corpus,
     event_count_stats,
+    sentence_metrics,
     soda,
     soda_from_matrix,
     tiou,
     tiou_matrix,
 )
 from recipegen.oracle import oracle_prediction
-from recipegen.textmetrics import meteor_lite
+from recipegen.textmetrics import build_df, cider_d, meteor_lite
 
 
 def brute_force_best_matching(scores: np.ndarray) -> float:
@@ -242,3 +243,20 @@ class TestSharedScoring:
         assert rows == unmemoized_scores(preds, gts)
         # the world is not one where every pair scores the same
         assert len({row["soda.cider_d"] for row in rows}) > 2
+
+
+class TestScorersOfOneCorpus:
+    CANDIDATE = ["stir", "the", "eggs"]
+    REFERENCE = ["stir", "the", "eggs", "in", "the", "bowl"]
+    CORPORA = [
+        [[REFERENCE], [["heat", "the", "pan"]]],
+        [[REFERENCE], [["stir", "the", "flour"]], [["crack", "the", "eggs"]]],
+    ]
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_cider_d_follows_its_own_corpus(self, order):
+        want = [cider_d(self.CANDIDATE, [self.REFERENCE], build_df(c)) for c in self.CORPORA]
+        assert want[0] != want[1]
+        for k in order:
+            scorer = sentence_metrics(build_df(self.CORPORA[k]))["cider_d"]
+            assert scorer(self.CANDIDATE, self.REFERENCE) == want[k]

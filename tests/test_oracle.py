@@ -178,6 +178,17 @@ class TestSweep:
         means = [row["mean_tiou"] for row in sweep["rows"]]
         assert means == sorted(means)
 
+    @pytest.mark.parametrize("budget", [-2, 0])
+    def test_budget_below_one_rejected_before_scoring(self, monkeypatch, budget):
+        records = generate_world(WorldConfig(num_videos=3, seed=0))
+        with pytest.raises(ValueError, match=f"candidate budget .*got {budget}"):
+            subset_candidates(records[0], budget)
+        scored = []
+        monkeypatch.setattr("recipegen.oracle.score_video", lambda *args: scored.append(args))
+        with pytest.raises(ValueError, match=f"candidate budget .*got {budget}"):
+            oracle_sweep(records, [4, budget])
+        assert scored == []
+
 
 class TestSharedScorers:
     @pytest.mark.parametrize("mode", ["attached", "gt-sentences"])
@@ -275,3 +286,20 @@ class TestWorldKnobs:
     )
     def test_default_worlds_keep_their_digest(self, seed, digest):
         assert dataset_digest(generate_world(WorldConfig(seed=seed))) == digest
+
+    def test_hash_vectors_stay_inside_their_call(self):
+        # digests recorded before synthesis made each hash vector once per world
+        digests = {0: "a4fb821319f11016", 1: "cd7835437e9d1575"}
+        for seed in (0, 1, 0):
+            world = generate_world(WorldConfig(num_videos=10, seed=seed))
+            assert dataset_digest(world) == digests[seed]
+
+    def test_one_config_gives_equal_records(self):
+        first, second = (generate_world(WorldConfig(num_videos=10, seed=2)) for _ in range(2))
+        for a, b in zip(first, second, strict=True):
+            assert (a.video_id, a.duration, a.steps, a.ingredients) == (
+                b.video_id, b.duration, b.steps, b.ingredients
+            )
+            assert a.candidates.events == b.candidates.events
+            assert a.candidates.sentences == b.candidates.sentences
+            assert np.array_equal(a.candidates.features, b.candidates.features)

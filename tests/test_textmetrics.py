@@ -3,12 +3,16 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recipegen.textmetrics import (
     CorpusDF,
     bleu4,
+    bleu4_from_profiles,
     build_df,
     cider_d,
+    cider_d_from_vectors,
     gaussian_length_penalty,
     meteor_lite,
     ngram_profile,
@@ -240,3 +244,27 @@ class TestRelabelingSymmetry:
             assert cider_d(cand, [ref], build_df(videos)) == pytest.approx(
                 cider_d(r_cand, [r_ref], build_df(r_videos))
             )
+
+
+SENTENCES = st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=12)
+
+
+class TestProfileCores:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cand=SENTENCES,
+        refs=st.lists(SENTENCES, min_size=1, max_size=3),
+        others=st.lists(st.lists(SENTENCES, min_size=1, max_size=3), max_size=3),
+        scored_first=st.lists(SENTENCES, max_size=3),
+    )
+    def test_cores_equal_public_scorers(self, cand, refs, others, scored_first):
+        bleu = bleu4_from_profiles(ngram_profile(cand), [ngram_profile(r) for r in refs])
+        assert bleu == bleu4(cand, refs)
+        videos = [refs] + others
+        df = build_df(videos)
+        # the profiles a corpus keeps from earlier sentences change no later score
+        for sentence in scored_first:
+            df.tfidf(sentence)
+        cider = cider_d_from_vectors(df.tfidf(cand), [df.tfidf(r) for r in refs])
+        assert cider == cider_d(cand, refs, build_df(videos))
+        assert df == build_df(videos)
