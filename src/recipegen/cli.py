@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 
 from . import data
@@ -46,10 +45,7 @@ def _load_experiment(path: str | None, overrides: argparse.Namespace) -> Experim
     options merged in before it is built, so they are checked like the file."""
     raw = {}
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: expected an experiment object")
+        raw = data.read_json(path, dict, "an experiment object")
     for key in ("seed", "variant"):
         if getattr(overrides, key, None) is not None:
             raw[key] = getattr(overrides, key)

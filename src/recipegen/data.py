@@ -346,8 +346,8 @@ def _record_from_obj(obj, where: str) -> DatasetRecord:
     return DatasetRecord(vid, _number(obj, "duration", vid), candidates, steps, ingredients)
 
 
-def _read_array(path, what: str) -> list:
-    """The top-level array of the JSON file at ``path``."""
+def read_json(path, kind: type, what: str):
+    """The top-level ``kind`` (``what``) of the JSON file at ``path``, naming its line on error."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -356,14 +356,14 @@ def _read_array(path, what: str) -> list:
         raise ParseError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(raw, list):
-        raise ValidationError(f"{path}: expected a top-level array of {what}")
+    if not isinstance(raw, kind):
+        raise ValidationError(f"{path}: expected {what}")
     return raw
 
 
 def load_dataset(path) -> list[DatasetRecord]:
     """Load and validate a dataset file; records come back ordered by video_id."""
-    raw = _read_array(path, "records")
+    raw = read_json(path, list, "a top-level array of records")
     records = [_record_from_obj(obj, f"{path}: record {pos}") for pos, obj in enumerate(raw)]
     ids = [r.video_id for r in records]
     if len(set(ids)) != len(ids):
@@ -412,7 +412,7 @@ def save_dataset(records: list[DatasetRecord], path) -> None:
 
 
 def load_predictions(path) -> list[PredictionRecipe]:
-    raw = _read_array(path, "predictions")
+    raw = read_json(path, list, "a top-level array of predictions")
     preds = []
     for pos, obj in enumerate(raw):
         vid = _field(obj, "video_id", str, f"{path}: prediction {pos}")

@@ -525,9 +525,15 @@ class RecipeModel(Layer):
 
     # -- one step of the recurrence ----------------------------------------------
 
+    def check_record(self, record: DatasetRecord) -> None:
+        """Reject, naming its video, a record this variant cannot read."""
+        if self.ing_mlp_sel is not None and not record.ingredients:
+            raise ValueError(f"{record.video_id}: variant {self.config.variant} needs an ingredient")
+
     def _context(self, record: DatasetRecord) -> dict:
         """Per-video inputs of every step: the candidate encodings, both
         ingredient encodings (all but B) and the action table (BIV, BIVT)."""
+        self.check_record(record)
         events = self.encode_events(record.candidates, record.duration)
         ing = self.encode_ingredients(record.ingredients) if self.ing_mlp_sel is not None else None
         return {

@@ -1,10 +1,16 @@
-"""Experiment orchestration: splits, training loop, ablations."""
+"""Experiment orchestration: splits, training loop, ablations.
+
+``train`` runs each minibatch and validation pass in two fixed halves."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,8 +65,9 @@ class ExperimentConfig:
             check_int("early_stop_patience", self.early_stop_patience, 1)
         check_int("seed", self.seed, 0)
         number = isinstance(self.val_fraction, (int, float)) and not isinstance(self.val_fraction, bool)
-        if not (number and 0 < self.val_fraction < 1):
-            raise ValueError(f"val_fraction must be a number in (0, 1), got {self.val_fraction!r}")
+        if not (number and 0 < self.val_fraction < 1 and 0 < _val_percent(self.val_fraction) < 100):
+            raise ValueError(f"val_fraction must be a number in (0, 1) that rounds to 1%..99% "
+                             f"(the split's resolution is 1%), got {self.val_fraction!r}")
         if self.early_stop_metric not in REPORT_METRICS:
             raise ValueError(
                 f"early_stop_metric {self.early_stop_metric!r} is not a report metric; "
@@ -91,12 +98,17 @@ class ExperimentConfig:
         return WorldConfig.from_dict({"seed": self.seed, **self.world})
 
 
+def _val_percent(val_fraction: float) -> int:
+    """The validation share in the whole percent that ``split_dataset`` uses."""
+    return int(round(val_fraction * 100))
+
+
 def split_dataset(
     records: list[DatasetRecord], val_fraction: float = 0.2
 ) -> tuple[list[DatasetRecord], list[DatasetRecord]]:
     """Deterministic 80/20 split by video_id hash (stable across runs)."""
     train, val = [], []
-    cut = int(round(val_fraction * 100))
+    cut = _val_percent(val_fraction)
     for r in records:
         bucket = int(hashlib.sha1(r.video_id.encode()).hexdigest(), 16) % 100
         (val if bucket < cut else train).append(r)
@@ -124,6 +136,83 @@ class TrainResult:
 
 
 LOG_METRICS = ("soda.tiou", "soda.cider_d", "soda.meteor", "count_stats.eta1")
+LOSS_TERMS = ("loss", "loss_event", "loss_sentence", "loss_vsim", "loss_tattn")
+
+
+class _Uniforms:
+    """Pre-drawn uniforms, replayed in order by ``training_forward``'s ``random`` calls."""
+
+    def __init__(self, values: np.ndarray):
+        self.rest = values
+
+    def random(self, shape) -> np.ndarray:
+        out, self.rest = np.split(self.rest, [np.prod(shape, dtype=int)])
+        return out.reshape(shape)
+
+
+def _run_half(work, half: list, params: dict) -> tuple:
+    """``work(half)`` from cleared gradients, and the gradients it left by name."""
+    for p in params.values():
+        p.grad = None
+    return work(half), {name: p.grad for name, p in params.items()}
+
+
+def _in_halves(work, items: list, params: dict) -> tuple:
+    """``work`` on the first ceil(k/2) of ``items`` and on the rest, each from
+    cleared gradients; returns both results and leaves the first half's
+    gradient plus the second's in ``.grad``. With two usable CPUs the second
+    half runs in a forked child, which inherits the parameters copy-on-write,
+    returns its gradients through a shared mmap and its pickled result or
+    exception through a pipe, and ends in ``os._exit``, running no exit hook."""
+    k = (len(items) + 1) // 2
+    first, second = items[:k], items[k:]
+    if not second or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        (mine, ga), (theirs, gb) = _run_half(work, first, params), _run_half(work, second, params)
+    else:
+        offsets = np.cumsum([0] + [p.data.nbytes for p in params.values()]).tolist()
+        shared = mmap.mmap(-1, offsets[-1])
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                result, grads = _run_half(work, second, params)
+                for p, g, start in zip(params.values(), grads.values(), offsets):
+                    if g is not None:
+                        np.frombuffer(shared, p.data.dtype, g.size, start)[:] = g.reshape(-1)
+                message = result, [g is not None for g in grads.values()]
+            except BaseException as exc:  # raised again in the parent
+                message = exc
+            try:
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pickle.dump(message, pipe)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            try:
+                mine, ga = _run_half(work, first, params)
+                payload = pipe.read()
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                status = os.waitpid(pid, 0)[1]
+        if status:
+            raise RuntimeError(f"the forked second half ended with wait status {status}")
+        message = pickle.loads(payload)
+        if isinstance(message, BaseException):
+            raise message
+        theirs, has_grad = message
+        gb = {
+            name: np.frombuffer(shared, p.data.dtype, p.data.size, start).reshape(p.data.shape)
+            if has else None
+            for (name, p), start, has in zip(params.items(), offsets, has_grad)
+        }
+    for name, p in params.items():
+        a, b = ga[name], gb[name]
+        p.grad = b if a is None else a if b is None else a + b
+    return mine, theirs
 
 
 def train(
@@ -132,7 +221,12 @@ def train(
     quiet: bool = True,
 ) -> TrainResult:
     """Train on the 80 split, validate per epoch on the 20 split, keep the
-    checkpoint that maximizes the early-stop metric."""
+    checkpoint that maximizes the early-stop metric.
+
+    A minibatch's gradient is the sum over its first ceil(k/2) videos, in
+    batch order, plus the sum over the rest; validation splits the same way.
+    The split is fixed at two, for the idle second core of a 2-core box, so a
+    machine decides only where the second half runs, never what is summed."""
     train_recs, val_recs = split_dataset(records, exp.val_fraction)
     if not train_recs or not val_recs:
         raise ValueError("dataset too small to split into train and validation")
@@ -141,15 +235,25 @@ def train(
     feature_dim = train_recs[0].candidates.features.shape[1]
     actions = exp.world_config().actions
     model = RecipeModel(exp.model_config(feature_dim), vocab, actions, seed=exp.seed)
+    for r in records:  # a record the variant cannot read fails here, not mid-epoch
+        model.check_record(r)
     with_distant = model.simulator is not None
     labels = [build_labels(r, vocab, actions, with_distant) for r in train_recs]
-    optimizer = Adam(model.parameters(), exp.optimizer_config())
+    params = model.parameters()
+    optimizer = Adam(params, exp.optimizer_config())
 
-    root = np.random.SeedSequence(exp.seed)
-    shuffle_ss, gumbel_ss = root.spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    gumbel_rng = np.random.default_rng(gumbel_ss)
+    shuffle_rng, gumbel_rng = map(np.random.default_rng, np.random.SeedSequence(exp.seed).spawn(2))
+    draws = np.array([len(r.steps) * len(r.candidates) for r in train_recs])  # Gumbel uniforms
     val_gts = [r.ground_truth for r in val_recs]
+
+    def train_half(videos) -> list[list[float]]:  # each video's loss terms
+        terms = []
+        for i, uniforms, scale in videos:
+            result = model.training_forward(train_recs[i], labels[i], _Uniforms(uniforms))
+            (result.loss * scale).backward()
+            terms.append([0.0 if t is None else t.item() for t in
+                          (getattr(result, key) for key in LOSS_TERMS)])
+        return terms
 
     best_metric = -np.inf
     best_epoch = -1
@@ -159,26 +263,20 @@ def train(
 
     for epoch in range(exp.max_epochs):
         order = shuffle_rng.permutation(len(train_recs))
-        sums = {"loss": 0.0, "loss_event": 0.0, "loss_sentence": 0.0,
-                "loss_vsim": 0.0, "loss_tattn": 0.0}
+        sums = dict.fromkeys(LOSS_TERMS, 0.0)
         for start in range(0, len(order), exp.batch_size):
             batch = order[start : start + exp.batch_size]
-            optimizer.zero_grad()
-            scale = 1.0 / len(batch)
-            for i in batch:
-                result = model.training_forward(train_recs[i], labels[i], gumbel_rng)
-                (result.loss * scale).backward()
-                sums["loss"] += result.loss.item()
-                sums["loss_event"] += result.loss_event.item()
-                sums["loss_sentence"] += result.loss_sentence.item()
-                if result.loss_vsim is not None:
-                    sums["loss_vsim"] += result.loss_vsim.item()
-                if result.loss_tattn is not None:
-                    sums["loss_tattn"] += result.loss_tattn.item()
+            # drawn in batch order, so each video sees the noise a serial loop would
+            uniforms = np.split(gumbel_rng.random(draws[batch].sum()), np.cumsum(draws[batch])[:-1])
+            videos = [(i, u, 1.0 / len(batch)) for i, u in zip(batch, uniforms)]
+            terms_a, terms_b = _in_halves(train_half, videos, params)
+            for video_terms in terms_a + terms_b:
+                for key, value in zip(LOSS_TERMS, video_terms):
+                    sums[key] += value
             optimizer.step(epoch)
 
-        preds = [model.run_inference(r) for r in val_recs]
-        report = evaluate_corpus(preds, val_gts)
+        halves = _in_halves(lambda recs: [model.run_inference(r) for r in recs], val_recs, params)
+        report = evaluate_corpus(halves[0] + halves[1], val_gts)
         metric = report["metrics"][exp.early_stop_metric]
         row = {"epoch": epoch}
         row.update({k: v / len(train_recs) for k, v in sums.items()})
@@ -196,7 +294,7 @@ def train(
             # nothing: the first epoch stands until one does
             best_metric = float(np.fmax(best_metric, metric))
             best_epoch = epoch
-            best_params = {k: p.data.copy() for k, p in model.parameters().items()}
+            best_params = {k: p.data.copy() for k, p in params.items()}
             best_report = report
         elif (
             exp.early_stop_patience is not None
@@ -204,7 +302,7 @@ def train(
         ):
             break
 
-    for name, p in model.parameters().items():
+    for name, p in params.items():
         p.data = best_params[name]
     return TrainResult(
         model=model,

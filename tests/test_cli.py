@@ -221,13 +221,16 @@ def no_training(tmp_path, monkeypatch):
         ({"vocab_min_count": 1.5}, ["vocab_min_count"]),
         ({"val_fraction": 7}, ["val_fraction"]),
         ({"val_fraction": "0.2"}, ["val_fraction"]),
+        ({"val_fraction": 0.004}, ["val_fraction", "1%"]),
+        ({"val_fraction": 0.996}, ["val_fraction", "1%"]),
         ({"early_stop_patience": 0}, ["early_stop_patience"]),
         ({"seed": "1"}, ["seed"]),
     ],
     ids=[
         "model.variant", "model.feature_dim", "early_stop_metric", "actions", "n_candidates",
         "max_epochs-str", "batch_size-0", "batch_size-bool", "vocab_min_count-float",
-        "val_fraction-7", "val_fraction-str", "early_stop_patience-0", "seed-str",
+        "val_fraction-7", "val_fraction-str", "val_fraction-0.004", "val_fraction-0.996",
+        "early_stop_patience-0", "seed-str",
     ],
 )
 def test_train_rejects_config_before_training(tmp_path, capsys, no_training, change, names):
@@ -237,6 +240,19 @@ def test_train_rejects_config_before_training(tmp_path, capsys, no_training, cha
     err = capsys.readouterr().err
     for name in names:
         assert name in err
+    assert no_training == []
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_malformed_config_names_file_line_and_column(tmp_path, capsys, no_training, command):
+    config = tmp_path / "experiment.json"
+    config.write_text('{\n  "seed": 1,\n  max_epochs: 2\n}\n')
+    args = _train_args(tmp_path, config) if command == "train" else [
+        "synth", "--config", str(config), "--out", str(tmp_path / "out.json")
+    ]
+    assert cli.main(args) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{config}: malformed JSON at line 3, column 3" in err
     assert no_training == []
 
 
@@ -333,9 +349,11 @@ def test_synth_rejects_action_without_participle(tmp_path, capsys):
         ({"preset": ["toy"]}, "preset"),
         ({"optimizer": {"lr": "x"}}, "optimizer.lr"),
         ({"optimizer": {"warmup_epochs": "x"}}, "optimizer.warmup_epochs"),
+        ({"world": {"num_videos": 3}, "val_fraction": 0.004}, "val_fraction"),
+        ({"world": {"num_videos": 3}, "val_fraction": 0.996}, "val_fraction"),
     ],
     ids=["num-videos-string", "no-videos", "no-features", "noise-string", "no-actions", "preset-list",
-         "lr-string", "warmup-string"],
+         "lr-string", "warmup-string", "val-fraction-0.004", "val-fraction-0.996"],
 )
 def test_synth_rejects_bad_setting_naming_it(tmp_path, capsys, experiment, field):
     config = tmp_path / "experiment.json"

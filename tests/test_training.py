@@ -1,12 +1,16 @@
 import csv
 import json
+import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from recipegen import cli, training
+from recipegen.data import save_dataset
 from recipegen.dvceval import REPORT_METRICS
+from recipegen.model import RecipeModel
 from recipegen.oracle import oracle_prediction
 from recipegen.synth import WorldConfig, generate_world
 from recipegen.training import ExperimentConfig, train
@@ -76,6 +80,137 @@ class TestTrain:
         assert result.best_epoch == 1
 
 
+# the float64 recipe of tests/test_golden.py
+GOLDEN_RECORDS = generate_world(WorldConfig(num_videos=12, seed=5))
+GOLDEN_RECIPE = dict(
+    model={"hidden": 16, "heads": 2},
+    optimizer={"lr": 3e-3, "warmup_epochs": 0},
+    batch_size=4,
+    max_epochs=2,
+    val_fraction=0.25,
+    vocab_min_count=1,
+    seed=1,
+)
+
+
+def count_forks(monkeypatch, cpus: int | None) -> list:
+    """Report ``cpus`` usable CPUs to ``train`` (the real probe when None) and
+    record each ``os.fork`` it makes."""
+    if cpus is not None:
+        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(training.os, "fork", counted)
+    return forks
+
+
+def inject_fault(monkeypatch, in_child: bool) -> None:
+    """Make ``training_forward`` raise for every video of the forked second
+    half (``in_child``) or of the first half, run here."""
+    forward = RecipeModel.training_forward
+    parent = os.getpid()
+
+    def faulty(self, record, labels, rng):
+        if (os.getpid() != parent) == in_child:
+            raise ValueError(f"{record.video_id}: injected fault")
+        return forward(self, record, labels, rng)
+
+    monkeypatch.setattr(RecipeModel, "training_forward", faulty)
+
+
+class TestHalves:
+    """Each minibatch and each validation pass runs in two halves, the second
+    in a forked child when two CPUs are usable."""
+
+    @pytest.mark.parametrize("variant", ["B", "BIVT"])
+    def test_forked_and_in_process_halves_agree(self, monkeypatch, variant):
+        exp = ExperimentConfig(variant=variant, **GOLDEN_RECIPE)
+        results = {}
+        probe_forks = len(os.sched_getaffinity(0)) > 1  # False under `taskset -c 0`
+        for path, cpus, forked in (("here", 1, False), ("forked", 2, True), ("probed", None, probe_forks)):
+            with monkeypatch.context() as patch:
+                forks = count_forks(patch, cpus)
+                results[path] = train(GOLDEN_RECORDS, exp)
+            assert bool(forks) == forked
+        want = results["here"]
+        for path in ("forked", "probed"):
+            got = results[path]
+            assert got.log_rows == want.log_rows
+            assert got.best_epoch == want.best_epoch
+            assert got.val_report == want.val_report
+            for name, p in want.model.parameters().items():
+                np.testing.assert_array_equal(got.model.parameters()[name].data, p.data)
+
+    @pytest.mark.parametrize("in_child", [True, False], ids=["second-half", "first-half"])
+    def test_fault_in_either_half_reraises_and_leaves_no_child(self, monkeypatch, in_child):
+        forks = count_forks(monkeypatch, 2)
+        inject_fault(monkeypatch, in_child)
+        with pytest.raises(ValueError) as raised:
+            train(GOLDEN_RECORDS, ExperimentConfig(variant="B", **GOLDEN_RECIPE))
+        assert type(raised.value) is ValueError
+        assert str(raised.value).endswith(": injected fault")
+        assert forks == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fault_in_child_exits_validation_through_cli(self, tmp_path, monkeypatch, capsys):
+        count_forks(monkeypatch, 2)
+        inject_fault(monkeypatch, True)
+        config, dataset = tmp_path / "experiment.json", tmp_path / "world.json"
+        config.write_text(json.dumps(GOLDEN_RECIPE))
+        save_dataset(GOLDEN_RECORDS, dataset)
+        code = cli.main([
+            "train", "--config", str(config), "--dataset", str(dataset),
+            "--checkpoint", str(tmp_path / "model.npz"), "--quiet",
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert "injected fault" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestRecordChecks:
+    def without_ingredients(self):
+        records = list(GOLDEN_RECORDS)
+        records[3] = replace(records[3], ingredients=[])
+        return records
+
+    def test_train_names_the_video_before_the_first_epoch(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(RecipeModel, "training_forward", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="video_0003: variant BI needs an ingredient"):
+            train(self.without_ingredients(), ExperimentConfig(variant="BI", **GOLDEN_RECIPE))
+        assert calls == []
+
+    def test_variant_b_reads_no_ingredients(self):
+        exp = ExperimentConfig(variant="B", **dict(GOLDEN_RECIPE, max_epochs=1))
+        result = train(self.without_ingredients(), exp)
+        assert result.best_epoch == 0
+
+    def test_inference_names_the_video(self):
+        exp = ExperimentConfig(variant="BIVT", **dict(GOLDEN_RECIPE, max_epochs=1))
+        model = train(GOLDEN_RECORDS, exp).model
+        with pytest.raises(ValueError, match="video_0003: variant BIVT needs an ingredient"):
+            model.run_inference(self.without_ingredients()[3])
+
+    def test_cli_train_exits_validation_naming_the_video(self, tmp_path, capsys):
+        dataset = tmp_path / "world.json"
+        save_dataset(self.without_ingredients(), dataset)
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(GOLDEN_RECIPE))
+        code = cli.main([
+            "train", "--config", str(config), "--dataset", str(dataset), "--variant", "BI",
+            "--checkpoint", str(tmp_path / "model.npz"), "--quiet",
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert "video_0003: variant BI needs an ingredient" in capsys.readouterr().err
+
+
 class TestAblate:
     def test_one_row_per_cell_and_one_dataset_per_budget(self):
         world = {"num_videos": 10, "seed": 3, "steps_range": [2, 4]}
@@ -134,6 +269,17 @@ class TestExperimentConfig:
     def test_world_unknown_key_rejected(self):
         with pytest.raises(ValueError, match=r"world.*bogus"):
             WorldConfig.from_dict({"bogus": 1})
+
+    @pytest.mark.parametrize("fraction", [0.004, 0.005, 0.995, 0.996])
+    def test_val_fraction_finer_than_a_percent_rejected(self, fraction):
+        # the split buckets by whole percent, so one side is empty on any world
+        assert [] in training.split_dataset(generate_world(WorldConfig(seed=0)), fraction)
+        with pytest.raises(ValueError, match=r"val_fraction.*1%"):
+            ExperimentConfig(val_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [0.006, 0.01, 0.99, 0.994])
+    def test_val_fraction_rounding_to_a_percent_accepted(self, fraction):
+        assert ExperimentConfig(val_fraction=fraction).val_fraction == fraction
 
     def test_model_lexicon_is_the_worlds_actions(self):
         actions = ["chop", "fry", "serve"]
