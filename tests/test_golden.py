@@ -5,11 +5,19 @@ validation log, the chosen epoch and the greedy decodes of the validation
 videos must match the values below, which were recorded before the model's
 never-varied ablation switches were fixed to their one used value. A change
 that keeps the model's outputs must pass this file unedited.
+
+The initial parameters of each variant, in float64 and float32, are pinned by
+a digest over every parameter's name, dtype and bytes, recorded before the
+layers stopped taking a dtype.
 """
+
+import hashlib
 
 import pytest
 
-from recipegen.synth import WorldConfig, generate_world
+from recipegen.data import Vocabulary
+from recipegen.model import ModelConfig, RecipeModel
+from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
 from recipegen.training import ExperimentConfig, split_dataset, train
 
 # per variant: the chosen epoch, the log rows, and for each validation video
@@ -232,3 +240,43 @@ def test_training_recipe_matches_golden(records, variant):
             (index, " ".join(sentence)) for index, sentence in zip(pred.selections, pred.sentences)
         ]
     assert predictions == want["predictions"]
+
+
+# sha256 over the sorted (name, dtype, bytes) of every initial parameter and
+# the position table, per (variant, precision), at hidden 24 and 3 heads
+INITIAL_DIGESTS = {
+    ("B", "float32"):
+        "54c95f2a348733bba3c8554d3f6e44b1b77ce78ed146dcd62cda631212b94686",
+    ("B", "float64"):
+        "537bdebf117c840704a37274827d31cc4129554a7f430d4ce49d1d75b7803f54",
+    ("BI", "float32"):
+        "e6a82ad94a53f4b9e75be26f6bb1511f4a2b6d556228d700530f77143afdd316",
+    ("BI", "float64"):
+        "44f062e2f226683e825413e7b307e01fce9e80f519b747e39e6912e4aa6cfb67",
+    ("BIV", "float32"):
+        "3bae10539ab717d1d2ec24688f14951ddd94823ef50b573f76057f6914973d1c",
+    ("BIV", "float64"):
+        "ab6748869134ee29e02b4b11a3597856c59152592ea2254f641542020816c511",
+    ("BIVT", "float32"):
+        "95d39f089cc53cdf69115140f535e0100b63489c93a6ae6a900d496f6c9619eb",
+    ("BIVT", "float64"):
+        "95aec21c13b3cf1afe90a8052b6214e3a00f56a007e0c1e75b0d17ea291f9f94",
+}
+
+
+def initial_digest(model: RecipeModel) -> str:
+    arrays = {name: p.data for name, p in model.parameters().items()}
+    arrays["_pe"] = model._pe
+    digest = hashlib.sha256()
+    for name, array in sorted(arrays.items()):
+        digest.update(f"{name}:{array.dtype}:".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("variant", list(GOLDEN))
+def test_initial_parameters_match_golden_digest(variant, precision):
+    config = ModelConfig(hidden=24, heads=3, variant=variant, precision=precision)
+    model = RecipeModel(config, Vocabulary(["add", "the", "salt", "stir"]), DEFAULT_ACTIONS, seed=3)
+    assert initial_digest(model) == INITIAL_DIGESTS[(variant, precision)]
