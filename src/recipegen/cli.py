@@ -89,13 +89,8 @@ def _cmd_train(args) -> int:
 def _cmd_generate(args) -> int:
     model, meta = load_checkpoint(args.checkpoint)
     records = load_dataset(args.dataset)
-    if records:
-        feat_dim = records[0].candidates.features.shape[1]
-        if feat_dim != model.config.feature_dim:
-            raise ValidationError(
-                f"checkpoint expects feature dim {model.config.feature_dim}, "
-                f"dataset has {feat_dim}"
-            )
+    for r in records:  # a record the model cannot read fails before any decoding
+        model.check_record(r)
     preds = [model.run_inference(r) for r in records]
     data.save_predictions(preds, args.out)
     print(f"wrote {len(preds)} predictions to {args.out}")
@@ -195,16 +190,17 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--mode", choices=("attached", "gt-sentences"), default="gt-sentences")
     p.add_argument("--hist-out", dest="hist_out", default=None)
-    p.add_argument("--n-list", dest="n_list", type=int, nargs="*", default=None)
+    p.add_argument("--n-list", dest="n_list", type=int, nargs="+", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("ablate", help="variant / candidate-count matrix")
     p.add_argument("--config", default=None)
-    p.add_argument("--dataset", default=None)
+    cells = p.add_mutually_exclusive_group()  # one dataset, or one synthesized per budget
+    cells.add_argument("--dataset", default=None)
+    cells.add_argument("--n-list", dest="n_list", type=int, nargs="+", default=None)
     p.add_argument("--variants", default=None, help="comma-separated, e.g. B,BIV,BIVT")
-    p.add_argument("--n-list", dest="n_list", type=int, nargs="*", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--quiet", action="store_true")

@@ -51,17 +51,17 @@ class DotProductSimulator(Layer):
     events, and between the ingredient state and the events.  The events are
     projected once per step and read by all four attentions."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, dim: int, rng: np.random.Generator):
         self.dim = dim
-        self.q_action = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.k_action = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.v_action = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.q_event = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.k_event = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.v_event = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.q_ingredient = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.k_ingredient = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.v_ingredient = Linear(dim, dim, rng, bias=False, dtype=dtype)
+        self.q_action = Linear(dim, dim, rng, bias=False)
+        self.k_action = Linear(dim, dim, rng, bias=False)
+        self.v_action = Linear(dim, dim, rng, bias=False)
+        self.q_event = Linear(dim, dim, rng, bias=False)
+        self.k_event = Linear(dim, dim, rng, bias=False)
+        self.v_event = Linear(dim, dim, rng, bias=False)
+        self.q_ingredient = Linear(dim, dim, rng, bias=False)
+        self.k_ingredient = Linear(dim, dim, rng, bias=False)
+        self.v_ingredient = Linear(dim, dim, rng, bias=False)
 
     def step(self, events: Tensor, actions: Tensor, state: Tensor) -> SimulatorStep:
         scale = 1.0 / float(np.sqrt(self.dim))
@@ -95,9 +95,9 @@ class TextualAttention(Layer):
     fixed for a sentence, so ``keys`` projects them once per sentence and
     each call attends with them."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, dtype=np.float64):
-        self.map_ingredient = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.map_action = Linear(dim, dim, rng, bias=False, dtype=dtype)
+    def __init__(self, dim: int, rng: np.random.Generator):
+        self.map_ingredient = Linear(dim, dim, rng, bias=False)
+        self.map_action = Linear(dim, dim, rng, bias=False)
 
     def keys(self, ingredient_state: Tensor, action_context: Tensor) -> TextualKeys:
         return TextualKeys(

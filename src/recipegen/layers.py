@@ -8,6 +8,10 @@ a time for a causal sequence, and each layer's memory is updated once, over
 all its output rows.  Every layer exposes ``parameters()`` returning a flat
 name -> Tensor mapping so optimizers and checkpoints see one namespace.
 
+Layers know only their shapes and the init ``rng``: they draw in float64, and
+the model that owns them casts every parameter once to its precision, as a
+checkpoint load does.
+
 Each primitive layer is one graph node of a fused autodiff op: ``Linear`` is
 one ``linear`` node, ``LayerNorm`` one ``layer_norm`` node, and
 ``MultiHeadAttention`` is five nodes, its four ``Linear`` projections around
@@ -42,25 +46,24 @@ class Layer:
         return out
 
 
-def xavier_uniform(shape: tuple[int, int], rng: np.random.Generator, dtype) -> np.ndarray:
+def xavier_uniform(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     bound = float(np.sqrt(6.0 / (shape[0] + shape[1])))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Linear(Layer):
-    def __init__(self, dim_in: int, dim_out: int, rng: np.random.Generator,
-                 bias: bool = True, dtype=np.float64):
-        self.weight = Tensor(xavier_uniform((dim_in, dim_out), rng, dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(dim_out, dtype=dtype), requires_grad=True) if bias else None
+    def __init__(self, dim_in: int, dim_out: int, rng: np.random.Generator, bias: bool = True):
+        self.weight = Tensor(xavier_uniform((dim_in, dim_out), rng), requires_grad=True)
+        self.bias = Tensor(np.zeros(dim_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Layer):
-    def __init__(self, dim: int, dtype=np.float64, eps: float = 1e-5):
-        self.gain = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.shift = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+    def __init__(self, dim: int, eps: float = 1e-5):
+        self.gain = Tensor(np.ones(dim), requires_grad=True)
+        self.shift = Tensor(np.zeros(dim), requires_grad=True)
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -68,10 +71,8 @@ class LayerNorm(Layer):
 
 
 class Embedding(Layer):
-    def __init__(self, num: int, dim: int, rng: np.random.Generator, dtype=np.float64):
-        self.weight = Tensor(
-            (rng.standard_normal((num, dim)) * 0.02).astype(dtype), requires_grad=True
-        )
+    def __init__(self, num: int, dim: int, rng: np.random.Generator):
+        self.weight = Tensor(rng.standard_normal((num, dim)) * 0.02, requires_grad=True)
 
     def __call__(self, ids) -> Tensor:
         return self.weight[np.asarray(ids, dtype=np.intp)]
@@ -80,25 +81,25 @@ class Embedding(Layer):
 class MLP(Layer):
     """Linear -> ReLU -> Linear: encoders, and the position-wise FFN."""
 
-    def __init__(self, dim_in: int, dim_hidden: int, dim_out: int, rng, dtype=np.float64):
-        self.lin1 = Linear(dim_in, dim_hidden, rng, dtype=dtype)
-        self.lin2 = Linear(dim_hidden, dim_out, rng, dtype=dtype)
+    def __init__(self, dim_in: int, dim_hidden: int, dim_out: int, rng):
+        self.lin1 = Linear(dim_in, dim_hidden, rng)
+        self.lin2 = Linear(dim_hidden, dim_out, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.lin2(self.lin1(x).relu())
 
 
 class MultiHeadAttention(Layer):
-    def __init__(self, dim: int, heads: int, rng, dtype=np.float64):
+    def __init__(self, dim: int, heads: int, rng):
         if dim % heads != 0:
             raise ValueError(f"model dim {dim} not divisible by {heads} heads")
         self.heads = heads
-        self.proj_q = Linear(dim, dim, rng, dtype=dtype)
+        self.proj_q = Linear(dim, dim, rng)
         # no key bias: it adds one constant to each query's scores, which the
         # softmax ignores
-        self.proj_k = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.proj_v = Linear(dim, dim, rng, dtype=dtype)
-        self.proj_out = Linear(dim, dim, rng, dtype=dtype)
+        self.proj_k = Linear(dim, dim, rng, bias=False)
+        self.proj_v = Linear(dim, dim, rng)
+        self.proj_out = Linear(dim, dim, rng)
 
     def __call__(self, queries: Tensor, keys_values: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """``queries`` (nq, d) attends over ``keys_values`` (nk, d).
@@ -120,12 +121,12 @@ class MemoryUpdater(Layer):
     memory is the gated convex combination of the two.
     """
 
-    def __init__(self, dim: int, heads: int, rng, dtype=np.float64):
-        self.attn = MultiHeadAttention(dim, heads, rng, dtype=dtype)
-        self.cand_mem = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.cand_att = Linear(dim, dim, rng, dtype=dtype)
-        self.gate_mem = Linear(dim, dim, rng, bias=False, dtype=dtype)
-        self.gate_att = Linear(dim, dim, rng, dtype=dtype)
+    def __init__(self, dim: int, heads: int, rng):
+        self.attn = MultiHeadAttention(dim, heads, rng)
+        self.cand_mem = Linear(dim, dim, rng, bias=False)
+        self.cand_att = Linear(dim, dim, rng)
+        self.gate_mem = Linear(dim, dim, rng, bias=False)
+        self.gate_att = Linear(dim, dim, rng)
 
     def __call__(self, memory: Tensor, hidden: Tensor) -> Tensor:
         summary = self.attn(memory, concat([memory, hidden], axis=0))
@@ -135,12 +136,12 @@ class MemoryUpdater(Layer):
 
 
 class MemTransformerLayer(Layer):
-    def __init__(self, dim: int, heads: int, rng, dtype=np.float64):
-        self.attn = MultiHeadAttention(dim, heads, rng, dtype=dtype)
-        self.norm1 = LayerNorm(dim, dtype=dtype)
-        self.ffn = MLP(dim, 4 * dim, dim, rng, dtype=dtype)
-        self.norm2 = LayerNorm(dim, dtype=dtype)
-        self.mem_update = MemoryUpdater(dim, heads, rng, dtype=dtype)
+    def __init__(self, dim: int, heads: int, rng):
+        self.attn = MultiHeadAttention(dim, heads, rng)
+        self.norm1 = LayerNorm(dim)
+        self.ffn = MLP(dim, 4 * dim, dim, rng)
+        self.norm2 = LayerNorm(dim)
+        self.mem_update = MemoryUpdater(dim, heads, rng)
 
     def __call__(self, x: Tensor, context: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Attention of ``x`` over ``context``, then the FFN, each with a
@@ -152,13 +153,13 @@ class MemTransformerLayer(Layer):
 class MemTransformer(Layer):
     """Stack of memory-augmented layers; one memory slot per layer."""
 
-    def __init__(self, layers: int, dim: int, heads: int, rng, dtype=np.float64):
-        self.layers = [MemTransformerLayer(dim, heads, rng, dtype=dtype) for _ in range(layers)]
-        self.dim = dim
-        self.dtype = dtype
+    def __init__(self, layers: int, dim: int, heads: int, rng):
+        self.layers = [MemTransformerLayer(dim, heads, rng) for _ in range(layers)]
 
     def initial_memory(self) -> list[Tensor]:
-        return [Tensor(np.zeros((1, self.dim), dtype=self.dtype)) for _ in self.layers]
+        """One zero slot per layer, in the dtype of the layers' parameters."""
+        gain = self.layers[0].norm1.gain.data
+        return [Tensor(np.zeros_like(gain[None])) for _ in self.layers]
 
     def __call__(self, x: Tensor, memories: list[Tensor], self_mask: np.ndarray | None = None):
         """One pass over the rows ``x``; returns the last layer's rows and the
@@ -208,15 +209,14 @@ class IncrementalPass:
         ]
 
 
-def sinusoidal_encoding(length: int, dim: int, dtype=np.float64) -> np.ndarray:
+def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
     """Standard fixed sinusoidal position table (length, dim)."""
     pos = np.arange(length, dtype=np.float64)[:, None]
     idx = np.arange(dim, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * (idx // 2) / dim)
-    table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
-    return table.astype(dtype)
+    return np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def causal_mask(n: int, dtype=np.float64) -> np.ndarray:
+def causal_mask(n: int) -> np.ndarray:
     """Additive (n, n) mask hiding future positions."""
-    return np.triu(np.full((n, n), NEG_INF, dtype=dtype), k=1)
+    return np.triu(np.full((n, n), NEG_INF), k=1)

@@ -31,7 +31,8 @@ drawn last, in the order B < BI < BIV < BIVT, so a variant draws a prefix of
 that list, and every module it keeps starts from the same weights as in the
 variants above it built from the same seed.  Whether a step reads ingredients,
 runs the simulator or applies textual attention follows from which modules
-exist.
+exist.  Precision is decided once: the layers draw in float64, and the model
+casts each parameter to ``config.dtype``, the cast ``load_checkpoint`` applies.
 """
 
 from __future__ import annotations
@@ -320,39 +321,38 @@ class RecipeModel(Layer):
         self.vocab = vocab
         self.action_lexicon = list(action_lexicon)
         rng = np.random.default_rng(seed)
-        h, dt = config.hidden, config.dtype
+        h = config.hidden
 
         # event side
-        self.feat_mlp = MLP(config.feature_dim, h, h, rng, dtype=dt)
-        self.rel_enc = Linear(3, h, rng, dtype=dt)
-        self.event_tf = MemTransformer(config.layers, h, config.heads, rng, dtype=dt)
-        self.stop_vector = Tensor((rng.standard_normal(h) * 0.02).astype(dt), requires_grad=True)
+        self.feat_mlp = MLP(config.feature_dim, h, h, rng)
+        self.rel_enc = Linear(3, h, rng)
+        self.event_tf = MemTransformer(config.layers, h, config.heads, rng)
+        self.stop_vector = Tensor(rng.standard_normal(h) * 0.02, requires_grad=True)
 
         # sentence side
-        self.word_embed = Embedding(len(vocab), h, rng, dtype=dt)
-        self.word_adapter = Linear(h, h, rng, dtype=dt)
-        self.sent_tf = MemTransformer(config.layers, h, config.heads, rng, dtype=dt)
-        self.vocab_head = Linear(h, len(vocab), rng, dtype=dt)
+        self.word_embed = Embedding(len(vocab), h, rng)
+        self.word_adapter = Linear(h, h, rng)
+        self.sent_tf = MemTransformer(config.layers, h, config.heads, rng)
+        self.vocab_head = Linear(h, len(vocab), rng)
 
         # memory mixing maps
-        self.mix_f1, self.mix_f2, self.mix_g1, self.mix_g2 = (
-            Linear(h, h, rng, dtype=dt) for _ in range(4)
-        )
+        self.mix_f1, self.mix_f2, self.mix_g1, self.mix_g2 = (Linear(h, h, rng) for _ in range(4))
 
         # extension modules, drawn last so that each variant draws a prefix
         level = VARIANTS.index(config.variant)
         ing, sim, text = level >= 1, level >= 2, level >= 3
-        self.ing_mlp_sel = MLP(h, h, h, rng, dtype=dt) if ing else None
-        self.ing_mlp_gen = MLP(h, h, h, rng, dtype=dt) if ing else None
-        self.action_embed = (
-            Embedding(max(1, len(action_lexicon)), h, rng, dtype=dt) if sim else None
-        )
-        self.simulator = DotProductSimulator(h, rng, dtype=dt) if sim else None
-        self.textual_attention = TextualAttention(h, rng, dtype=dt) if text else None
-        self.vocab_head_ing = Linear(h, len(vocab), rng, bias=False, dtype=dt) if text else None
-        self.vocab_head_act = Linear(h, len(vocab), rng, bias=False, dtype=dt) if text else None
+        self.ing_mlp_sel = MLP(h, h, h, rng) if ing else None
+        self.ing_mlp_gen = MLP(h, h, h, rng) if ing else None
+        self.action_embed = Embedding(max(1, len(action_lexicon)), h, rng) if sim else None
+        self.simulator = DotProductSimulator(h, rng) if sim else None
+        self.textual_attention = TextualAttention(h, rng) if text else None
+        self.vocab_head_ing = Linear(h, len(vocab), rng, bias=False) if text else None
+        self.vocab_head_act = Linear(h, len(vocab), rng, bias=False) if text else None
 
-        self._pe = sinusoidal_encoding(512, h, dtype=dt)
+        # the one place precision is set (see the module docstring)
+        for p in self.parameters().values():
+            p.data = p.data.astype(config.dtype, copy=False)
+        self._pe = sinusoidal_encoding(512, h).astype(config.dtype, copy=False)
 
     # -- encoders -------------------------------------------------------------
 
@@ -423,7 +423,7 @@ class RecipeModel(Layer):
         mask = np.zeros((size, size), dtype=self.config.dtype)
         # ingredient rows never read word columns (no lookahead leakage)
         mask[:n_ing, n_ing:] = NEG_INF
-        mask[n_ing:, n_ing:] = causal_mask(n_words, self.config.dtype)
+        mask[n_ing:, n_ing:] = causal_mask(n_words)
         return mask
 
     def _word_rows(self, input_ids: list[int], h_sel: Tensor, start: int = 0) -> Tensor:
@@ -527,6 +527,9 @@ class RecipeModel(Layer):
 
     def check_record(self, record: DatasetRecord) -> None:
         """Reject, naming its video, a record this variant cannot read."""
+        width, want = record.candidates.features.shape[1], self.config.feature_dim
+        if width != want:
+            raise ValueError(f"{record.video_id}: model expects feature dim {want}, video has {width}")
         if self.ing_mlp_sel is not None and not record.ingredients:
             raise ValueError(f"{record.video_id}: variant {self.config.variant} needs an ingredient")
 

@@ -342,9 +342,9 @@ def ablate(
 
     # every cell's config is checked before any cell trains
     cell_exps = [replace(exp, variant=v) for v in variants]
+    if (n_list is None) == (records is None):
+        raise ValueError("ablate needs a dataset or a candidate-count list, not both")
     if n_list is None:
-        if records is None:
-            raise ValueError("ablate needs a dataset or a candidate-count list")
         cells = [(records, None)]
     else:
         world = exp.world_config()

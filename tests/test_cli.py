@@ -409,6 +409,15 @@ def test_generate_rejects_unreadable_checkpoint(tmp_path, capsys, damage):
     assert str(checkpoint) in capsys.readouterr().err
 
 
+def test_oracle_rejects_empty_budget_list(tmp_path, capsys):
+    dataset, out = tmp_path / "world.json", tmp_path / "oracle.json"
+    save_dataset(generate_world(WorldConfig(num_videos=3)), str(dataset))
+    code = cli.main(["oracle", "--dataset", str(dataset), "--n-list", "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert "--n-list: expected at least one argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("budget", ["-2", "0"])
 def test_oracle_rejects_budget_below_one(tmp_path, capsys, budget):
     dataset = tmp_path / "world.json"

@@ -256,7 +256,9 @@ class TestTextualAttention:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_keys_projected_once_equal_per_token_projection(self, dtype):
-        tattn = TextualAttention(8, np.random.default_rng(6), dtype=dtype)
+        tattn = TextualAttention(8, np.random.default_rng(6))
+        for p in tattn.parameters().values():  # layers draw in float64; cast as the model does
+            p.data = p.data.astype(dtype, copy=False)
         rng = np.random.default_rng(7)
         words, state, actions = (
             Tensor(rng.standard_normal(shape).astype(dtype)) for shape in ((4, 8), (3, 8), (5, 8))

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from recipegen import cli, training
-from recipegen.data import save_dataset
+from recipegen.data import Vocabulary, save_dataset
 from recipegen.dvceval import REPORT_METRICS
-from recipegen.model import RecipeModel
+from recipegen.model import VARIANTS, ModelConfig, RecipeModel, load_checkpoint, save_checkpoint
 from recipegen.oracle import oracle_prediction
 from recipegen.synth import WorldConfig, generate_world
-from recipegen.training import ExperimentConfig, train
+from recipegen.training import ExperimentConfig, split_dataset, train
 
 RECORDS = generate_world(WorldConfig(num_videos=10, seed=3))
 
@@ -78,6 +78,33 @@ class TestTrain:
         result = train(RECORDS, tiny_experiment(max_epochs=5, early_stop_patience=2))
         assert len(result.log_rows) == 4
         assert result.best_epoch == 1
+
+
+class TestFloat32:
+    """The float32 (``paper`` preset) path stays float32 end to end."""
+
+    @staticmethod
+    def dtypes(model: RecipeModel) -> set:
+        return {p.data.dtype for p in model.parameters().values()}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_float32_kept_through_training_and_a_checkpoint(self, tmp_path, variant):
+        exp = tiny_experiment(variant=variant, model={"hidden": 16, "heads": 2, "precision": "float32"})
+        fresh = RecipeModel(exp.model_config(32), Vocabulary(["stir"]), exp.world_config().actions)
+        assert self.dtypes(fresh) == {np.dtype(np.float32)}
+        assert fresh._pe.dtype == np.float32
+        assert fresh.event_tf.initial_memory()[0].data.dtype == np.float32
+
+        trained = train(RECORDS, exp).model  # two epochs
+        assert self.dtypes(trained) == {np.dtype(np.float32)}
+        save_checkpoint(tmp_path / "model.npz", trained)
+        loaded, _ = load_checkpoint(tmp_path / "model.npz")
+        assert self.dtypes(loaded) == {np.dtype(np.float32)}
+        for name, p in trained.parameters().items():
+            np.testing.assert_array_equal(loaded.parameters()[name].data, p.data)
+        _, val = split_dataset(RECORDS, exp.val_fraction)
+        for record in val:
+            assert loaded.run_inference(record) == trained.run_inference(record)
 
 
 # the float64 recipe of tests/test_golden.py
@@ -198,6 +225,42 @@ class TestRecordChecks:
         with pytest.raises(ValueError, match="video_0003: variant BIVT needs an ingredient"):
             model.run_inference(self.without_ingredients()[3])
 
+    def mixed_widths(self):
+        records = list(GOLDEN_RECORDS)
+        candidates = records[3].candidates
+        records[3] = replace(records[3], candidates=replace(candidates, features=candidates.features[:, :16]))
+        return records
+
+    def test_train_names_a_video_of_another_feature_width(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(RecipeModel, "training_forward", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="video_0003: model expects feature dim 32, video has 16"):
+            train(self.mixed_widths(), ExperimentConfig(variant="B", **GOLDEN_RECIPE))
+        assert calls == []
+
+    def test_cli_names_a_video_of_another_feature_width(self, tmp_path, monkeypatch, capsys):
+        dataset, checkpoint = tmp_path / "world.json", tmp_path / "model.npz"
+        save_dataset(self.mixed_widths(), dataset)
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(GOLDEN_RECIPE))
+        code = cli.main([
+            "train", "--config", str(config), "--dataset", str(dataset),
+            "--checkpoint", str(checkpoint), "--quiet",
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert "video_0003: model expects feature dim 32, video has 16" in capsys.readouterr().err
+        assert not checkpoint.exists()
+
+        model = RecipeModel(ModelConfig(hidden=16, heads=2), Vocabulary(["stir"]), ["stir"])
+        save_checkpoint(checkpoint, model)
+        decoded = []
+        monkeypatch.setattr(RecipeModel, "run_inference", lambda self, r: decoded.append(r))
+        out = tmp_path / "pred.json"
+        code = cli.main(["generate", "--checkpoint", str(checkpoint), "--dataset", str(dataset), "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert "video_0003: model expects feature dim 32, video has 16" in capsys.readouterr().err
+        assert decoded == [] and not out.exists()
+
     def test_cli_train_exits_validation_naming_the_video(self, tmp_path, capsys):
         dataset = tmp_path / "world.json"
         save_dataset(self.without_ingredients(), dataset)
@@ -251,6 +314,27 @@ class TestAblate:
         with open(out, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [(row["variant"], row["n_candidates"]) for row in rows] == [("B", "4")]
+
+    def test_dataset_and_budget_list_together_rejected(self):
+        with pytest.raises(ValueError, match="a dataset or a candidate-count list, not both"):
+            training.ablate(tiny_experiment(), ["B"], n_list=[6], records=RECORDS)
+
+    @pytest.mark.parametrize(
+        "options, error",
+        [
+            (["--dataset", "{dataset}", "--n-list", "6"], "not allowed with argument"),
+            (["--n-list"], "expected at least one argument"),
+        ],
+        ids=["dataset-and-budgets", "no-budgets"],
+    )
+    def test_cli_cells_option_misuse_exits_usage(self, tmp_path, capsys, options, error):
+        dataset, out = tmp_path / "world.json", tmp_path / "ablation.csv"
+        save_dataset(RECORDS, dataset)
+        options = [o.format(dataset=dataset) for o in options]
+        code = cli.main(["ablate", *options, "--out", str(out), "--quiet"])
+        assert code == cli.EXIT_USAGE
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExperimentConfig:
