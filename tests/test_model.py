@@ -705,12 +705,15 @@ class TestCheckpoint:
 
 
 def reference_generate(model):
-    """Greedy decoding by one full ``_decode_pass`` per emitted token."""
+    """Greedy decoding by one full teacher-forced pass over BOS plus the
+    decoded prefix per emitted token."""
 
     def generate(h_sel, s_mems, gen_ing, teacher_tokens=None, sim=None):
         decoded = []
         while True:
-            logp, new_mems, _ = model._decode_pass([BOS] + decoded, h_sel, s_mems, gen_ing, sim)
+            _, logp, new_mems, _ = RecipeModel.generate_sentence(
+                model, h_sel, s_mems, gen_ing, decoded + [EOS], sim
+            )
             scores = logp.data[-1].copy()
             scores[[PAD, BOS]] = -np.inf
             token = int(np.argmax(scores))
