@@ -14,11 +14,13 @@ selector) and scores the sentence teacher-forced, while inference takes the
 argmax and decodes greedily.  Neither ever selects a candidate twice, and
 both mix the two memory banks after every step.
 
-Greedy decoding is incremental: ingredient rows never read word rows and a
-word row reads only earlier words, so appending a token changes no earlier
-hidden state.  Each token therefore pushes one new row through the sentence
-layers, and the sentence memories are updated once per sentence, over the
-final rows; the result equals a full pass over the decoded prefix.
+A sentence is one pass of the sentence layers in both modes.  Ingredient rows
+never read word rows and a word row reads only earlier words, so appending a
+word changes no earlier hidden state.  Teacher forcing pushes the ingredient
+rows and every input word at once; greedy decoding pushes the ingredient rows
+with BOS, then one row per emitted token.  The sentence memories are updated
+once per sentence, over all the rows, so a greedy decode equals the
+teacher-forced pass over BOS and its own output.
 
 Model variants:
   B      events only
@@ -40,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zipfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -253,16 +255,13 @@ def build_labels(
             ]
             idx = min(options)[2] if options else idx
         indices.append(idx)
-    assignment = replace(assignment, indices=indices)
     token_ids = [vocab.encode(s.sentence) + [EOS] for s in record.steps]
     surfaces = [list(s.sentence) + ["<eos>"] for s in record.steps]
     ing_labels = act_labels = None
     if with_distant:
-        ing_labels, act_labels = distant_labels(
-            record.ground_truth, assignment, action_lexicon
-        )
+        ing_labels, act_labels = distant_labels(record.ground_truth, action_lexicon)
     return VideoLabels(
-        oracle_indices=list(assignment.indices),
+        oracle_indices=indices,
         token_ids=token_ids,
         target_surfaces=surfaces,
         ing_labels=ing_labels,
@@ -451,30 +450,6 @@ class RecipeModel(Layer):
         logits = logits + self.vocab_head_ing(ctx_g) + self.vocab_head_act(ctx_a)
         return log_softmax(logits, axis=-1), (alpha_g, alpha_a)
 
-    def _decode_pass(
-        self,
-        input_ids: list[int],
-        h_sel: Tensor,
-        s_mems: list[Tensor],
-        gen_ing: Tensor | None,
-        sim: SimulatorStep | None,
-    ):
-        """One full pass over ``input_ids``; returns per-position vocabulary
-        log-probs, updated memories, and textual-attention weights."""
-        words = self._word_rows(input_ids, h_sel)
-        if gen_ing is not None:
-            seq = concat([gen_ing, words], axis=0)
-            n_ing = gen_ing.shape[0]
-        else:
-            seq = words
-            n_ing = 0
-        mask = self._sentence_mask(n_ing, len(input_ids))
-        out, new_mems = self.sent_tf(seq, s_mems, mask)
-        keys = self._textual_keys(sim)
-        word_h = out[n_ing:] if n_ing else out
-        logp, alphas = self._vocab_log_probs(word_h, keys)
-        return logp, new_mems, alphas
-
     def generate_sentence(
         self,
         h_sel: Tensor,
@@ -489,31 +464,35 @@ class RecipeModel(Layer):
         Returns (emitted token ids, log-prob rows, new memories, attention
         weights).  In teacher mode the emitted ids are the targets.
 
-        Greedy mode returns one log-prob row per input position (BOS plus the
-        emitted ids) and no attention weights.  It never emits PAD or BOS.  It
-        decodes incrementally: the ingredient rows go through the layers and
-        the textual-attention keys are projected once, then each token pushes
-        one new word row, because no row reads a later one and so no earlier
-        hidden state changes.  The memories are updated once, over the final
-        rows, and equal those of one full ``_decode_pass`` over BOS plus the
-        emitted ids.
+        Both modes run one ``IncrementalPass`` over the sentence layers.  Its
+        first push is the ingredient rows and the input word rows under
+        ``_sentence_mask``: BOS plus all targets but the last in teacher mode,
+        BOS alone in greedy mode.  Greedy mode then pushes one row per emitted
+        token, which leaves every earlier hidden state as it was, and returns
+        one log-prob row per input position (BOS plus the emitted ids) and no
+        attention weights; it never emits PAD or BOS.  Either mode updates the
+        memories once, over all the rows, as one full pass over the same
+        inputs would.
         """
-        if teacher_tokens is not None:
-            input_ids = [BOS] + list(teacher_tokens[:-1])
-            logp, new_mems, alphas = self._decode_pass(
-                input_ids, h_sel, s_mems, gen_ing, sim
-            )
+        teacher = teacher_tokens is not None
+        input_ids = [BOS] + list(teacher_tokens[:-1]) if teacher else [BOS]
+        n_ing = 0 if gen_ing is None else gen_ing.shape[0]
+        words = self._word_rows(input_ids, h_sel)
+        decoder = IncrementalPass(self.sent_tf, s_mems)
+        out = decoder.push(
+            words if gen_ing is None else concat([gen_ing, words], axis=0),
+            self._sentence_mask(n_ing, len(input_ids)),
+        )
+        word_h = out[n_ing:] if n_ing else out
+        if teacher:
+            new_mems = decoder.update_memories()
+            logp, alphas = self._vocab_log_probs(word_h, self._textual_keys(sim))
             return list(teacher_tokens), logp, new_mems, alphas
 
-        decoder = IncrementalPass(self.sent_tf, s_mems)
-        if gen_ing is not None:
-            decoder.push(gen_ing)
         keys = self._textual_keys(sim)
         decoded: list[int] = []
         rows: list[Tensor] = []
-        token = BOS
         while True:
-            word_h = decoder.push(self._word_rows([token], h_sel, start=len(decoded)))
             logp, _ = self._vocab_log_probs(word_h, keys)
             rows.append(logp)
             scores = logp.data[0].copy()
@@ -522,6 +501,7 @@ class RecipeModel(Layer):
             if token == EOS or len(decoded) >= self.config.max_sentence_len:
                 return decoded, concat(rows, axis=0), decoder.update_memories(), None
             decoded.append(token)
+            word_h = decoder.push(self._word_rows([token], h_sel, start=len(decoded)))
 
     # -- one step of the recurrence ----------------------------------------------
 

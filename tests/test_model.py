@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import json
@@ -11,7 +12,7 @@ from recipegen import autodiff
 from recipegen import model as model_module
 from recipegen.autodiff import Tensor, log_softmax, softmax
 from recipegen.data import BOS, EOS, PAD, Vocabulary, build_vocabulary
-from recipegen.layers import sinusoidal_encoding
+from recipegen.layers import MemTransformerLayer, sinusoidal_encoding
 from recipegen.model import (
     FIXED_FIELDS,
     ModelConfig,
@@ -771,6 +772,24 @@ class TestIncrementalDecoding:
                 for ma, mb in zip(a.state.s_mems, b.state.s_mems):
                     np.testing.assert_allclose(ma, mb, rtol=0, atol=1e-10)
         assert eos_ended > 0
+
+    @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
+    def test_sentence_layers_run_once_per_input_token(self, variant, monkeypatch):
+        """A greedy sentence of k tokens runs each sentence layer k + 1
+        times: once on BOS with any ingredient rows, once per token."""
+        model = tiny_model(variant)
+        runs = collections.Counter()
+        layer_call = MemTransformerLayer.__call__
+
+        def counted(layer, *args):
+            runs[id(layer)] += 1
+            return layer_call(layer, *args)
+
+        monkeypatch.setattr(MemTransformerLayer, "__call__", counted)
+        sentences = [s for r in RECORDS for s in greedy_steps(model, r) if not s.stop]
+        assert sentences
+        want = sum(len(s.tokens) + 1 for s in sentences)
+        assert [runs[id(layer)] for layer in model.sent_tf.layers] == [want] * len(model.sent_tf.layers)
 
     def test_float32_stays_float32(self):
         model = tiny_model("BIVT", precision="float32")
