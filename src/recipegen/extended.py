@@ -19,7 +19,6 @@ import numpy as np
 from .autodiff import Tensor, concat, log_softmax, softmax
 from .data import GroundTruthRecipe, tokenize
 from .layers import Layer, Linear
-from .oracle import OracleAssignment
 
 
 def update_ingredients(state: Tensor, weighted_events_g: Tensor, weighted_events_a: Tensor) -> Tensor:
@@ -132,14 +131,12 @@ def _contains_contiguous(haystack: list[str], needle: list[str]) -> bool:
 
 
 def distant_labels(
-    gt: GroundTruthRecipe,
-    oracle: OracleAssignment,
-    action_lexicon: list[str],
+    gt: GroundTruthRecipe, action_lexicon: list[str]
 ) -> tuple[np.ndarray, np.ndarray]:
     """String-matched supervision: ingredient label (t, m) is 1 iff step t's
     sentence contains ingredient m's tokens contiguously; action label (t, r)
-    is 1 iff lexicon action r appears in the sentence.  Labels bind to the
-    oracle event index of step t (``oracle.indices``)."""
+    is 1 iff lexicon action r appears in the sentence.  The labels of step t
+    bind to that step's oracle event, the training label of the step."""
     if not action_lexicon:
         raise ValueError("action lexicon must be non-empty")
     n_steps = len(gt.steps)

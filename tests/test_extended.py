@@ -21,7 +21,6 @@ from recipegen.extended import (
     update_ingredients,
 )
 from recipegen.model import ModelConfig, RecipeModel, build_labels
-from recipegen.oracle import OracleAssignment
 from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
 
 WORLD = WorldConfig(num_videos=6, seed=33)
@@ -302,15 +301,13 @@ class TestDistantLabels:
 
     def test_action_and_ingredient_extraction(self):
         gt = self._gt(["crack and stir the eggs"], ["eggs", "flour"])
-        oracle = OracleAssignment(indices=[3], tious=[1.0])
-        ing, act = distant_labels(gt, oracle, ["crack", "stir", "cut"])
+        ing, act = distant_labels(gt, ["crack", "stir", "cut"])
         np.testing.assert_array_equal(ing, [[1, 0]])
         np.testing.assert_array_equal(act, [[1, 1, 0]])
 
     def test_no_lexicon_hits_zero_row(self):
         gt = self._gt(["warm the milk"], ["milk"])
-        oracle = OracleAssignment(indices=[0], tious=[1.0])
-        _, act = distant_labels(gt, oracle, ["crack", "stir"])
+        _, act = distant_labels(gt, ["crack", "stir"])
         np.testing.assert_array_equal(act, [[0, 0]])
 
     def test_multiword_contiguous_match(self):
@@ -318,8 +315,7 @@ class TestDistantLabels:
             ["add the parmesan cheese", "cheese with parmesan later"],
             ["parmesan cheese"],
         )
-        oracle = OracleAssignment(indices=[0, 1], tious=[1.0, 1.0])
-        ing, _ = distant_labels(gt, oracle, ["add"])
+        ing, _ = distant_labels(gt, ["add"])
         np.testing.assert_array_equal(ing, [[1], [0]])
 
     def test_randomized_matches_scan_oracle(self):
@@ -337,7 +333,7 @@ class TestDistantLabels:
     def test_empty_lexicon_errors(self):
         gt = self._gt(["stir"], [])
         with pytest.raises(ValueError):
-            distant_labels(gt, OracleAssignment(indices=[0], tious=[1.0]), [])
+            distant_labels(gt, [])
 
 
 class TestSelectorLoss:
