@@ -11,6 +11,7 @@ import mmap
 import os
 import pickle
 import signal
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -232,7 +233,10 @@ def train(
         raise ValueError("dataset too small to split into train and validation")
     corpus = [s.sentence for r in train_recs for s in r.steps]
     vocab = build_vocabulary(corpus, min_count=exp.vocab_min_count)
-    feature_dim = train_recs[0].candidates.features.shape[1]
+    # the width most videos share (the first video's on a tie), so that
+    # check_record names the odd video out, whichever it is
+    widths = Counter(r.candidates.features.shape[1] for r in records)
+    feature_dim = widths.most_common(1)[0][0]
     actions = exp.world_config().actions
     model = RecipeModel(exp.model_config(feature_dim), vocab, actions, seed=exp.seed)
     for r in records:  # a record the variant cannot read fails here, not mid-epoch
@@ -344,6 +348,9 @@ def ablate(
     cell_exps = [replace(exp, variant=v) for v in variants]
     if (n_list is None) == (records is None):
         raise ValueError("ablate needs a dataset or a candidate-count list, not both")
+    for name, values in (("variants", variants), ("n_list", n_list)):
+        if values is not None and len(values) == 0:
+            raise ValueError(f"ablate needs at least one cell: {name} is empty")
     if n_list is None:
         cells = [(records, None)]
     else:

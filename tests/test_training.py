@@ -225,10 +225,10 @@ class TestRecordChecks:
         with pytest.raises(ValueError, match="video_0003: variant BIVT needs an ingredient"):
             model.run_inference(self.without_ingredients()[3])
 
-    def mixed_widths(self):
+    def mixed_widths(self, index=3):
         records = list(GOLDEN_RECORDS)
-        candidates = records[3].candidates
-        records[3] = replace(records[3], candidates=replace(candidates, features=candidates.features[:, :16]))
+        candidates = records[index].candidates
+        records[index] = replace(records[index], candidates=replace(candidates, features=candidates.features[:, :16]))
         return records
 
     def test_train_names_a_video_of_another_feature_width(self, monkeypatch):
@@ -237,6 +237,12 @@ class TestRecordChecks:
         with pytest.raises(ValueError, match="video_0003: model expects feature dim 32, video has 16"):
             train(self.mixed_widths(), ExperimentConfig(variant="B", **GOLDEN_RECIPE))
         assert calls == []
+
+    def test_train_names_the_first_training_video_of_another_feature_width(self):
+        records = self.mixed_widths(0)
+        assert split_dataset(records, GOLDEN_RECIPE["val_fraction"])[0][0] is records[0]
+        with pytest.raises(ValueError, match="video_0000: model expects feature dim 32, video has 16"):
+            train(records, ExperimentConfig(variant="B", **GOLDEN_RECIPE))
 
     def test_cli_names_a_video_of_another_feature_width(self, tmp_path, monkeypatch, capsys):
         dataset, checkpoint = tmp_path / "world.json", tmp_path / "model.npz"
@@ -318,6 +324,18 @@ class TestAblate:
     def test_dataset_and_budget_list_together_rejected(self):
         with pytest.raises(ValueError, match="a dataset or a candidate-count list, not both"):
             training.ablate(tiny_experiment(), ["B"], n_list=[6], records=RECORDS)
+
+    @pytest.mark.parametrize(
+        "variants, cells, empty",
+        [([], {"n_list": [6]}, "variants"), (["B"], {"n_list": []}, "n_list"), ([], {"records": RECORDS}, "variants")],
+        ids=["no-variants", "no-budgets", "no-variants-on-a-dataset"],
+    )
+    def test_empty_cell_list_rejected_before_training(self, monkeypatch, variants, cells, empty):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=f"{empty} is empty"):
+            training.ablate(tiny_experiment(), variants, **cells)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "options, error",
