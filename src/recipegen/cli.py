@@ -16,6 +16,7 @@ from .data import ParseError, ValidationError, load_dataset, load_predictions
 from .dvceval import evaluate_corpus
 from .model import VARIANTS, load_checkpoint, save_checkpoint
 from .oracle import oracle_report, oracle_sweep
+from .parallel import in_halves
 from .training import (
     ExperimentConfig,
     ablate,
@@ -91,7 +92,7 @@ def _cmd_generate(args) -> int:
     records = load_dataset(args.dataset)
     for r in records:  # a record the model cannot read fails before any decoding
         model.check_record(r)
-    preds = [model.run_inference(r) for r in records]
+    preds = sum(in_halves(lambda half: [model.run_inference(r) for r in half], records), [])
     data.save_predictions(preds, args.out)
     print(f"wrote {len(preds)} predictions to {args.out}")
     return EXIT_OK

@@ -400,10 +400,11 @@ def _record_to_obj(record: DatasetRecord) -> dict:
 
 
 def save_dataset(records: list[DatasetRecord], path) -> None:
+    """A JSON array of one record per line, by the C encoder (``indent`` turns it off)."""
     records = sorted(records, key=lambda r: r.video_id)
+    lines = ",\n".join(json.dumps(_record_to_obj(r), sort_keys=True) for r in records)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([_record_to_obj(r) for r in records], fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(f"[\n{lines}\n]\n")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ scores the pairs above its lowest threshold once and filters that one list
 per threshold; and ``oracle.oracle_sweep`` shares one set of scorers across
 its budgets, whose ground truth is the same.  Nothing is kept between
 reports.
+
+The scorers are built in the calling process; ``parallel.in_halves`` makes
+the per-video rows (the second half in a forked child when two CPUs are
+usable, once for all of a sweep's budgets), which are averaged in video order.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import GroundTruthRecipe, PredictionRecipe, TimedEvent
+from .parallel import in_halves
 from .textmetrics import CorpusDF, bleu4_from_profiles, build_df, cider_d, meteor_lite
 
 DVC_EVAL_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)
@@ -43,11 +48,11 @@ def tiou(a: TimedEvent, b: TimedEvent) -> float:
 
 
 def tiou_matrix(pred: Sequence[TimedEvent], gt: Sequence[TimedEvent]) -> np.ndarray:
-    out = np.zeros((len(pred), len(gt)))
-    for i, p in enumerate(pred):
-        for j, g in enumerate(gt):
-            out[i, j] = tiou(p, g)
-    return out
+    """``tiou(pred[i], gt[j])`` at ``[i, j]``, by the same operations in the same order."""
+    p, g = (np.array([(e.start, e.end) for e in ev], np.float64).reshape(-1, 2) for ev in (pred, gt))
+    inter = np.maximum(0.0, np.minimum(p[:, 1:], g[:, 1]) - np.maximum(p[:, :1], g[:, 0]))
+    union = (p[:, 1:] - p[:, :1]) + (g[:, 1] - g[:, 0]) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 @dataclass
@@ -269,13 +274,15 @@ def evaluate_corpus(
         )
 
     metrics = sentence_metrics(reference_df(gts))
-    per_video = []
-    for pred, gt in zip(preds, gts):
-        row = {"video_id": pred.video_id}
-        row.update(score_video(pred, gt, metrics))
-        row["n_predicted"] = len(pred.selections)
-        row["n_ground_truth"] = len(gt.steps)
-        per_video.append(row)
+
+    def rows(pairs):
+        return [
+            {"video_id": pred.video_id, **score_video(pred, gt, metrics),
+             "n_predicted": len(pred.selections), "n_ground_truth": len(gt.steps)}
+            for pred, gt in pairs
+        ]
+
+    per_video = sum(in_halves(rows, list(zip(preds, gts))), [])
 
     flat = mean_scores(per_video, VIDEO_SCORES)
     count_pairs = [(row["n_predicted"], row["n_ground_truth"]) for row in per_video]

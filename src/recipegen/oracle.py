@@ -20,7 +20,8 @@ from .data import (
     check_int,
     tokenize,
 )
-from .dvceval import VIDEO_SCORES, mean_scores, reference_df, score_video, sentence_metrics, tiou
+from .dvceval import VIDEO_SCORES, mean_scores, reference_df, score_video, sentence_metrics, tiou_matrix
+from .parallel import in_halves
 
 
 @dataclass
@@ -47,16 +48,10 @@ def oracle_select(candidates: EventCandidateSet, gt: GroundTruthRecipe) -> Oracl
     """
     if len(candidates) == 0:
         raise ValueError(f"{gt.video_id}: oracle selection needs at least one candidate")
-    indices, tious = [], []
-    for step in gt.steps:
-        best_idx, best_key = 0, None
-        for idx, ev in enumerate(candidates.events):
-            key = (-tiou(ev, step.interval), ev.start, idx)
-            if best_key is None or key < best_key:
-                best_key, best_idx = key, idx
-        indices.append(best_idx)
-        tious.append(-best_key[0])
-    return OracleAssignment(indices=indices, tious=tious)
+    mat = tiou_matrix(candidates.events, [step.interval for step in gt.steps])
+    starts = np.broadcast_to([[ev.start] for ev in candidates.events], mat.shape)
+    best = np.lexsort((starts, -mat), axis=0)[0]  # stable: the lowest index among full ties
+    return OracleAssignment([int(i) for i in best], [float(mat[i, j]) for j, i in enumerate(best)])
 
 
 def oracle_prediction(
@@ -104,39 +99,39 @@ def oracle_report(records: list[DatasetRecord], mode: str = "gt-sentences") -> d
 
     Computes dvc_eval and SODA with every sentence metric, mean per-step
     oracle tIoU, duplicate-assignment counts, and a tIoU histogram with bin
-    width 0.1.
+    width 0.1. The videos are scored in two halves (``parallel.in_halves``).
     """
     metrics = sentence_metrics(reference_df([r.ground_truth for r in records]))
-    return _report(records, mode, metrics)
+    scored = sum(in_halves(lambda half: _scored(half, mode, metrics), records), [])
+    per_video = [row for row, _ in scored]
+    return {
+        "metrics": _summary(per_video),
+        "per_video": per_video,
+        "histogram": [list(row) for row in tiou_histogram([t for _, tious in scored for t in tious])],
+        "metadata": {"sentence_mode": mode, "histogram_bin_width": 0.1},
+    }
 
 
-def _report(records: list[DatasetRecord], mode: str, metrics: dict) -> dict:
-    """``oracle_report`` with the given sentence scorers."""
-    gts = [r.ground_truth for r in records]
-    per_video = []
-    all_tious: list[float] = []
-    duplicates = 0
-    for record, gt in zip(records, gts):
+def _scored(records: list[DatasetRecord], mode: str, metrics: dict) -> list[tuple[dict, list[float]]]:
+    """Each video's report row and oracle tIoUs, with the given sentence scorers."""
+    scored = []
+    for record in records:
         pred, assignment = oracle_prediction(record, mode=mode)
-        all_tious.extend(assignment.tious)
-        duplicates += assignment.duplicate_assignments
         row = {
             "video_id": record.video_id,
             "mean_tiou": assignment.mean_tiou,
             "duplicate_assignments": assignment.duplicate_assignments,
         }
-        row.update(score_video(pred, gt, metrics))
-        per_video.append(row)
+        row.update(score_video(pred, record.ground_truth, metrics))
+        scored.append((row, assignment.tious))
+    return scored
 
+
+def _summary(per_video: list[dict]) -> dict:
+    """A report's ``metrics`` from its per-video rows."""
     flat = mean_scores(per_video, ("mean_tiou",) + VIDEO_SCORES)
-    flat["duplicate_assignments"] = duplicates
-
-    return {
-        "metrics": flat,
-        "per_video": per_video,
-        "histogram": [list(row) for row in tiou_histogram(all_tious)],
-        "metadata": {"sentence_mode": mode, "histogram_bin_width": 0.1},
-    }
+    flat["duplicate_assignments"] = sum(row["duplicate_assignments"] for row in per_video)
+    return flat
 
 
 def _stable_permutation(video_id: str, n: int, seed: int) -> np.ndarray:
@@ -180,15 +175,17 @@ def oracle_sweep(records: list[DatasetRecord], n_list: list[int], seed: int = 0)
     """Oracle metrics at nested candidate-count budgets (Table-style sweep).
 
     Every budget keeps the same ground truth, so one set of scorers serves
-    them all."""
+    them all: ``parallel.in_halves`` splits the videos once, and each process
+    scores its half at every budget with its own copy of the memoized scorers."""
     for n in n_list:
         check_int("candidate budget", n, 1)
     metrics = sentence_metrics(reference_df([r.ground_truth for r in records]))
-    rows = []
-    for n in sorted(n_list):
-        subset = [subset_candidates(r, n, seed) for r in records]
-        report = _report(subset, "gt-sentences", metrics)
-        row = {"n_candidates": n}
-        row.update(report["metrics"])
-        rows.append(row)
+    budgets = sorted(n_list)
+
+    def sweep(half):  # per budget, the half's report rows
+        return [[row for row, _ in _scored([subset_candidates(r, n, seed) for r in half],
+                                           "gt-sentences", metrics)] for n in budgets]
+
+    mine, theirs = in_halves(sweep, records)
+    rows = [{"n_candidates": n, **_summary(a + b)} for n, a, b in zip(budgets, mine, theirs)]
     return {"rows": rows, "metadata": {"nested_subset_seed": seed}}

@@ -1,6 +1,7 @@
 """Experiment orchestration: splits, training loop, ablations.
 
-``train`` runs each minibatch and validation pass in two fixed halves."""
+``train`` runs each minibatch and validation pass in two fixed halves
+through ``parallel.in_halves``; only the gradient halves share an mmap."""
 
 from __future__ import annotations
 
@@ -8,9 +9,7 @@ import csv
 import hashlib
 import json
 import mmap
-import os
-import pickle
-import signal
+import os  # noqa: F401  (the halves tests patch the CPU probe and fork through it)
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -32,6 +31,7 @@ from .model import (
     preset_config,
 )
 from .optim import Adam, OptimizerConfig
+from .parallel import in_halves
 from .synth import WorldConfig
 
 
@@ -151,67 +151,31 @@ class _Uniforms:
         return out.reshape(shape)
 
 
-def _run_half(work, half: list, params: dict) -> tuple:
-    """``work(half)`` from cleared gradients, and the gradients it left by name."""
-    for p in params.values():
-        p.grad = None
-    return work(half), {name: p.grad for name, p in params.items()}
-
-
 def _in_halves(work, items: list, params: dict) -> tuple:
-    """``work`` on the first ceil(k/2) of ``items`` and on the rest, each from
-    cleared gradients; returns both results and leaves the first half's
-    gradient plus the second's in ``.grad``. With two usable CPUs the second
-    half runs in a forked child, which inherits the parameters copy-on-write,
-    returns its gradients through a shared mmap and its pickled result or
-    exception through a pipe, and ends in ``os._exit``, running no exit hook."""
-    k = (len(items) + 1) // 2
-    first, second = items[:k], items[k:]
-    if not second or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        (mine, ga), (theirs, gb) = _run_half(work, first, params), _run_half(work, second, params)
-    else:
+    """``parallel.in_halves`` of ``work`` from cleared gradients, leaving the sum of
+    both halves' gradients in ``.grad``; a forked half's come back in a shared mmap."""
+
+    def half(part):
+        for p in params.values():
+            p.grad = None
+        return work(part), [p.grad for p in params.values()]
+
+    def channel():
         offsets = np.cumsum([0] + [p.data.nbytes for p in params.values()]).tolist()
         shared = mmap.mmap(-1, offsets[-1])
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                result, grads = _run_half(work, second, params)
-                for p, g, start in zip(params.values(), grads.values(), offsets):
-                    if g is not None:
-                        np.frombuffer(shared, p.data.dtype, g.size, start)[:] = g.reshape(-1)
-                message = result, [g is not None for g in grads.values()]
-            except BaseException as exc:  # raised again in the parent
-                message = exc
-            try:
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pickle.dump(message, pipe)
-                os._exit(0)
-            finally:
-                os._exit(1)
-        os.close(write_fd)
-        with os.fdopen(read_fd, "rb") as pipe:
-            try:
-                mine, ga = _run_half(work, first, params)
-                payload = pipe.read()
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                status = os.waitpid(pid, 0)[1]
-        if status:
-            raise RuntimeError(f"the forked second half ended with wait status {status}")
-        message = pickle.loads(payload)
-        if isinstance(message, BaseException):
-            raise message
-        theirs, has_grad = message
-        gb = {
-            name: np.frombuffer(shared, p.data.dtype, p.data.size, start).reshape(p.data.shape)
-            if has else None
-            for (name, p), start, has in zip(params.items(), offsets, has_grad)
-        }
-    for name, p in params.items():
-        a, b = ga[name], gb[name]
+        views = [np.frombuffer(shared, p.data.dtype, p.data.size, start).reshape(p.data.shape)
+                 for p, start in zip(params.values(), offsets)]
+
+        def pack(out):
+            for view, g in zip(views, out[1]):
+                if g is not None:
+                    view[...] = g
+            return out[0], [g is not None for g in out[1]]
+
+        return pack, lambda sent: (sent[0], [v if has else None for v, has in zip(views, sent[1])])
+
+    (mine, ga), (theirs, gb) = in_halves(half, items, channel)
+    for p, a, b in zip(params.values(), ga, gb):
         p.grad = b if a is None else a if b is None else a + b
     return mine, theirs
 
@@ -279,7 +243,8 @@ def train(
                     sums[key] += value
             optimizer.step(epoch)
 
-        halves = _in_halves(lambda recs: [model.run_inference(r) for r in recs], val_recs, params)
+        optimizer.zero_grad()  # validation keeps no gradient alive
+        halves = in_halves(lambda recs: [model.run_inference(r) for r in recs], val_recs)
         report = evaluate_corpus(halves[0] + halves[1], val_gts)
         metric = report["metrics"][exp.early_stop_metric]
         row = {"epoch": epoch}

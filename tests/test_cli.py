@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from recipegen import cli, synth, training
-from recipegen.data import TimedEvent, Vocabulary, save_dataset, save_predictions
+from recipegen.data import TimedEvent, Vocabulary, build_vocabulary, save_dataset, save_predictions
 from recipegen.model import ModelConfig, RecipeModel, save_checkpoint
 from recipegen.oracle import oracle_prediction
 from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
@@ -155,6 +156,28 @@ def test_generate_rejects_feature_dim_mismatch(tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "feature dim 32" in err and "has 16" in err
+
+
+def test_generate_halves_write_the_same_predictions_with_one_or_two_cpus(tmp_path, monkeypatch):
+    dataset, checkpoint = tmp_path / "world.json", tmp_path / "model.npz"
+    records = generate_world(WorldConfig(num_videos=5, seed=3))
+    save_dataset(records, dataset)
+    vocab = build_vocabulary([s.sentence for r in records for s in r.steps], min_count=1)
+    model = RecipeModel(ModelConfig(variant="BIVT", hidden=16, heads=2), vocab, list(DEFAULT_ACTIONS))
+    save_checkpoint(checkpoint, model)
+    written, fork = {}, os.fork
+    for cpus in (1, 2):
+        forks = []
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            patch.setattr(os, "fork", lambda: forks.append(1) or fork())
+            out = tmp_path / f"pred_{cpus}.json"
+            assert cli.main(["generate", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                             "--out", str(out)]) == cli.EXIT_OK
+        assert len(forks) == cpus - 1
+        written[cpus] = out.read_bytes()
+    assert written[1] == written[2]
+    assert [p["video_id"] for p in json.loads(written[2])] == [r.video_id for r in records]
 
 
 def test_attached_oracle_needs_candidate_sentences(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recipegen import training
 from recipegen.data import (
     EventCandidateSet,
     DatasetRecord,
@@ -112,6 +113,19 @@ class TestDatasetIO:
             np.testing.assert_array_equal(a.candidates.features, b.candidates.features)
             assert a.candidates.sentences == b.candidates.sentences
             assert a.ingredients == b.ingredients
+
+    def test_one_record_per_line_and_the_indented_layout_loads(self, tmp_path):
+        records = generate_world(WorldConfig(num_videos=6, seed=11))
+        lines = _write_dataset(tmp_path / "world.json", records).read_text().split("\n")
+        assert lines[0] == "[" and lines[-2:] == ["]", ""]
+        objs = [json.loads(line.rstrip(",")) for line in lines[1:-2]]
+        assert objs == [_record_to_obj(r) for r in sorted(records, key=lambda r: r.video_id)]
+        indented = tmp_path / "indented.json"  # the layout of earlier dataset files
+        indented.write_text(json.dumps(objs, indent=1, sort_keys=True) + "\n")
+        for path in (tmp_path / "world.json", indented):
+            assert training.dataset_digest(load_dataset(path)) == training.dataset_digest(records)
+        _write_dataset(tmp_path / "empty.json", [])
+        assert load_dataset(tmp_path / "empty.json") == []
 
     def test_unsorted_candidates_rejected(self):
         events = [TimedEvent(3.0, 5.0), TimedEvent(0.0, 2.0)]

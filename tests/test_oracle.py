@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recipegen import dvceval
 from recipegen.data import (
@@ -41,7 +43,47 @@ def random_instance(rng, n_candidates=8, n_steps=4, duration=100.0):
     return EventCandidateSet(cands, np.zeros((n_candidates, 2))), gt
 
 
+# intervals on a coarse grid, so that touching, disjoint, nested and identical
+# pairs, and ties in tIoU and in start, are common
+INTERVALS = st.lists(
+    st.builds(
+        lambda start, length, unit: TimedEvent(start * unit, (start + length) * unit),
+        st.integers(0, 12), st.integers(1, 6), st.sampled_from([0.25, 0.1, 1 / 3]),
+    ),
+    max_size=8,
+).map(lambda events: sorted(events, key=lambda e: (e.start, e.end)))
+
+
+def loop_select(candidates, gt):
+    """The per-step scan over scalar ``tiou`` that ``oracle_select`` replaced."""
+    indices, tious = [], []
+    for step in gt.steps:
+        best_idx, best_key = 0, None
+        for idx, ev in enumerate(candidates.events):
+            key = (-tiou(ev, step.interval), ev.start, idx)
+            if best_key is None or key < best_key:
+                best_key, best_idx = key, idx
+        indices.append(best_idx)
+        tious.append(-best_key[0])
+    return indices, tious
+
+
 class TestOracleSelect:
+    @settings(max_examples=400, deadline=None)
+    @given(events=INTERVALS.filter(bool), intervals=INTERVALS.filter(bool))
+    def test_matrix_and_selection_equal_the_scalar_loop(self, events, intervals):
+        for pred, gt in ((events, intervals), (events, []), ([], intervals)):
+            mat = dvceval.tiou_matrix(pred, gt)
+            assert mat.shape == (len(pred), len(gt))
+            for i, a in enumerate(pred):
+                for j, b in enumerate(gt):
+                    assert mat[i, j] == tiou(a, b)
+        candidates = EventCandidateSet(events, np.zeros((len(events), 2)))
+        gt = GroundTruthRecipe("v", 10.0, [RecipeStep(interval, ["stir"]) for interval in intervals], [])
+        assignment = oracle_select(candidates, gt)
+        assert (assignment.indices, assignment.tious) == loop_select(candidates, gt)
+        assert all(type(i) is int for i in assignment.indices)
+
     def test_exact_candidates_give_tiou_one(self):
         steps = [RecipeStep(TimedEvent(0, 5), ["a"]), RecipeStep(TimedEvent(10, 15), ["b"])]
         gt = GroundTruthRecipe("v", 20.0, steps, [])
