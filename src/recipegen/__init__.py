@@ -24,8 +24,6 @@ from .data import (
     tokenize,
 )
 from .dvceval import (
-    Alignment,
-    dp_alignment,
     dvc_eval,
     evaluate_corpus,
     event_count_stats,

@@ -8,6 +8,13 @@ Conventions, also recorded in report metadata:
     mean of per-video F1.
   * An empty prediction has precision 0 and F1 0.
 
+The protocol is fixed in module constants, which no scorer takes as a
+parameter: ``DVC_EVAL_THRESHOLDS`` and ``COUNT_STAT_ETAS`` here, the n-gram
+order and CIDEr-D sigma in ``textmetrics`` (``MAX_NGRAM``, ``CIDER_SIGMA``,
+which ``REPORT_METADATA`` quotes), and the oracle report's histogram bin width
+in ``oracle.HISTOGRAM_BIN_WIDTH``.  SODA reads only the total of the best
+order-preserving alignment (``alignment_total``), not the pairs.
+
 Each quantity is computed once per report: the report's ``CorpusDF`` makes
 each sentence's n-gram profile and TF-IDF vector once, which BLEU-4 and
 CIDEr-D share; the scorers of ``sentence_metrics`` remember each (candidate,
@@ -25,14 +32,13 @@ usable, once for all of a sweep's budgets), which are averaged in video order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import GroundTruthRecipe, PredictionRecipe, TimedEvent
 from .parallel import in_halves
-from .textmetrics import CorpusDF, bleu4_from_profiles, build_df, cider_d, meteor_lite
+from .textmetrics import CIDER_SIGMA, CorpusDF, bleu4_from_profiles, build_df, cider_d, meteor_lite
 
 DVC_EVAL_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)
 COUNT_STAT_ETAS = (0, 1, 2, 3)
@@ -55,38 +61,17 @@ def tiou_matrix(pred: Sequence[TimedEvent], gt: Sequence[TimedEvent]) -> np.ndar
     return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
-@dataclass
-class Alignment:
-    """A monotone one-to-one matching between predictions and ground truth."""
-
-    pairs: list[tuple[int, int]]  # strictly increasing in both coordinates
-    total: float
-
-
-def dp_alignment(scores: np.ndarray) -> Alignment:
-    """Maximum-total order-preserving matching via dynamic programming.
-
-    ``scores[i, j]`` is the value of pairing prediction i with ground-truth j;
-    each row/column is used at most once and matched pairs keep their order.
-    """
+def alignment_total(scores: np.ndarray) -> float:
+    """Best total of an order-preserving one-to-one matching of predictions
+    (rows) to ground truth (columns), by dynamic program one row at a time."""
     scores = np.asarray(scores, dtype=np.float64)
-    n_p, n_g = scores.shape
-    m = np.zeros((n_p + 1, n_g + 1))
-    for i in range(1, n_p + 1):
-        for j in range(1, n_g + 1):
-            m[i, j] = max(m[i - 1, j], m[i, j - 1], m[i - 1, j - 1] + scores[i - 1, j - 1])
-    pairs: list[tuple[int, int]] = []
-    i, j = n_p, n_g
-    while i > 0 and j > 0:
-        if m[i, j] == m[i - 1, j - 1] + scores[i - 1, j - 1] and scores[i - 1, j - 1] > 0:
-            pairs.append((i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif m[i, j] == m[i - 1, j]:
-            i -= 1
-        else:
-            j -= 1
-    pairs.reverse()
-    return Alignment(pairs=pairs, total=float(m[n_p, n_g]))
+    prev = [0.0] * (scores.shape[1] + 1)
+    for row in scores.tolist():
+        cur = [0.0]
+        for j, score in enumerate(row):
+            cur.append(max(prev[j + 1], cur[j], prev[j] + score))
+        prev = cur
+    return prev[-1]
 
 
 def soda_from_matrix(scores: np.ndarray) -> tuple[float, float, float]:
@@ -94,7 +79,7 @@ def soda_from_matrix(scores: np.ndarray) -> tuple[float, float, float]:
     n_p, n_g = scores.shape
     if n_p == 0 or n_g == 0:
         return 0.0, 0.0, 0.0
-    total = dp_alignment(scores).total
+    total = alignment_total(scores)
     precision = total / n_p
     recall = total / n_g
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -128,51 +113,35 @@ def soda(
 
 
 def _dvc_eval(
-    mat: np.ndarray, pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric,
-    thresholds: Sequence[float] = DVC_EVAL_THRESHOLDS,
+    mat: np.ndarray, pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric
 ) -> float:
     """dvc_eval over a precomputed tIoU matrix."""
-    lowest = min(thresholds, default=np.inf)
     scored = [
         (mat[i, j], metric(pred.sentences[i], gt.steps[j].sentence) if pred.sentences[i] else 0.0)
-        for i, j in zip(*np.nonzero(mat > lowest))
+        for i, j in zip(*np.nonzero(mat > min(DVC_EVAL_THRESHOLDS)))
     ]
     per_threshold = []
-    for t in thresholds:
+    for t in DVC_EVAL_THRESHOLDS:
         qualifying = [score for value, score in scored if value > t]
         per_threshold.append(sum(qualifying) / len(qualifying) if qualifying else 0.0)
     return float(np.mean(per_threshold))
 
 
-def dvc_eval(
-    pred: PredictionRecipe,
-    gt: GroundTruthRecipe,
-    metric: SentenceMetric,
-    thresholds: Sequence[float] = DVC_EVAL_THRESHOLDS,
-) -> float:
-    """dvc_eval score for one video: per threshold, average the sentence
-    metric over all prediction x ground-truth pairs whose tIoU exceeds it
-    (0 when none qualifies), then average over thresholds."""
+def dvc_eval(pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric) -> float:
+    """dvc_eval score for one video: per threshold of ``DVC_EVAL_THRESHOLDS``,
+    average the sentence metric over all prediction x ground-truth pairs whose
+    tIoU exceeds it (0 when none qualifies), then average over thresholds."""
     mat = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
-    return _dvc_eval(mat, pred, gt, metric, thresholds)
+    return _dvc_eval(mat, pred, gt, metric)
 
 
-def event_count_stats(
-    pairs: Sequence[tuple[int, int]], etas: Sequence[int] = COUNT_STAT_ETAS
-) -> dict[int, float]:
+def event_count_stats(pairs: Sequence[tuple[int, int]]) -> dict[int, float]:
     """Percentage of (predicted count, ground-truth count) pairs with
-    ``|p - q| <= eta``, for each eta."""
-    if not etas:
-        raise ValueError("etas must be non-empty")
-    if any(e < 0 for e in etas):
-        raise ValueError("etas must be non-negative")
-    if not pairs:
-        return {e: 0.0 for e in etas}
-    out = {}
-    for eta in etas:
-        hits = sum(1 for p, q in pairs if abs(p - q) <= eta)
-        out[eta] = 100.0 * hits / len(pairs)
-    return out
+    ``|p - q| <= eta``, for each eta of ``COUNT_STAT_ETAS``."""
+    return {
+        eta: 100.0 * sum(abs(p - q) <= eta for p, q in pairs) / len(pairs) if pairs else 0.0
+        for eta in COUNT_STAT_ETAS
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +154,7 @@ REPORT_METADATA = {
     "dvc_eval_threshold_rule": "tiou strictly greater than threshold",
     "soda_reference_mode": "single-reference",
     "soda_tiou_statistic": "f1",
-    "cider_sigma": 6.0,
+    "cider_sigma": CIDER_SIGMA,
 }
 
 

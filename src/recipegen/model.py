@@ -88,10 +88,12 @@ from .layers import (
     causal_mask,
     sinusoidal_encoding,
 )
-from .dvceval import tiou as _tiou
-from .oracle import oracle_select
+from .oracle import oracle_ranking
 
 VARIANTS = ("B", "BI", "BIV", "BIVT")
+# rows of the sinusoidal position table: candidate ranks and word positions
+# (greedy decoding puts the k-th emitted token at position k)
+POSITIONS = 512
 
 
 # Switches of ablations the model no longer has, each fixed to the value of
@@ -129,8 +131,9 @@ class ModelConfig:
     precision: str = "float64"  # "float32" | "float64"
 
     def __post_init__(self):
-        for name in ("hidden", "layers", "heads", "feature_dim", "max_steps", "max_sentence_len"):
+        for name in ("hidden", "layers", "heads", "feature_dim", "max_steps"):
             check_int(f"model.{name}", getattr(self, name), 1)
+        check_int("model.max_sentence_len", self.max_sentence_len, 1, POSITIONS - 1)
         check_number("model.tau", self.tau, 0.0)
         if self.tau == 0:
             raise ValueError("model.tau must be positive")
@@ -241,20 +244,13 @@ def build_labels(
     action_lexicon: list[str],
     with_distant: bool,
 ) -> VideoLabels:
-    assignment = oracle_select(record.candidates, record.ground_truth)
-    # the reselection mask would zero out a repeated label, so a duplicate
-    # oracle assignment falls back to that step's best still-unused candidate
+    # the reselection mask would zero out a repeated label, so each step takes
+    # the first candidate of its oracle ranking that no earlier step took (its
+    # oracle pick when none is left)
+    ranking, _ = oracle_ranking(record.candidates, record.ground_truth)
     indices: list[int] = []
-    for t, idx in enumerate(assignment.indices):
-        if idx in indices:
-            step = record.steps[t].interval
-            options = [
-                (-_tiou(ev, step), ev.start, i)
-                for i, ev in enumerate(record.candidates.events)
-                if i not in indices
-            ]
-            idx = min(options)[2] if options else idx
-        indices.append(idx)
+    for column in ranking.T.tolist():
+        indices.append(next((i for i in column if i not in indices), column[0]))
     token_ids = [vocab.encode(s.sentence) + [EOS] for s in record.steps]
     surfaces = [list(s.sentence) + ["<eos>"] for s in record.steps]
     ing_labels = act_labels = None
@@ -351,7 +347,7 @@ class RecipeModel(Layer):
         # the one place precision is set (see the module docstring)
         for p in self.parameters().values():
             p.data = p.data.astype(config.dtype, copy=False)
-        self._pe = sinusoidal_encoding(512, h).astype(config.dtype, copy=False)
+        self._pe = sinusoidal_encoding(POSITIONS, h).astype(config.dtype, copy=False)
 
     # -- encoders -------------------------------------------------------------
 
@@ -360,7 +356,7 @@ class RecipeModel(Layer):
         if duration <= 0:
             raise ValueError("duration must be positive")
         n = len(candidates)
-        if n > self._pe.shape[0]:
+        if n > POSITIONS:
             raise ValueError(f"too many candidates for the position table ({n})")
         feats = Tensor(candidates.features.astype(self.config.dtype))
         rel = np.asarray(

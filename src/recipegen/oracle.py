@@ -23,6 +23,8 @@ from .data import (
 from .dvceval import VIDEO_SCORES, mean_scores, reference_df, score_video, sentence_metrics, tiou_matrix
 from .parallel import in_halves
 
+HISTOGRAM_BIN_WIDTH = 0.1  # of the oracle report's tIoU histogram
+
 
 @dataclass
 class OracleAssignment:
@@ -40,17 +42,24 @@ class OracleAssignment:
         return float(np.mean(self.tious)) if self.tious else 0.0
 
 
-def oracle_select(candidates: EventCandidateSet, gt: GroundTruthRecipe) -> OracleAssignment:
-    """Independent per-step argmax of tIoU over the candidate set.
-
-    Candidates may be reused across steps.  Ties break toward the earliest
-    candidate start, then the lowest index, so the result is deterministic.
-    """
+def oracle_ranking(
+    candidates: EventCandidateSet, gt: GroundTruthRecipe
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per ground-truth step (column), every candidate index from best to
+    worst, and the (candidates, steps) tIoU matrix.  Candidates rank by tIoU,
+    ties toward the earliest start, then the lowest index."""
     if len(candidates) == 0:
         raise ValueError(f"{gt.video_id}: oracle selection needs at least one candidate")
     mat = tiou_matrix(candidates.events, [step.interval for step in gt.steps])
     starts = np.broadcast_to([[ev.start] for ev in candidates.events], mat.shape)
-    best = np.lexsort((starts, -mat), axis=0)[0]  # stable: the lowest index among full ties
+    return np.lexsort((starts, -mat), axis=0), mat  # stable: the lowest index among full ties
+
+
+def oracle_select(candidates: EventCandidateSet, gt: GroundTruthRecipe) -> OracleAssignment:
+    """Independent per-step argmax of tIoU over the candidate set: the first
+    row of ``oracle_ranking``.  Candidates may be reused across steps."""
+    ranking, mat = oracle_ranking(candidates, gt)
+    best = ranking[0]
     return OracleAssignment([int(i) for i in best], [float(mat[i, j]) for j, i in enumerate(best)])
 
 
@@ -81,15 +90,15 @@ def oracle_prediction(
     )
 
 
-def tiou_histogram(values: list[float], bin_width: float = 0.1) -> list[tuple[float, float, int]]:
-    """Histogram rows (bin_low, bin_high, count); the last bin is closed at 1."""
-    n_bins = int(round(1.0 / bin_width))
+def tiou_histogram(values: list[float]) -> list[tuple[float, float, int]]:
+    """Histogram rows (bin_low, bin_high, count) of width ``HISTOGRAM_BIN_WIDTH``;
+    the last bin is closed at 1."""
+    n_bins = int(round(1.0 / HISTOGRAM_BIN_WIDTH))
     counts = [0] * n_bins
     for v in values:
-        idx = min(int(v / bin_width), n_bins - 1)
-        counts[idx] += 1
+        counts[min(int(v / HISTOGRAM_BIN_WIDTH), n_bins - 1)] += 1
     return [
-        (round(i * bin_width, 10), round((i + 1) * bin_width, 10), counts[i])
+        (round(i * HISTOGRAM_BIN_WIDTH, 10), round((i + 1) * HISTOGRAM_BIN_WIDTH, 10), counts[i])
         for i in range(n_bins)
     ]
 
@@ -98,8 +107,8 @@ def oracle_report(records: list[DatasetRecord], mode: str = "gt-sentences") -> d
     """Score the oracle selection over a dataset.
 
     Computes dvc_eval and SODA with every sentence metric, mean per-step
-    oracle tIoU, duplicate-assignment counts, and a tIoU histogram with bin
-    width 0.1. The videos are scored in two halves (``parallel.in_halves``).
+    oracle tIoU, duplicate-assignment counts, and a tIoU histogram
+    (``tiou_histogram``). The videos are scored in two halves (``parallel.in_halves``).
     """
     metrics = sentence_metrics(reference_df([r.ground_truth for r in records]))
     scored = sum(in_halves(lambda half: _scored(half, mode, metrics), records), [])
@@ -108,7 +117,7 @@ def oracle_report(records: list[DatasetRecord], mode: str = "gt-sentences") -> d
         "metrics": _summary(per_video),
         "per_video": per_video,
         "histogram": [list(row) for row in tiou_histogram([t for _, tious in scored for t in tious])],
-        "metadata": {"sentence_mode": mode, "histogram_bin_width": 0.1},
+        "metadata": {"sentence_mode": mode, "histogram_bin_width": HISTOGRAM_BIN_WIDTH},
     }
 
 

@@ -5,9 +5,14 @@ pure functions of surface forms.  METEOR-lite is an exact-match-only variant
 (no stemming, no synonymy); reports produced downstream carry
 ``"meteor_variant": "exact-lite"`` so scores are self-describing.
 
-BLEU-4 and CIDEr-D each score per-sentence profiles in one core (n-gram
-profiles, TF-IDF vectors), which ``bleu4`` and ``cider_d`` wrap.  A ``CorpusDF``
-makes both profiles of each sentence once and keeps them while it lives.
+The protocol settings are module constants, not parameters: ``MAX_NGRAM``
+is the n-gram order of every profile, BLEU-4 and CIDEr-D, and ``CIDER_SIGMA``
+the width of CIDEr-D's Gaussian length penalty, which report metadata
+(``dvceval.REPORT_METADATA``) quotes.
+
+A ``CorpusDF`` makes each sentence's n-gram profile and TF-IDF vector once and
+keeps them while it lives; ``bleu4_from_profiles`` scores profiles and
+``cider_d`` the vectors of its corpus.
 """
 
 from __future__ import annotations
@@ -17,16 +22,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 MAX_NGRAM = 4
+CIDER_SIGMA = 6.0
 
 Profile = dict[int, Counter]
 # per n, the TF-IDF weights and their norm; then the sentence length
 TfIdf = tuple[list[dict], list[float], int]
 
 
-def ngram_profile(tokens: list[str], max_n: int = MAX_NGRAM) -> Profile:
-    """Multisets of n-grams for n = 1..max_n."""
+def ngram_profile(tokens: list[str]) -> Profile:
+    """Multisets of n-grams for n = 1..MAX_NGRAM."""
     profile = {}
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_NGRAM + 1):
         profile[n] = Counter(
             tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
         )
@@ -161,9 +167,9 @@ def meteor_lite(candidate: list[str], reference: list[str]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def gaussian_length_penalty(len_candidate: int, len_reference: int, sigma: float) -> float:
+def gaussian_length_penalty(len_candidate: int, len_reference: int) -> float:
     delta = float(len_candidate - len_reference)
-    return math.exp(-(delta**2) / (2.0 * sigma**2))
+    return math.exp(-(delta**2) / (2.0 * CIDER_SIGMA**2))
 
 
 def _tfidf_vector(profile: Profile, df: CorpusDF) -> tuple[list[dict], list[float]]:
@@ -182,27 +188,18 @@ def _tfidf_vector(profile: Profile, df: CorpusDF) -> tuple[list[dict], list[floa
     return vecs, norms
 
 
-def cider_d(
-    candidate: list[str],
-    references: list[list[str]],
-    df: CorpusDF,
-    sigma: float = 6.0,
-) -> float:
+def cider_d(candidate: list[str], references: list[list[str]], df: CorpusDF) -> float:
     """CIDEr-D: clipped TF-IDF cosine per n, Gaussian length penalty, averaged
-    over n = 1..4 and over references, scaled by 10."""
+    over n = 1..4 and over references, scaled by 10.  The TF-IDF vectors are
+    the ones ``df`` keeps."""
     if df is None:
         raise ValueError("cider_d requires document frequencies (build_df)")
     if not references:
         raise ValueError("need at least one reference")
-    return cider_d_from_vectors(df.tfidf(candidate), [df.tfidf(r) for r in references], sigma)
-
-
-def cider_d_from_vectors(candidate: TfIdf, references: list[TfIdf], sigma: float = 6.0) -> float:
-    """``cider_d`` of the TF-IDF vectors made by ``CorpusDF.tfidf``."""
-    cand_vecs, cand_norms, cand_len = candidate
+    cand_vecs, cand_norms, cand_len = df.tfidf(candidate)
     total = 0.0
-    for ref_vecs, ref_norms, ref_len in references:
-        penalty = gaussian_length_penalty(cand_len, ref_len, sigma)
+    for ref_vecs, ref_norms, ref_len in map(df.tfidf, references):
+        penalty = gaussian_length_penalty(cand_len, ref_len)
         per_n = 0.0
         for n in range(MAX_NGRAM):
             num = 0.0

@@ -9,7 +9,6 @@ import csv
 import hashlib
 import json
 import mmap
-import os  # noqa: F401  (the halves tests patch the CPU probe and fork through it)
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +31,7 @@ from .model import (
 )
 from .optim import Adam, OptimizerConfig
 from .parallel import in_halves
-from .synth import WorldConfig
+from .synth import WorldConfig, generate_world
 
 
 @dataclass
@@ -307,8 +306,6 @@ def ablate(
 ) -> list[dict]:
     """Train/evaluate each (variant, candidate-budget) cell with the shared
     seed; returns one row per cell."""
-    from .synth import generate_world
-
     # every cell's config is checked before any cell trains
     cell_exps = [replace(exp, variant=v) for v in variants]
     if (n_list is None) == (records is None):

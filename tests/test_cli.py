@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from recipegen import cli, synth, training
+from recipegen import cli, training
 from recipegen.data import TimedEvent, Vocabulary, build_vocabulary, save_dataset, save_predictions
 from recipegen.model import ModelConfig, RecipeModel, save_checkpoint
 from recipegen.oracle import oracle_prediction
@@ -49,6 +49,17 @@ def test_train_rejects_zero_epochs(tmp_path, capsys):
     ])
     assert code == cli.EXIT_VALIDATION
     assert "max_epochs" in capsys.readouterr().err
+
+
+def test_train_rejects_sentence_length_beyond_the_position_table(tmp_path, capsys):
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({**EXPERIMENT, "model": {**EXPERIMENT["model"], "max_sentence_len": 512}}))
+    code = cli.main([
+        "train", "--config", str(config), "--dataset", str(tmp_path / "absent.json"),
+        "--checkpoint", str(tmp_path / "model.npz"),
+    ])
+    assert code == cli.EXIT_VALIDATION
+    assert "model.max_sentence_len" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section", ["model", "optimizer", "world"])
@@ -311,7 +322,7 @@ def test_ablate_checks_sections_first(tmp_path, capsys, monkeypatch, source, sec
     dataset = tmp_path / "world.json"
     save_dataset(generate_world(WorldConfig(num_videos=4, seed=3)), dataset)
     calls = []
-    monkeypatch.setattr(synth, "generate_world", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(training, "generate_world", lambda *args, **kwargs: calls.append(args))
     monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps({**EXPERIMENT, section: {**EXPERIMENT.get(section, {}), key: value}}))

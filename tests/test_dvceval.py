@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from recipegen.data import (
     TimedEvent,
 )
 from recipegen.dvceval import (
+    COUNT_STAT_ETAS,
+    DVC_EVAL_THRESHOLDS,
     VIDEO_SCORES,
-    dp_alignment,
+    alignment_total,
     dvc_eval,
     evaluate_corpus,
     event_count_stats,
@@ -22,7 +25,7 @@ from recipegen.dvceval import (
     tiou_matrix,
 )
 from recipegen.oracle import oracle_prediction
-from recipegen.textmetrics import build_df, cider_d, meteor_lite
+from recipegen.textmetrics import CIDER_SIGMA, build_df, cider_d, gaussian_length_penalty, meteor_lite
 
 
 def brute_force_best_matching(scores: np.ndarray) -> float:
@@ -78,6 +81,16 @@ class TestTiou:
                 prev = cur
 
 
+def full_table_dp_total(scores: np.ndarray) -> float:
+    """The SODA recurrence over the whole (n_p + 1) x (n_g + 1) table."""
+    n_p, n_g = scores.shape
+    m = np.zeros((n_p + 1, n_g + 1))
+    for i in range(1, n_p + 1):
+        for j in range(1, n_g + 1):
+            m[i, j] = max(m[i - 1, j], m[i, j - 1], m[i - 1, j - 1] + scores[i - 1, j - 1])
+    return float(m[n_p, n_g])
+
+
 class TestDpAlignment:
     def test_two_by_two_diagonal(self):
         p, r, f1 = soda_from_matrix(np.array([[0.5, 0.0], [0.0, 0.5]]))
@@ -85,19 +98,31 @@ class TestDpAlignment:
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(42)
-        for _ in range(60):
-            shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
-            scores = rng.uniform(0, 1, size=shape)
-            got = dp_alignment(scores).total
-            want = brute_force_best_matching(scores)
-            assert got == pytest.approx(want, abs=1e-12)
+        for kind in ("dense", "sparse", "ties"):
+            for _ in range(60):
+                self.check_total(rng, kind)
 
-    def test_pairs_are_monotone_and_unique(self):
-        rng = np.random.default_rng(3)
-        scores = rng.uniform(0, 1, size=(5, 4))
-        pairs = dp_alignment(scores).pairs
-        for (i0, j0), (i1, j1) in zip(pairs, pairs[1:]):
-            assert i1 > i0 and j1 > j0
+    @staticmethod
+    def check_total(rng, kind):
+        shape = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+        if kind == "ties":  # few distinct values, so many matchings tie
+            scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=shape)
+        else:
+            scores = rng.uniform(0, 1, size=shape)
+            if kind == "sparse":
+                scores[rng.uniform(size=shape) < 0.6] = 0.0
+        got = alignment_total(scores)
+        assert got == pytest.approx(brute_force_best_matching(scores), abs=1e-12)
+        # the row-by-row program makes the full table's total, bit for bit
+        assert got == full_table_dp_total(scores)
+
+    def test_exact_ties_and_zeros_by_hand(self):
+        assert alignment_total(np.zeros((3, 2))) == 0.0
+        # all four scores tie; only the diagonal pairs two of them in order
+        assert alignment_total(np.array([[0.5, 0.5], [0.5, 0.5]])) == 1.0
+        # the anti-diagonal cannot be matched in order: 0.75 alone beats 0.5
+        assert alignment_total(np.array([[0.0, 0.75], [0.5, 0.0]])) == 0.75
+        assert alignment_total(np.array([[0.0, 0.5], [0.5, 0.0]])) == 0.5
 
     def test_zero_score_row_keeps_total_lowers_precision(self):
         rng = np.random.default_rng(8)
@@ -105,7 +130,7 @@ class TestDpAlignment:
         p0, _, _ = soda_from_matrix(scores)
         padded = np.vstack([scores, np.zeros((1, 3))])
         p1, _, _ = soda_from_matrix(padded)
-        assert dp_alignment(padded).total == pytest.approx(dp_alignment(scores).total)
+        assert alignment_total(padded) == alignment_total(scores)
         assert p1 < p0
 
 
@@ -175,38 +200,44 @@ class TestDvcEval:
         assert dvc_eval(pred, gt, meteor_lite) == pytest.approx(expected)
 
     def test_threshold_averaging_never_beats_single_loosest(self):
+        # every pair here scores the same, so the mean over the qualifying
+        # pairs is that score at each threshold that keeps any pair, and the
+        # average over thresholds is at most the loosest threshold's score
+        assert DVC_EVAL_THRESHOLDS == (0.3, 0.5, 0.7, 0.9)
         rng = np.random.default_rng(11)
         for _ in range(20):
             k = int(rng.integers(1, 4))
             gt = make_gt([(i * 20, i * 20 + 10) for i in range(3)], [["a"]] * 3)
             starts = rng.uniform(0, 50, size=k)
             pred = make_pred([(s, s + 8) for s in sorted(starts)], [["a"]] * k)
+            mat = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
             averaged = dvc_eval(pred, gt, meteor_lite)
-            loosest = dvc_eval(pred, gt, meteor_lite, thresholds=(0.3,))
+            loosest = meteor_lite(["a"], ["a"]) if (mat > 0.3).any() else 0.0
             assert averaged <= loosest + 1e-12
+            kept = [(mat > t).any() for t in DVC_EVAL_THRESHOLDS]
+            assert averaged == pytest.approx(loosest * sum(kept) / len(kept))
 
 
 class TestEventCountStats:
     def test_all_equal(self):
-        assert event_count_stats([(3, 3), (5, 5)], [0]) == {0: 100.0}
+        assert COUNT_STAT_ETAS == (0, 1, 2, 3)
+        assert event_count_stats([(3, 3), (5, 5)]) == {0: 100.0, 1: 100.0, 2: 100.0, 3: 100.0}
 
     def test_spec_pairs(self):
-        stats = event_count_stats([(3, 4), (5, 5)], [0, 1])
-        assert stats == {0: 50.0, 1: 100.0}
+        stats = event_count_stats([(3, 4), (5, 5), (1, 4), (9, 2)])
+        assert stats == {0: 25.0, 1: 50.0, 2: 50.0, 3: 75.0}
+
+    def test_no_pairs_is_zero(self):
+        assert event_count_stats([]) == {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}
 
     def test_randomized_matches_recount(self):
         rng = np.random.default_rng(4)
         pairs = [(int(rng.integers(0, 12)), int(rng.integers(1, 12))) for _ in range(200)]
-        stats = event_count_stats(pairs, [0, 1, 2, 3])
-        for eta in (0, 1, 2, 3):
+        stats = event_count_stats(pairs)
+        assert list(stats) == list(COUNT_STAT_ETAS)
+        for eta in COUNT_STAT_ETAS:
             want = 100.0 * sum(abs(p - q) <= eta for p, q in pairs) / len(pairs)
             assert stats[eta] == pytest.approx(want)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            event_count_stats([(1, 1)], [])
-        with pytest.raises(ValueError):
-            event_count_stats([(1, 1)], [-1])
 
 
 class TestEvaluateCorpus:
@@ -231,6 +262,13 @@ class TestEvaluateCorpus:
         assert report["metrics"]["soda.tiou"] == 1.0
         assert report["metrics"]["count_stats.eta0"] == 100.0
         assert len(report["per_video"]) == 1
+
+    def test_metadata_quotes_the_cider_sigma_in_use(self):
+        gt = make_gt([(0, 10)], [["a"]])
+        sigma = evaluate_corpus([make_pred([(0, 10)], [["a"]])], [gt])["metadata"]["cider_sigma"]
+        assert sigma == CIDER_SIGMA
+        # the penalty the scorer applies is exp(-1/2) one sigma away
+        assert gaussian_length_penalty(0, int(sigma)) == pytest.approx(math.exp(-0.5))
 
 
 class TestSharedScoring:

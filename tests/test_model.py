@@ -7,14 +7,28 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recipegen import autodiff
 from recipegen import model as model_module
 from recipegen.autodiff import Tensor, log_softmax, softmax
-from recipegen.data import BOS, EOS, PAD, Vocabulary, build_vocabulary
+from recipegen.data import (
+    BOS,
+    EOS,
+    PAD,
+    DatasetRecord,
+    EventCandidateSet,
+    RecipeStep,
+    TimedEvent,
+    Vocabulary,
+    build_vocabulary,
+)
+from recipegen.dvceval import tiou
 from recipegen.layers import MemTransformerLayer, sinusoidal_encoding
 from recipegen.model import (
     FIXED_FIELDS,
+    POSITIONS,
     ModelConfig,
     RecipeModel,
     build_labels,
@@ -28,6 +42,7 @@ from recipegen.model import (
     save_checkpoint,
 )
 from recipegen.optim import Adam, OptimizerConfig, grad_check
+from recipegen.oracle import oracle_select
 from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
 
 WORLD = WorldConfig(num_videos=6, seed=21)
@@ -73,11 +88,19 @@ class TestConfig:
             ({"tau_min": float("nan")}, "model.tau_min"),
             ({"tau_anneal": "no"}, "model.tau_anneal"),
             ({"no_reselection": 0}, "model.no_reselection"),
+            ({"max_sentence_len": 512}, "model.max_sentence_len"),  # past the position table
         ],
     )
     def test_scalar_field_type_and_range(self, overrides, field):
         with pytest.raises(ValueError, match=re.escape(field)):
             ModelConfig(**overrides)
+
+    def test_longest_sentence_fits_the_position_table(self):
+        assert POSITIONS == 512
+        model = tiny_model(max_sentence_len=511, max_steps=1)
+        model.vocab_head.bias.data[EOS] = -1e9  # never end a sentence early
+        pred = model.run_inference(RECORDS[0])
+        assert [len(s) for s in pred.sentences] == [POSITIONS - 1]
 
     @pytest.mark.parametrize(
         "field, other",
@@ -365,6 +388,58 @@ class TestLosses:
         targets = [3, 8, 1, 4]
         want = -sum(rows.data[i, t] for i, t in enumerate(targets))
         assert loss_sentence([rows], [targets]).item() == pytest.approx(want)
+
+
+def label_record(candidates, steps, duration=40.0):
+    """A record of the given (start, end) candidates and steps."""
+    cands = EventCandidateSet([TimedEvent(*c) for c in candidates], np.zeros((len(candidates), 2)))
+    return DatasetRecord("v", duration, cands, [RecipeStep(TimedEvent(*s), ["a"]) for s in steps], [])
+
+
+def fallback_label_indices(record):
+    """The labels by a scalar-tIoU scan: a repeated oracle pick falls back to
+    the min of (-tIoU, start, index) over the candidates still unused."""
+    indices = []
+    for t, idx in enumerate(oracle_select(record.candidates, record.ground_truth).indices):
+        if idx in indices:
+            step = record.steps[t].interval
+            options = [
+                (-tiou(ev, step), ev.start, i)
+                for i, ev in enumerate(record.candidates.events)
+                if i not in indices
+            ]
+            idx = min(options)[2] if options else idx
+        indices.append(idx)
+    return indices
+
+
+@st.composite
+def label_records(draw):
+    """Small integer worlds, so that tIoU and start ties are common."""
+    ends = st.integers(0, 11).flatmap(lambda s: st.tuples(st.just(s), st.integers(s + 1, 12)))
+    candidates = sorted(draw(st.lists(ends, min_size=1, max_size=6)))
+    cuts = sorted(draw(st.sets(st.integers(0, 12), min_size=2, max_size=10)))
+    cuts = cuts[: len(cuts) // 2 * 2]
+    return label_record(candidates, list(zip(cuts[::2], cuts[1::2])), duration=12.0)
+
+
+class TestBuildLabels:
+    def test_shared_best_candidate_falls_back_through_ties(self):
+        # [0, 20] is both steps' best (tIoU 0.5); for the second step the
+        # other three tie at tIoU 0.4, [10, 14] and [10, 35] also on start
+        record = label_record([(0, 20), (10, 14), (10, 35), (16, 20)], [(0, 10), (10, 20)])
+        assert oracle_select(record.candidates, record.ground_truth).indices == [0, 0]
+        assert build_labels(record, VOCAB, DEFAULT_ACTIONS, False).oracle_indices == [0, 1]
+
+    def test_more_steps_than_candidates_repeat_the_oracle_pick(self):
+        record = label_record([(0, 20), (18, 30)], [(0, 10), (10, 20), (20, 30)])
+        assert build_labels(record, VOCAB, DEFAULT_ACTIONS, False).oracle_indices == [0, 1, 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(record=label_records())
+    def test_matches_the_scalar_fallback(self, record):
+        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, False)
+        assert labels.oracle_indices == fallback_label_indices(record)
 
 
 class TestTrainingForward:

@@ -17,6 +17,7 @@ from recipegen.data import (
 )
 from recipegen.dvceval import VIDEO_SCORES, soda, tiou
 from recipegen.oracle import (
+    HISTOGRAM_BIN_WIDTH,
     oracle_prediction,
     oracle_report,
     oracle_select,
@@ -190,10 +191,21 @@ class TestOracleReport:
 
     def test_histogram_bins(self):
         hist = tiou_histogram([0.05, 0.15, 0.95, 1.0, 0.11])
+        assert len(hist) == 10
         assert hist[0] == (0.0, 0.1, 1)
         assert hist[1] == (0.1, 0.2, 2)
         assert hist[9] == (0.9, 1.0, 2)
         assert sum(c for _, _, c in hist) == 5
+
+    def test_metadata_quotes_the_histogram_bin_width(self):
+        records = generate_world(WorldConfig(num_videos=4, seed=9))
+        report = oracle_report(records)
+        width = report["metadata"]["histogram_bin_width"]
+        assert width == HISTOGRAM_BIN_WIDTH == 0.1
+        assert [low for low, _, _ in report["histogram"]] == [round(i * width, 10) for i in range(10)]
+        for low, high, _ in report["histogram"]:
+            assert high - low == pytest.approx(width)
+        assert sum(count for _, _, count in report["histogram"]) == sum(len(r.steps) for r in records)
 
     def test_duplicate_assignments_surfaced(self):
         steps = [RecipeStep(TimedEvent(0, 5), ["a"]), RecipeStep(TimedEvent(6, 11), ["b"])]

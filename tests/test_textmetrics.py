@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recipegen.textmetrics import (
+    CIDER_SIGMA,
     CorpusDF,
     bleu4,
     bleu4_from_profiles,
     build_df,
     cider_d,
-    cider_d_from_vectors,
     gaussian_length_penalty,
     meteor_lite,
     ngram_profile,
@@ -194,8 +194,10 @@ class TestCiderD:
         assert cider_d(["x", "y", "z"], [["crack", "the", "eggs"]], df) == 0.0
 
     def test_length_penalty_is_gaussian(self):
-        assert gaussian_length_penalty(10, 16, 6.0) == pytest.approx(math.exp(-0.5))
-        assert gaussian_length_penalty(10, 10, 6.0) == 1.0
+        assert CIDER_SIGMA == 6.0
+        assert gaussian_length_penalty(10, 16) == pytest.approx(math.exp(-0.5))
+        assert gaussian_length_penalty(16, 10) == pytest.approx(math.exp(-0.5))
+        assert gaussian_length_penalty(10, 10) == 1.0
 
     def test_monotone_decrease_with_length_deviation(self):
         videos = self._toy_corpus()
@@ -262,9 +264,8 @@ class TestProfileCores:
         assert bleu == bleu4(cand, refs)
         videos = [refs] + others
         df = build_df(videos)
-        # the profiles a corpus keeps from earlier sentences change no later score
+        # the vectors a corpus keeps from earlier sentences change no later score
         for sentence in scored_first:
             df.tfidf(sentence)
-        cider = cider_d_from_vectors(df.tfidf(cand), [df.tfidf(r) for r in refs])
-        assert cider == cider_d(cand, refs, build_df(videos))
+        assert cider_d(cand, refs, df) == cider_d(cand, refs, build_df(videos))
         assert df == build_df(videos)

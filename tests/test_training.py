@@ -124,7 +124,7 @@ def count_forks(monkeypatch, cpus: int | None) -> list:
     """Report ``cpus`` usable CPUs to ``train`` (the real probe when None) and
     record each ``os.fork`` it makes."""
     if cpus is not None:
-        monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forks = []
     fork = os.fork
 
@@ -132,7 +132,7 @@ def count_forks(monkeypatch, cpus: int | None) -> list:
         forks.append(1)
         return fork()
 
-    monkeypatch.setattr(training.os, "fork", counted)
+    monkeypatch.setattr(os, "fork", counted)
     return forks
 
 
