@@ -336,9 +336,9 @@ def _record_from_obj(obj, where: str) -> DatasetRecord:
         cand_sents if have_sents else None,
     )
     steps = []
-    for i, s in enumerate(_field(obj, "steps", list, vid)[:MAX_STEPS]):
+    for i, s in enumerate(_field(obj, "steps", list, vid)):
         at = f"{vid}: steps[{i}]"
-        tokens = tokenize(_field(s, "sentence", str, at))[:MAX_SENTENCE_LEN]
+        tokens = tokenize(_field(s, "sentence", str, at))
         steps.append(_located(at, RecipeStep, _interval(s, at), tokens))
     ingredients = _field(obj, "ingredients", list, vid)
     if not all(isinstance(i, str) for i in ingredients):
@@ -361,13 +361,19 @@ def read_json(path, kind: type, what: str):
     return raw
 
 
+def _check_unique(path, items) -> None:
+    """Reject, naming them, video ids that appear more than once."""
+    counts = Counter(item.video_id for item in items)
+    repeated = sorted(vid for vid, count in counts.items() if count > 1)
+    if repeated:
+        raise ValidationError(f"{path}: duplicate video_id values: {', '.join(repeated)}")
+
+
 def load_dataset(path) -> list[DatasetRecord]:
     """Load and validate a dataset file; records come back ordered by video_id."""
     raw = read_json(path, list, "a top-level array of records")
     records = [_record_from_obj(obj, f"{path}: record {pos}") for pos, obj in enumerate(raw)]
-    ids = [r.video_id for r in records]
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"{path}: duplicate video_id values")
+    _check_unique(path, records)
     records.sort(key=lambda r: r.video_id)
     return records
 
@@ -423,6 +429,7 @@ def load_predictions(path) -> list[PredictionRecipe]:
             sentences.append(tokenize(_field(res, "sentence", str, vid)))
             intervals.append(_interval(res, vid))
         preds.append(PredictionRecipe(vid, selections, sentences, intervals))
+    _check_unique(path, preds)
     preds.sort(key=lambda p: p.video_id)
     return preds
 

@@ -1,18 +1,19 @@
 """The joint event-selector / sentence-generator model.
 
-The model runs one recurrence per recipe step.  The event transformer
-(memory-augmented) re-reads ``[ingredient state; candidates]``, its per-layer
-memories are max-pooled into a single query vector, and candidate logits are
-dot products of that vector with each candidate's holistic representation
-plus a learned STOP pseudo-event.  One event is chosen, the sentence
-transformer (also memory-augmented) writes its sentence, and the two memory
-banks are mixed through sigmoid gates.  The per-video context and the part of
-a step before the selection are shared code; training and inference differ
-only in their callers: training selects through a straight-through
-Gumbel-softmax pinned to the oracle label (so the sentence loss reaches the
-selector) and scores the sentence teacher-forced, while inference takes the
-argmax and decodes greedily.  Neither ever selects a candidate twice, and
-both mix the two memory banks after every step.
+The model is one recurrence over a recipe's steps, ``RecipeModel._rollout``,
+run in two modes.  At each step the event transformer (memory-augmented)
+re-reads ``[ingredient state; candidates]``, its per-layer memories are
+max-pooled into a single query vector, and candidate logits are dot products
+of that vector with each candidate's holistic representation plus a learned
+STOP pseudo-event.  One event is chosen, the sentence transformer (also
+memory-augmented) writes its sentence, the simulator state advances, and the
+two memory banks are mixed through sigmoid gates.  Training
+(``training_forward``) selects through a straight-through Gumbel-softmax
+pinned to the oracle label (so the sentence loss reaches the selector),
+scores the sentence teacher-forced and ends with a STOP step; inference
+(``greedy_steps``, ``run_inference``) takes the argmax and decodes greedily.
+Both modes record one ``Step`` per step, and neither ever selects a candidate
+twice.
 
 A sentence is one pass of the sentence layers in both modes.  Ingredient rows
 never read word rows and a word row reads only earlier words, so appending a
@@ -193,6 +194,13 @@ def mix_memories(
 # ---------------------------------------------------------------------------
 
 
+def _plus(total: Tensor | None, term: Tensor | None) -> Tensor | None:
+    """``total + term``, where None is an empty sum or a term that adds nothing."""
+    if term is None:
+        return total
+    return term if total is None else total + term
+
+
 def loss_event(step_log_probs: list[Tensor], labels: list[int]) -> Tensor:
     """Negative log-likelihood of the selection labels, one per step; the
     final label is the STOP index (= number of candidates)."""
@@ -202,8 +210,7 @@ def loss_event(step_log_probs: list[Tensor], labels: list[int]) -> Tensor:
     for logp, label in zip(step_log_probs, labels):
         if not (0 <= label < logp.shape[0]):
             raise ValueError(f"label {label} out of range for {logp.shape[0]} entries")
-        term = -logp[label]
-        total = term if total is None else total + term
+        total = _plus(total, -logp[label])
     return total
 
 
@@ -217,8 +224,7 @@ def loss_sentence(
         keep = np.flatnonzero(ids != PAD)
         if keep.size == 0:
             continue
-        term = -logp[keep, ids[keep]].sum()
-        total = term if total is None else total + term
+        total = _plus(total, -logp[keep, ids[keep]].sum())
     if total is None:
         raise ValueError("no unmasked target tokens")
     return total
@@ -256,13 +262,7 @@ def build_labels(
     ing_labels = act_labels = None
     if with_distant:
         ing_labels, act_labels = distant_labels(record.ground_truth, action_lexicon)
-    return VideoLabels(
-        oracle_indices=indices,
-        token_ids=token_ids,
-        target_surfaces=surfaces,
-        ing_labels=ing_labels,
-        act_labels=act_labels,
-    )
+    return VideoLabels(indices, token_ids, surfaces, ing_labels, act_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +271,17 @@ def build_labels(
 
 
 @dataclass
-class SelectionTrace:
+class Step:
+    """One step of the recurrence.  ``log_probs`` holds one vocabulary
+    log-prob row per input position of the sentence (None on STOP), and
+    ``event_log_probs`` the selection log-probs the event loss reads
+    (training only; None where the label was already taken)."""
+
     probabilities: np.ndarray  # over candidates + STOP (last entry)
     chosen: int  # candidate index, or N for STOP
+    tokens: list[int]  # the sentence's ids (the targets, EOS last, in training); [] on STOP
+    log_probs: Tensor | None
+    event_log_probs: Tensor | None
 
 
 @dataclass
@@ -283,25 +291,7 @@ class ForwardResult:
     loss_sentence: Tensor
     loss_vsim: Tensor | None
     loss_tattn: Tensor | None
-    traces: list[SelectionTrace]
-
-
-@dataclass
-class InferenceState:
-    v_mems: list[np.ndarray]
-    s_mems: list[np.ndarray]
-    sim_state: np.ndarray | None
-    forbidden: list[int]
-
-
-@dataclass
-class StepResult:
-    probabilities: np.ndarray  # (N + 1,), STOP last
-    stop: bool
-    index: int | None
-    tokens: list[int]
-    token_log_probs: np.ndarray | None  # one row per emitted position
-    state: InferenceState
+    steps: list[Step]
 
 
 class RecipeModel(Layer):
@@ -404,12 +394,9 @@ class RecipeModel(Layer):
         return logits
 
     def _mix(self, v_mems: list[Tensor], s_mems: list[Tensor]):
-        new_v, new_s = [], []
-        for v, s in zip(v_mems, s_mems):
-            mv, ms = mix_memories(v, s, self.mix_f1, self.mix_f2, self.mix_g1, self.mix_g2)
-            new_v.append(mv)
-            new_s.append(ms)
-        return new_v, new_s
+        maps = (self.mix_f1, self.mix_f2, self.mix_g1, self.mix_g2)
+        pairs = [mix_memories(v, s, *maps) for v, s in zip(v_mems, s_mems)]
+        return [v for v, _ in pairs], [s for _, s in pairs]
 
     # -- sentence side ----------------------------------------------------------
 
@@ -499,7 +486,7 @@ class RecipeModel(Layer):
             decoded.append(token)
             word_h = decoder.push(self._word_rows([token], h_sel, start=len(decoded)))
 
-    # -- one step of the recurrence ----------------------------------------------
+    # -- the recurrence ----------------------------------------------------------
 
     def check_record(self, record: DatasetRecord) -> None:
         """Reject, naming its video, a record this variant cannot read."""
@@ -544,7 +531,82 @@ class RecipeModel(Layer):
         logits = self.event_logits(h_events, pool_memory(v_new), forbidden)
         return h_events, logits, v_new, sim
 
-    # -- training --------------------------------------------------------------
+    def _rollout(
+        self,
+        record: DatasetRecord,
+        labels: VideoLabels | None = None,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[list[Step], Tensor | None, Tensor | None]:
+        """The one loop over a video's steps, in either mode.
+
+        With ``labels`` (training) each step forwards the oracle event as a
+        straight-through one-hot of a Gumbel-softmax sample at temperature
+        ``config.tau``: the forward value is the oracle row, while gradients
+        flow through the sampled relaxation.  The sentence is scored
+        teacher-forced, and a final step scores STOP.  Without (inference)
+        each step takes the argmax and decodes greedily, for at most
+        ``min(config.max_steps, N)`` steps.  Either way a chosen event is
+        masked for later steps and the memories are mixed after each step.
+
+        Returns (steps, simulator loss, textual-attention loss); both losses
+        are None in inference and where no item or word was labeled.
+        """
+        ctx = self._context(record)
+        n = ctx["n"]
+        ing_state = ctx["g_sel"]
+        v_mems = self.event_tf.initial_memory()
+        s_mems = self.sent_tf.initial_memory()
+        teacher = labels is not None
+        targets = labels.oracle_indices + [n] if teacher else []
+        forbidden: set[int] = set()
+        steps: list[Step] = []
+        l_vsim = l_tattn = None
+
+        for t in range(len(targets) if teacher else min(self.config.max_steps, n)):
+            h, logits, v_new, sim = self._score_candidates(ctx, v_mems, ing_state, forbidden)
+            event_logp = None
+            # build_labels repeats an oracle label only when the steps outnumber
+            # the candidates; the masked repeat adds no event loss
+            if teacher and targets[t] not in forbidden:
+                event_logp = log_softmax(logits, axis=-1)
+            with no_grad():  # read, not differentiated
+                probs = softmax(logits, axis=-1).data
+            chosen = targets[t] if teacher else int(np.argmax(probs))
+            if chosen == n:
+                steps.append(Step(probs, chosen, [], None, event_logp))
+                break
+
+            if teacher:
+                sample = gumbel_softmax(logits[:n], self.config.tau, rng)
+                h_sel = straight_through_onehot(sample, index=chosen).reshape(1, n) @ h
+            else:
+                h_sel = h[chosen].reshape(1, -1)
+            forbidden.add(chosen)
+
+            tokens, rows, s_new, alphas = self.generate_sentence(
+                h_sel,
+                s_mems,
+                ctx["g_gen"],
+                teacher_tokens=labels.token_ids[t] if teacher else None,
+                sim=sim,
+            )
+            steps.append(Step(probs, chosen, tokens, rows, event_logp))
+
+            if sim is not None:
+                if teacher:
+                    for logits_mat, lab in (
+                        (sim.action_event_logits, labels.act_labels[t]),
+                        (sim.ingredient_event_logits, labels.ing_labels[t]),
+                    ):
+                        l_vsim = _plus(l_vsim, selector_nll(logits_mat, lab, chosen))
+                ing_state = sim.new_state
+            if alphas is not None:  # teacher mode only
+                l_tattn = _plus(l_tattn, textual_attention_nll(
+                    *alphas, labels.target_surfaces[t], record.ingredients, self.action_lexicon
+                ))
+
+            v_mems, s_mems = self._mix(v_new, s_new)
+        return steps, l_vsim, l_tattn
 
     def training_forward(
         self,
@@ -552,138 +614,34 @@ class RecipeModel(Layer):
         labels: VideoLabels,
         rng: np.random.Generator,
     ) -> ForwardResult:
-        """Losses for one video.
-
-        Each step forwards the oracle event as a straight-through one-hot of a
-        Gumbel-softmax sample at temperature ``config.tau``: the forward value
-        is the oracle row, while gradients flow through the sampled
-        relaxation.  The oracle event is then masked for later steps.
-        """
-        ctx = self._context(record)
-        n = ctx["n"]
-        ing_state = ctx["g_sel"]
-        v_mems = self.event_tf.initial_memory()
-        s_mems = self.sent_tf.initial_memory()
-        forbidden: set[int] = set()
-        traces: list[SelectionTrace] = []
-        event_logps: list[Tensor] = []
-        event_labels: list[int] = []
-        sentence_rows: list[Tensor] = []
-        l_vsim = None
-        l_tattn = None
-        n_steps = len(record.steps)
-
-        for t in range(n_steps + 1):
-            h, logits, v_new, sim = self._score_candidates(ctx, v_mems, ing_state, forbidden)
-            label = labels.oracle_indices[t] if t < n_steps else n
-            # build_labels repeats an oracle label only when the steps outnumber
-            # the candidates; the masked repeat adds no event loss
-            if label not in forbidden:
-                event_logps.append(log_softmax(logits, axis=-1))
-                event_labels.append(label)
-            with no_grad():  # the trace is read, not differentiated
-                probs = softmax(logits, axis=-1).data
-            traces.append(SelectionTrace(probs, label))
-            if t == n_steps:
-                break
-
-            sample = gumbel_softmax(logits[:n], self.config.tau, rng)
-            h_sel = straight_through_onehot(sample, index=label).reshape(1, n) @ h
-            forbidden.add(label)
-
-            _, rows, s_new, alphas = self.generate_sentence(
-                h_sel, s_mems, ctx["g_gen"], teacher_tokens=labels.token_ids[t], sim=sim
-            )
-            sentence_rows.append(rows)
-
-            if sim is not None:
-                for logits_mat, lab in (
-                    (sim.action_event_logits, labels.act_labels[t]),
-                    (sim.ingredient_event_logits, labels.ing_labels[t]),
-                ):
-                    term = selector_nll(logits_mat, lab, label)
-                    if term is not None:
-                        l_vsim = term if l_vsim is None else l_vsim + term
-                ing_state = sim.new_state
-            if alphas is not None:
-                term = textual_attention_nll(
-                    *alphas, labels.target_surfaces[t], record.ingredients, self.action_lexicon
-                )
-                if term is not None:
-                    l_tattn = term if l_tattn is None else l_tattn + term
-
-            v_mems, s_mems = self._mix(v_new, s_new)
-
-        l_event = loss_event(event_logps, event_labels)
-        l_sentence = loss_sentence(sentence_rows, labels.token_ids)
-        total = l_event + l_sentence
-        for term in (l_vsim, l_tattn):
-            if term is not None:
-                total = total + term
+        """Losses of one video's teacher-forced rollout."""
+        steps, l_vsim, l_tattn = self._rollout(record, labels, rng)
+        scored = [s for s in steps if s.event_log_probs is not None]
+        l_event = loss_event([s.event_log_probs for s in scored], [s.chosen for s in scored])
+        l_sentence = loss_sentence([s.log_probs for s in steps[:-1]], labels.token_ids)
         return ForwardResult(
-            loss=total,
+            loss=_plus(_plus(l_event + l_sentence, l_vsim), l_tattn),
             loss_event=l_event,
             loss_sentence=l_sentence,
             loss_vsim=l_vsim,
             loss_tattn=l_tattn,
-            traces=traces,
+            steps=steps,
         )
 
-    # -- inference ---------------------------------------------------------------
-
-    def init_inference(self, record: DatasetRecord):
-        """Pre-computed per-video context plus the initial recurrent state."""
+    def greedy_steps(self, record: DatasetRecord) -> list[Step]:
+        """The greedy rollout of one video, ending with its STOP step if it
+        chose STOP.  Builds no graph; deterministic given the parameters."""
         with no_grad():
-            ctx = self._context(record)
-        state = InferenceState(
-            v_mems=[m.data.copy() for m in self.event_tf.initial_memory()],
-            s_mems=[m.data.copy() for m in self.sent_tf.initial_memory()],
-            sim_state=None if ctx["actions"] is None else ctx["g_sel"].data.copy(),
-            forbidden=[],
-        )
-        return ctx, state
-
-    def inference_step(self, ctx: dict, state: InferenceState) -> StepResult:
-        """One greedy step: select a candidate (or STOP), decode its sentence,
-        mix memories.  Deterministic given (checkpoint, record, state)."""
-        with no_grad():
-            ing_state = ctx["g_sel"] if state.sim_state is None else Tensor(state.sim_state)
-            v_mems = [Tensor(m) for m in state.v_mems]
-            h, logits, v_new, sim = self._score_candidates(
-                ctx, v_mems, ing_state, set(state.forbidden)
-            )
-            probs = softmax(logits, axis=-1).data.copy()
-            chosen = int(np.argmax(probs))
-            if chosen == ctx["n"]:
-                return StepResult(probs, True, None, [], None, state)
-            tokens, logp, s_new, _ = self.generate_sentence(
-                h[chosen].reshape(1, -1), [Tensor(m) for m in state.s_mems], ctx["g_gen"], sim=sim
-            )
-            v_next, s_next = self._mix(v_new, s_new)
-            new_state = InferenceState(
-                v_mems=[m.data.copy() for m in v_next],
-                s_mems=[m.data.copy() for m in s_next],
-                sim_state=None if sim is None else sim.new_state.data.copy(),
-                forbidden=state.forbidden + [chosen],
-            )
-            return StepResult(probs, False, chosen, tokens, logp.data.copy(), new_state)
+            return self._rollout(record)[0]
 
     def run_inference(self, record: DatasetRecord) -> PredictionRecipe:
-        ctx, state = self.init_inference(record)
-        selections: list[int] = []
-        sentences: list[list[str]] = []
-        intervals = []
-        for _ in range(self.config.max_steps):
-            result = self.inference_step(ctx, state)
-            if result.stop:
-                break
-            state = result.state
-            selections.append(result.index)
-            sentences.append(self.vocab.decode(result.tokens))
-            intervals.append(record.candidates.events[result.index])
-            if len(state.forbidden) >= ctx["n"]:
-                break
-        return PredictionRecipe(record.video_id, selections, sentences, intervals)
+        steps = [s for s in self.greedy_steps(record) if s.chosen < len(record.candidates)]
+        return PredictionRecipe(
+            record.video_id,
+            [s.chosen for s in steps],
+            [self.vocab.decode(s.tokens) for s in steps],
+            [record.candidates.events[s.chosen] for s in steps],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +662,9 @@ def config_hash(config: ModelConfig, vocab: Vocabulary, action_lexicon: list[str
 
 
 def save_checkpoint(path, model: RecipeModel, extra_meta: dict | None = None):
+    """Write ``model`` as an ``.npz`` archive to ``path``: a binary file
+    object, or a file name, written as named (``np.savez`` given a name
+    appends ``.npz`` to one without it)."""
     meta = {
         "config": asdict(model.config),
         "vocab": model.vocab.content_tokens,
@@ -712,8 +673,13 @@ def save_checkpoint(path, model: RecipeModel, extra_meta: dict | None = None):
     }
     if extra_meta:
         meta["extra"] = extra_meta
-    arrays = {f"param/{k}": p.data for k, p in model.parameters().items()}
-    np.savez(path, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **arrays)
+    arrays = {"meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)}
+    arrays.update((f"param/{k}", p.data) for k, p in model.parameters().items())
+    if hasattr(path, "write"):
+        np.savez(path, **arrays)
+        return
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 # what numpy raises for a file or archive member it cannot read

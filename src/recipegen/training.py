@@ -106,7 +106,9 @@ def _val_percent(val_fraction: float) -> int:
 def split_dataset(
     records: list[DatasetRecord], val_fraction: float = 0.2
 ) -> tuple[list[DatasetRecord], list[DatasetRecord]]:
-    """Deterministic 80/20 split by video_id hash (stable across runs)."""
+    """Deterministic split by video_id hash (stable across runs): a video is
+    held out when its hash bucket in 0..99 falls below ``val_fraction`` in
+    whole percent."""
     train, val = [], []
     cut = _val_percent(val_fraction)
     for r in records:

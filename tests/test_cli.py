@@ -40,6 +40,24 @@ def test_synth_train_generate_evaluate_oracle(tmp_path):
     assert cli.main(["oracle", "--dataset", dataset]) == cli.EXIT_OK
 
 
+def test_checkpoint_is_written_at_the_path_it_names(tmp_path, capsys):
+    # np.savez given a name appends ".npz" to one without it
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(EXPERIMENT))
+    dataset, checkpoint = str(tmp_path / "world.json"), tmp_path / "model.ckpt"
+    assert cli.main(["synth", "--config", str(config), "--out", dataset]) == cli.EXIT_OK
+    assert cli.main([
+        "train", "--config", str(config), "--dataset", dataset,
+        "--checkpoint", str(checkpoint), "--quiet",
+    ]) == cli.EXIT_OK
+    assert f"checkpoint -> {checkpoint}" in capsys.readouterr().out
+    assert checkpoint.is_file() and not (tmp_path / "model.ckpt.npz").exists()
+    assert cli.main([
+        "generate", "--checkpoint", str(checkpoint), "--dataset", dataset,
+        "--out", str(tmp_path / "pred.json"),
+    ]) == cli.EXIT_OK
+
+
 def test_train_rejects_zero_epochs(tmp_path, capsys):
     config = tmp_path / "experiment.json"
     config.write_text(json.dumps({**EXPERIMENT, "max_epochs": 0}))
@@ -105,6 +123,7 @@ def _result(**fields):
         ([{"video_id": "video_0000", "results": [_result(index="0")]}], ["video_0000", "index"]),
         ([{"video_id": "video_0000", "results": [_result(start=None)]}], ["video_0000", "start"]),
         ([{"video_id": "video_0000", "results": [_result(end="9")]}], ["video_0000", "end"]),
+        ([{"video_id": "video_0000", "results": []}] * 2, ["duplicate", "video_0000"]),
     ],
 )
 def test_malformed_predictions_exit_validation(tmp_path, capsys, predictions, names):
@@ -345,8 +364,13 @@ def test_ablate_checks_sections_first(tmp_path, capsys, monkeypatch, source, sec
         ((0, "steps", 1, "sentence"), 3, ["video_0000", "steps[1]", "'sentence'"]),
         ((0, "duration"), float("nan"), ["video_0000", "'duration'"]),
         ((1, "candidates", 0, "feature", 3), float("inf"), ["video_0001", "candidates[0]", "'feature'"]),
+        # over-long input fails instead of loading cut down
+        ((0, "steps", 1, "sentence"), "stir " * 25, ["video_0000", "steps[1]", "sentence length 25"]),
+        ((0, "steps"), [{"start": float(i), "end": i + 0.5, "sentence": "stir"} for i in range(13)],
+         ["video_0000", "step count 13"]),
     ],
-    ids=["record", "candidates", "candidate", "sentence", "nan-duration", "infinite-feature"],
+    ids=["record", "candidates", "candidate", "sentence", "nan-duration", "infinite-feature",
+         "long-sentence", "too-many-steps"],
 )
 def test_bad_dataset_record_exits_validation(tmp_path, capsys, path, value, names):
     dataset = tmp_path / "world.json"

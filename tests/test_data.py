@@ -77,6 +77,12 @@ class TestDatasetIO:
         records = load_dataset(path)
         assert [r.video_id for r in records] == ["vid_a", "vid_b"]
 
+    def test_duplicate_video_ids_are_named(self, tmp_path):
+        records = [_toy_record("vid_b"), _toy_record("vid_a"), _toy_record("vid_b"), _toy_record("vid_c")]
+        path = _write_dataset(tmp_path / "d.json", records + [_toy_record("vid_c")])
+        with pytest.raises(ValidationError, match="duplicate video_id values: vid_b, vid_c$"):
+            load_dataset(path)
+
     def test_start_after_end_names_video(self, tmp_path):
         path = tmp_path / "bad.json"
         raw = [
@@ -156,6 +162,9 @@ class TestDatasetIO:
         save_predictions([pred], path)
         loaded = load_predictions(path)
         assert loaded == [pred]
+        save_predictions([pred, pred], path)
+        with pytest.raises(ValidationError, match="duplicate video_id values: vid_a$"):
+            load_predictions(path)
 
     def test_prediction_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):

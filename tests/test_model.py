@@ -1,6 +1,5 @@
 import collections
 import contextlib
-import copy
 import json
 import math
 import re
@@ -31,6 +30,7 @@ from recipegen.model import (
     POSITIONS,
     ModelConfig,
     RecipeModel,
+    VideoLabels,
     build_labels,
     config_hash,
     load_checkpoint,
@@ -286,7 +286,7 @@ class TestEventProbabilities:
 
     def test_forbidden_logit_masked(self):
         model = tiny_model()
-        ctx, _ = model.init_inference(RECORDS[0])
+        ctx = model._context(RECORDS[0])
 
         def logits(forbidden):
             mems = model.event_tf.initial_memory()
@@ -467,11 +467,11 @@ class TestTrainingForward:
         labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, False)
         result = model.training_forward(record, labels, np.random.default_rng(1))
         seen = set()
-        for t, trace in enumerate(result.traces[:-1]):
+        for step in result.steps[:-1]:
             for idx in seen:
-                assert trace.probabilities[idx] == 0.0
-            assert trace.probabilities.sum() == pytest.approx(1.0)
-            seen.add(trace.chosen)
+                assert step.probabilities[idx] == 0.0
+            assert step.probabilities.sum() == pytest.approx(1.0)
+            seen.add(step.chosen)
         assert len(seen) == len(labels.oracle_indices)
 
     def test_teacher_conditioning_follows_labels(self):
@@ -479,7 +479,7 @@ class TestTrainingForward:
         record = RECORDS[1]
         labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, False)
         result = model.training_forward(record, labels, np.random.default_rng(2))
-        assert [t.chosen for t in result.traces[:-1]] == labels.oracle_indices
+        assert [t.chosen for t in result.steps[:-1]] == labels.oracle_indices
 
     def test_repeated_oracle_label_adds_no_event_loss(self):
         # build_labels repeats a label only when the steps outnumber the
@@ -492,7 +492,7 @@ class TestTrainingForward:
         targets = labels.oracle_indices + [len(record.candidates)]
         kept = [t for t, label in enumerate(targets) if label not in targets[:t]]
         assert len(kept) == len(targets) - 1
-        want = -sum(math.log(result.traces[t].probabilities[targets[t]]) for t in kept)
+        want = -sum(math.log(result.steps[t].probabilities[targets[t]]) for t in kept)
         assert result.loss_event.item() == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -574,8 +574,8 @@ class TestTrainingForward:
             runs.append((result, next(autodiff._node_seq) - first))
         (lean, lean_nodes), (graphed, graphed_nodes) = runs
         assert lean.loss.item() == graphed.loss.item()
-        assert lean_nodes + len(lean.traces) == graphed_nodes
-        for a, b in zip(lean.traces, graphed.traces, strict=True):
+        assert lean_nodes + len(lean.steps) == graphed_nodes
+        for a, b in zip(lean.steps, graphed.steps, strict=True):
             assert a.chosen == b.chosen
             assert np.array_equal(a.probabilities, b.probabilities)
 
@@ -609,6 +609,24 @@ class TestInference:
             assert all(0 <= i < len(record.candidates) for i in pred.selections)
             assert len(pred.selections) <= model.config.max_steps
 
+    @pytest.mark.parametrize("max_steps", [3, 50])
+    def test_scores_no_step_it_cannot_take(self, max_steps, monkeypatch):
+        """Never choosing STOP, greedy decoding runs min(max_steps, N) steps,
+        and the event transformer runs once per step."""
+        model = tiny_model(max_steps=max_steps)
+        event_logits, event_step, passes = model.event_logits, model.event_step, []
+
+        def no_stop(*args):
+            logits = event_logits(*args)
+            logits.data[-1] = -1e9
+            return logits
+
+        monkeypatch.setattr(model, "event_logits", no_stop)
+        monkeypatch.setattr(model, "event_step", lambda *args: passes.append(1) or event_step(*args))
+        record = RECORDS[0]
+        pred = model.run_inference(record)
+        assert len(pred.selections) == len(passes) == min(max_steps, len(record.candidates))
+
     def test_greedy_decode_deterministic(self):
         model = tiny_model(seed=11)
         record = RECORDS[3]
@@ -638,30 +656,16 @@ class TestInference:
         # the log-prob rows still rank the reserved ids first
         assert set(np.argmax(rows.data, axis=-1)) <= {PAD, BOS}
 
-    def test_memory_recurrence_resume_bit_exact(self):
-        model = tiny_model(seed=13)
-        record = RECORDS[4]
-        ctx, state = model.init_inference(record)
-        r1 = model.inference_step(ctx, state)
-        saved = copy.deepcopy(r1.state)
-        direct = model.inference_step(ctx, r1.state)
-        resumed = model.inference_step(ctx, saved)
-        np.testing.assert_array_equal(direct.probabilities, resumed.probabilities)
-        if direct.token_log_probs is not None:
-            np.testing.assert_array_equal(direct.token_log_probs, resumed.token_log_probs)
-        assert direct.tokens == resumed.tokens
-
-
     @pytest.mark.parametrize("variant", ["B", "BIVT"])
     def test_context_builds_no_graph(self, variant):
+        # nor does anything else the greedy rollout builds after the context
         model = tiny_model(variant=variant, seed=5)
         first = next(autodiff._node_seq)
-        ctx, _ = model.init_inference(RECORDS[1])
+        steps = model.greedy_steps(RECORDS[1])
         assert next(autodiff._node_seq) == first + 1
-        tensors = [t for t in ctx.values() if isinstance(t, Tensor)]
-        assert len(tensors) == (1 if variant == "B" else 4)
-        for t in tensors:
-            assert t._parents == () and not t.requires_grad
+        for step in steps:
+            assert step.event_log_probs is None
+            assert step.log_probs is None or not step.log_probs.requires_grad
 
 
 class TestCheckpoint:
@@ -800,18 +804,15 @@ def reference_generate(model):
     return generate
 
 
-def greedy_steps(model, record):
-    ctx, state = model.init_inference(record)
-    steps = []
-    for _ in range(model.config.max_steps):
-        result = model.inference_step(ctx, state)
-        steps.append(result)
-        if result.stop:
-            break
-        state = result.state
-        if len(state.forbidden) >= ctx["n"]:
-            break
-    return steps
+def recording(generate, memories):
+    """``generate``, appending the sentence memories each call returns to ``memories``."""
+
+    def call(*args, **kwargs):
+        out = generate(*args, **kwargs)
+        memories.append(out[2])
+        return out
+
+    return call
 
 
 def trained_model(variant, epochs=8):
@@ -832,21 +833,24 @@ class TestIncrementalDecoding:
     @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
     def test_matches_full_recompute(self, variant, monkeypatch):
         model = trained_model(variant)
-        fast = [greedy_steps(model, r) for r in RECORDS]
-        monkeypatch.setattr(model, "generate_sentence", reference_generate(model))
-        slow = [greedy_steps(model, r) for r in RECORDS]
+        fast_mems, slow_mems = [], []
+        monkeypatch.setattr(model, "generate_sentence", recording(model.generate_sentence, fast_mems))
+        fast = [model.greedy_steps(r) for r in RECORDS]
+        monkeypatch.setattr(model, "generate_sentence", recording(reference_generate(model), slow_mems))
+        slow = [model.greedy_steps(r) for r in RECORDS]
         eos_ended = 0
         for fast_steps, slow_steps in zip(fast, slow):
-            assert [s.index for s in fast_steps] == [s.index for s in slow_steps]
+            assert [s.chosen for s in fast_steps] == [s.chosen for s in slow_steps]
             for a, b in zip(fast_steps, slow_steps):
                 assert a.tokens == b.tokens
-                if a.stop:
+                if a.log_probs is None:
                     continue
                 eos_ended += len(a.tokens) < model.config.max_sentence_len
-                np.testing.assert_allclose(a.token_log_probs, b.token_log_probs, rtol=0, atol=1e-10)
-                for ma, mb in zip(a.state.s_mems, b.state.s_mems):
-                    np.testing.assert_allclose(ma, mb, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(a.log_probs.data, b.log_probs.data, rtol=0, atol=1e-10)
         assert eos_ended > 0
+        for fast_layers, slow_layers in zip(fast_mems, slow_mems, strict=True):
+            for ma, mb in zip(fast_layers, slow_layers, strict=True):
+                np.testing.assert_allclose(ma.data, mb.data, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
     def test_sentence_layers_run_once_per_input_token(self, variant, monkeypatch):
@@ -861,16 +865,47 @@ class TestIncrementalDecoding:
             return layer_call(layer, *args)
 
         monkeypatch.setattr(MemTransformerLayer, "__call__", counted)
-        sentences = [s for r in RECORDS for s in greedy_steps(model, r) if not s.stop]
+        sentences = [s for r in RECORDS for s in model.greedy_steps(r) if s.log_probs is not None]
         assert sentences
         want = sum(len(s.tokens) + 1 for s in sentences)
         assert [runs[id(layer)] for layer in model.sent_tf.layers] == [want] * len(model.sent_tf.layers)
 
-    def test_float32_stays_float32(self):
+    def test_float32_stays_float32(self, monkeypatch):
         model = tiny_model("BIVT", precision="float32")
-        steps = [s for s in greedy_steps(model, RECORDS[0]) if not s.stop]
-        assert steps
+        mixed, mix = [], model._mix
+        monkeypatch.setattr(model, "_mix", lambda v, s: mixed.append(mix(v, s)) or mixed[-1])
+        steps = [s for s in model.greedy_steps(RECORDS[0]) if s.log_probs is not None]
+        assert steps and len(mixed) == len(steps)
         for step in steps:
-            assert step.token_log_probs.dtype == np.float32
-            for mem in step.state.s_mems + step.state.v_mems:
-                assert mem.dtype == np.float32
+            assert step.log_probs.data.dtype == np.float32
+        for v_mems, s_mems in mixed:
+            for mem in v_mems + s_mems:
+                assert mem.data.dtype == np.float32
+
+
+class TestOneRecurrence:
+    @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
+    def test_teacher_rollout_of_greedy_choices_matches_greedy(self, variant):
+        """Teacher-forcing a greedy rollout's own choices and tokens (+EOS)
+        runs the same recurrence: every step's selection matches."""
+        model = trained_model(variant)
+        compared = 0
+        for record in RECORDS:
+            greedy = model.greedy_steps(record)
+            written = [s for s in greedy if s.log_probs is not None]
+            k = len(written)
+            labels = VideoLabels(
+                oracle_indices=[s.chosen for s in written],
+                token_ids=[s.tokens + [EOS] for s in written],
+                target_surfaces=[VOCAB.decode(s.tokens) + ["<eos>"] for s in written],
+                ing_labels=np.ones((k, len(record.ingredients)), dtype=np.int8),
+                act_labels=np.ones((k, len(DEFAULT_ACTIONS)), dtype=np.int8),
+            )
+            teacher, _, _ = model._rollout(record, labels, np.random.default_rng(0))
+            for a, b in zip(greedy, teacher):
+                assert a.chosen == b.chosen
+                np.testing.assert_allclose(a.probabilities, b.probabilities, rtol=0, atol=1e-10)
+                if a.log_probs is not None:
+                    np.testing.assert_allclose(a.log_probs.data, b.log_probs.data, rtol=0, atol=1e-10)
+            compared += k
+        assert compared > 0
