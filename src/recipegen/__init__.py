@@ -44,7 +44,7 @@ from .model import (
     preset_config,
     save_checkpoint,
 )
-from .optim import Adam, OptimizerConfig, grad_check, warmup_lr
+from .optim import Adam, OptimizerConfig, warmup_lr
 from .oracle import (
     OracleAssignment,
     oracle_prediction,

@@ -32,6 +32,8 @@ usable, once for all of a sweep's budgets), which are averaged in video order.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
@@ -238,9 +240,17 @@ def evaluate_corpus(
     if pred_ids != gt_ids:
         missing = sorted(set(gt_ids) - set(pred_ids))
         extra = sorted(set(pred_ids) - set(gt_ids))
-        raise ValueError(
-            f"prediction/dataset video_id mismatch: missing={missing} extra={extra}"
+        pairs = list(zip_longest(pred_ids, gt_ids, fillvalue="(none)"))
+        i = next(i for i, (pred_id, gt_id) in enumerate(pairs) if pred_id != gt_id)
+        message = (
+            f"prediction/dataset video_id mismatch: missing={missing} extra={extra}; "
+            f"position {i}: prediction {pairs[i][0]} vs dataset {pairs[i][1]}"
         )
+        for side, ids in (("prediction", pred_ids), ("dataset", gt_ids)):
+            repeated = sorted(k for k, count in Counter(ids).items() if count > 1)
+            if repeated:
+                message += f"; repeated {side} ids {repeated}"
+        raise ValueError(message)
 
     metrics = sentence_metrics(reference_df(gts))
 

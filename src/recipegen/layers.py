@@ -3,10 +3,11 @@
 Composable pieces: linear maps, layer norm, embeddings, scaled dot-product
 multi-head attention, and the gated recurrent memory used by both the event
 and sentence transformers.  ``IncrementalPass`` is the one memory-transformer
-pass: rows go through each layer's attention and FFN in one push, or a row at
-a time for a causal sequence, and each layer's memory is updated once, over
-all its output rows.  Every layer exposes ``parameters()`` returning a flat
-name -> Tensor mapping so optimizers and checkpoints see one namespace.
+pass: rows go through each layer's attention and FFN in one push, or a few at
+a time for a causal sequence, trailing rows of the last push can be dropped,
+and each layer's memory is updated once, over all its kept output rows.
+Every layer exposes ``parameters()`` returning a flat name -> Tensor mapping
+so optimizers and checkpoints see one namespace.
 
 Layers know only their shapes and the init ``rng``: they draw in float64, and
 the model that owns them casts every parameter once to its precision, as a
@@ -177,7 +178,9 @@ class IncrementalPass:
     state, so each layer keeps its input rows (behind the memory) as the
     attention context of later rows and its output rows for the memory
     update, which runs once, in ``update_memories``.  A single push of the
-    whole sequence is the full pass.
+    whole sequence is the full pass.  For the same reason ``drop`` can take
+    back trailing rows of the last push, as if they had never been pushed,
+    which lets a greedy decoder push guessed rows and keep those it confirms.
     """
 
     def __init__(self, tf: MemTransformer, memories: list[Tensor]):
@@ -185,6 +188,7 @@ class IncrementalPass:
         self.memories = memories
         self.contexts = list(memories)
         self.outputs: list[list[Tensor]] = [[] for _ in memories]
+        self.last_rows = 0  # rows of the last push that ``drop`` may remove
 
     def push(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Run rows ``x`` through every layer; returns the last layer's rows.
@@ -198,7 +202,24 @@ class IncrementalPass:
             self.contexts[i] = concat([self.contexts[i], x], axis=0)
             x = layer(x, self.contexts[i], mask)
             self.outputs[i].append(x)
+        self.last_rows = x.shape[0]
         return x
+
+    def drop(self, rows: int) -> None:
+        """Remove the last ``rows`` rows of the last push from every layer's
+        context and outputs, so that later pushes and ``update_memories``
+        see only the rows before them."""
+        if not 0 <= rows <= self.last_rows:
+            raise ValueError(f"cannot drop {rows} rows; the last push holds {self.last_rows}")
+        if rows == 0:
+            return
+        for i, outputs in enumerate(self.outputs):
+            self.contexts[i] = self.contexts[i][:-rows]
+            if rows == outputs[-1].shape[0]:
+                outputs.pop()
+            else:
+                outputs[-1] = outputs[-1][:-rows]
+        self.last_rows -= rows
 
     def update_memories(self) -> list[Tensor]:
         """Each layer's memory update over all its output rows: the memories

@@ -18,10 +18,14 @@ twice.
 A sentence is one pass of the sentence layers in both modes.  Ingredient rows
 never read word rows and a word row reads only earlier words, so appending a
 word changes no earlier hidden state.  Teacher forcing pushes the ingredient
-rows and every input word at once; greedy decoding pushes the ingredient rows
-with BOS, then one row per emitted token.  The sentence memories are updated
-once per sentence, over all the rows, so a greedy decode equals the
-teacher-forced pass over BOS and its own output.
+rows and every input word at once.  Greedy decoding pushes the ingredient rows
+with BOS, then the last emitted token; each push also carries up to
+``DRAFT_TOKENS`` drafted tokens, the previous step's sentence aligned by
+position, and keeps the drafted rows the argmax confirms (greedy speculative
+decoding).  Rejected rows are dropped from the pass, so the tokens are those
+of one push per token.  The sentence memories are updated once per sentence,
+over all the kept rows, so a greedy decode equals the teacher-forced pass
+over BOS and its own output.
 
 Model variants:
   B      events only
@@ -95,6 +99,8 @@ VARIANTS = ("B", "BI", "BIV", "BIVT")
 # rows of the sinusoidal position table: candidate ranks and word positions
 # (greedy decoding puts the k-th emitted token at position k)
 POSITIONS = 512
+# most drafted tokens one greedy decoding push checks besides the last emitted one
+DRAFT_TOKENS = 4
 
 
 # Switches of ablations the model no longer has, each fixed to the value of
@@ -440,6 +446,7 @@ class RecipeModel(Layer):
         gen_ing: Tensor | None,
         teacher_tokens: list[int] | None = None,
         sim: SimulatorStep | None = None,
+        draft: list[int] | None = None,
     ):
         """Teacher-forced scoring (one log-prob row per target token) or
         greedy decoding until EOS / max length.
@@ -450,15 +457,25 @@ class RecipeModel(Layer):
         Both modes run one ``IncrementalPass`` over the sentence layers.  Its
         first push is the ingredient rows and the input word rows under
         ``_sentence_mask``: BOS plus all targets but the last in teacher mode,
-        BOS alone in greedy mode.  Greedy mode then pushes one row per emitted
-        token, which leaves every earlier hidden state as it was, and returns
-        one log-prob row per input position (BOS plus the emitted ids) and no
-        attention weights; it never emits PAD or BOS.  Either mode updates the
-        memories once, over all the rows, as one full pass over the same
-        inputs would.
+        BOS plus the first drafted tokens in greedy mode.  Greedy mode then
+        pushes the last emitted token with the drafted tokens that follow it.
+        ``draft`` guesses the emitted ids by position (``draft[k]`` for the
+        k-th); a push carries at most ``DRAFT_TOKENS`` of them and never a
+        position past ``config.max_sentence_len``.  Row by row, a push keeps
+        each drafted token that equals the argmax of the row before it, up to
+        the first that does not, and emits the argmax of every kept row; the
+        rows after it are dropped.  Without a draft every push is one row.
+        Either way the emitted tokens are those of one push per token, and
+        greedy mode returns one log-prob row per input position (BOS plus the
+        emitted ids) and no attention weights; it never emits PAD or BOS.
+        Either mode updates the memories once, over all the kept rows, as one
+        full pass over the same inputs would.
         """
         teacher = teacher_tokens is not None
-        input_ids = [BOS] + list(teacher_tokens[:-1]) if teacher else [BOS]
+        max_len = self.config.max_sentence_len
+        draft = list(draft or ())
+        guess = draft[: min(DRAFT_TOKENS, max_len)]
+        input_ids = [BOS] + (list(teacher_tokens[:-1]) if teacher else guess)
         n_ing = 0 if gen_ing is None else gen_ing.shape[0]
         words = self._word_rows(input_ids, h_sel)
         decoder = IncrementalPass(self.sent_tf, s_mems)
@@ -477,14 +494,27 @@ class RecipeModel(Layer):
         rows: list[Tensor] = []
         while True:
             logp, _ = self._vocab_log_probs(word_h, keys)
-            rows.append(logp)
-            scores = logp.data[0].copy()
-            scores[[PAD, BOS]] = -np.inf
-            token = int(np.argmax(scores))
-            if token == EOS or len(decoded) >= self.config.max_sentence_len:
+            scores = logp.data.copy()
+            scores[:, [PAD, BOS]] = -np.inf
+            kept, done = 0, False
+            for token in scores.argmax(axis=1).tolist():
+                kept += 1
+                done = token == EOS or len(decoded) >= max_len
+                if done:
+                    break
+                decoded.append(token)
+                if kept > len(guess) or token != guess[kept - 1]:
+                    break
+            decoder.drop(len(guess) + 1 - kept)
+            rows.append(logp if kept == len(guess) + 1 else logp[:kept])
+            if done:
                 return decoded, concat(rows, axis=0), decoder.update_memories(), None
-            decoded.append(token)
-            word_h = decoder.push(self._word_rows([token], h_sel, start=len(decoded)))
+            m = len(decoded)
+            guess = draft[m : m + min(DRAFT_TOKENS, max_len - m)]
+            word_h = decoder.push(
+                self._word_rows([decoded[-1]] + guess, h_sel, start=m),
+                self._sentence_mask(0, len(guess) + 1) if guess else None,
+            )
 
     # -- the recurrence ----------------------------------------------------------
 
@@ -544,9 +574,10 @@ class RecipeModel(Layer):
         ``config.tau``: the forward value is the oracle row, while gradients
         flow through the sampled relaxation.  The sentence is scored
         teacher-forced, and a final step scores STOP.  Without (inference)
-        each step takes the argmax and decodes greedily, for at most
-        ``min(config.max_steps, N)`` steps.  Either way a chosen event is
-        masked for later steps and the memories are mixed after each step.
+        each step takes the argmax and decodes greedily, drafting from the
+        previous step's tokens, for at most ``min(config.max_steps, N)``
+        steps.  Either way a chosen event is masked for later steps and the
+        memories are mixed after each step.
 
         Returns (steps, simulator loss, textual-attention loss); both losses
         are None in inference and where no item or word was labeled.
@@ -589,6 +620,7 @@ class RecipeModel(Layer):
                 ctx["g_gen"],
                 teacher_tokens=labels.token_ids[t] if teacher else None,
                 sim=sim,
+                draft=None if teacher or not steps else steps[-1].tokens,
             )
             steps.append(Step(probs, chosen, tokens, rows, event_logp))
 

@@ -15,13 +15,16 @@ from recipegen.autodiff import (
     straight_through_onehot,
 )
 from recipegen.layers import (
+    IncrementalPass,
     Linear,
     MemTransformer,
     MultiHeadAttention,
     causal_mask,
     sinusoidal_encoding,
 )
-from recipegen.optim import Adam, OptimizerConfig, grad_check, warmup_lr
+from recipegen.optim import Adam, OptimizerConfig, warmup_lr
+
+from gradcheck import grad_check
 
 
 class FrozenUniform:
@@ -441,12 +444,87 @@ class TestMemTransformer:
 
         def f():
             out, mems = tf(x, tf.initial_memory(), None)
-            out2, _ = tf(out.detach() * 0 + out, mems, None)
+            out2, _ = tf(Tensor(out.data) * 0 + out, mems, None)
             return (out2**2).sum()
 
         params = {"x": x}
         params.update(tf.parameters())
         assert grad_check(f, params, eps=1e-6, max_coords_per_param=8) < 1e-5
+
+
+def pass_state(run: IncrementalPass):
+    """A pass's contexts, per-layer outputs and updated memories, as arrays."""
+    return (
+        [c.data for c in run.contexts],
+        [[o.data for o in rows] for rows in run.outputs],
+        [m.data for m in run.update_memories()],
+    )
+
+
+def assert_same_state(a, b, equal=True):
+    (ctx_a, out_a, mem_a), (ctx_b, out_b, mem_b) = a, b
+    pairs = list(zip(ctx_a, ctx_b, strict=True)) + list(zip(mem_a, mem_b, strict=True))
+    for rows_a, rows_b in zip(out_a, out_b, strict=True):
+        pairs += list(zip(rows_a, rows_b, strict=True))
+    for x, y in pairs:
+        if equal:
+            np.testing.assert_array_equal(x, y)
+        else:
+            np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+
+
+class TestIncrementalPass:
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.tf = MemTransformer(2, 8, 2, rng)
+        self.x = Tensor(rng.standard_normal((7, 8)))
+
+    def run(self, *sizes):
+        """A pass pushing the next ``n`` rows of ``x`` for each n in ``sizes``."""
+        run, start = IncrementalPass(self.tf, self.tf.initial_memory()), 0
+        for n in sizes:
+            run.push(self.x[start : start + n], causal_mask(n))
+            start += n
+        return run
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_dropping_a_whole_push_equals_never_pushing_it(self, rows):
+        run = self.run(3, 1, rows)
+        run.drop(rows)
+        assert_same_state(pass_state(run), pass_state(self.run(3, 1)))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_dropping_part_of_a_push_keeps_its_leading_rows(self, rows):
+        """The kept rows are exactly the pushed ones; a pass that never pushed
+        the dropped rows computes them in a smaller product, equal to 1e-12."""
+        run = self.run(3, 4)
+        contexts = [c.data for c in run.contexts]
+        outputs = [[o.data for o in layer] for layer in run.outputs]
+        run.drop(rows)
+        got = pass_state(run)
+        kept = [layer[:-1] + [layer[-1][:-rows]] for layer in outputs]
+        memories = [
+            layer.mem_update(memory, Tensor(np.concatenate(rows_kept)))
+            for layer, memory, rows_kept in zip(self.tf.layers, run.memories, kept)
+        ]
+        want = ([c[:-rows] for c in contexts], kept, [m.data for m in memories])
+        assert_same_state(got, want)
+        assert_same_state(got, pass_state(self.run(3, 4 - rows)), equal=False)
+
+    def test_dropping_nothing_changes_nothing(self):
+        run = self.run(3, 2)
+        run.drop(0)
+        assert_same_state(pass_state(run), pass_state(self.run(3, 2)))
+
+    def test_dropping_more_than_the_last_push_raises(self):
+        run = self.run(3, 2)
+        with pytest.raises(ValueError, match="last push holds 2"):
+            run.drop(3)
+        run.drop(1)
+        with pytest.raises(ValueError, match="last push holds 1"):
+            run.drop(2)
+        with pytest.raises(ValueError):
+            run.drop(-1)
 
 
 class TestGumbelSoftmax:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,21 @@ class TestEvaluateCorpus:
         pred = make_pred([(0, 10)], [["a"]], video_id="vid_2")
         with pytest.raises(ValueError, match="vid_1.*vid_2"):
             evaluate_corpus([pred], [gt])
+        gts = [make_gt([(0, 10)], [["a"]], video_id=f"vid_{i}") for i in range(3)]
+        preds = [make_pred([(0, 10)], [["a"]], video_id=f"vid_{i}") for i in range(3)]
+        # the same ids in another order: nothing missing, the first swap named
+        reversed_order = re.escape("missing=[] extra=[]; position 0: prediction vid_2 vs dataset vid_0")
+        with pytest.raises(ValueError, match=reversed_order + "$"):
+            evaluate_corpus(preds[::-1], gts)
+        # a repeated prediction in place of the last video
+        repeated = re.escape(
+            "missing=['vid_2'] extra=[]; position 2: prediction vid_1 vs dataset vid_2; "
+            "repeated prediction ids ['vid_1']"
+        )
+        with pytest.raises(ValueError, match=repeated + "$"):
+            evaluate_corpus(preds[:2] + [preds[1]], gts)
+        with pytest.raises(ValueError, match=re.escape("position 3: prediction vid_0 vs dataset (none)")):
+            evaluate_corpus(preds + [preds[0]], gts)
 
     def test_report_shape_and_metadata(self):
         gt = make_gt([(0, 10)], [["stir", "the", "eggs"]], video_id="v")

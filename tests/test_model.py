@@ -24,8 +24,9 @@ from recipegen.data import (
     build_vocabulary,
 )
 from recipegen.dvceval import tiou
-from recipegen.layers import MemTransformerLayer, sinusoidal_encoding
+from recipegen.layers import IncrementalPass, MemTransformerLayer, sinusoidal_encoding
 from recipegen.model import (
+    DRAFT_TOKENS,
     FIXED_FIELDS,
     POSITIONS,
     ModelConfig,
@@ -41,9 +42,11 @@ from recipegen.model import (
     preset_config,
     save_checkpoint,
 )
-from recipegen.optim import Adam, OptimizerConfig, grad_check
+from recipegen.optim import Adam, OptimizerConfig
 from recipegen.oracle import oracle_select
 from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
+
+from gradcheck import grad_check
 
 WORLD = WorldConfig(num_videos=6, seed=21)
 RECORDS = generate_world(WORLD)
@@ -786,9 +789,9 @@ class TestCheckpoint:
 
 def reference_generate(model):
     """Greedy decoding by one full teacher-forced pass over BOS plus the
-    decoded prefix per emitted token."""
+    decoded prefix per emitted token; a draft is ignored."""
 
-    def generate(h_sel, s_mems, gen_ing, teacher_tokens=None, sim=None):
+    def generate(h_sel, s_mems, gen_ing, teacher_tokens=None, sim=None, draft=None):
         decoded = []
         while True:
             _, logp, new_mems, _ = RecipeModel.generate_sentence(
@@ -815,8 +818,17 @@ def recording(generate, memories):
     return call
 
 
-def trained_model(variant, epochs=8):
-    model = tiny_model(variant)
+def one_token(generate):
+    """``generate`` with every draft left out: one push per emitted token."""
+
+    def call(*args, draft=None, **kwargs):
+        return generate(*args, **kwargs)
+
+    return call
+
+
+def trained_model(variant, epochs=8, **overrides):
+    model = tiny_model(variant, **overrides)
     with_distant = variant in ("BIV", "BIVT")
     labels = [build_labels(r, VOCAB, DEFAULT_ACTIONS, with_distant) for r in RECORDS]
     optimizer = Adam(model.parameters(), OptimizerConfig(lr=3e-3, warmup_epochs=0))
@@ -829,13 +841,53 @@ def trained_model(variant, epochs=8):
     return model
 
 
+class SentencePasses:
+    """Counts the sentence-layer passes of ``model``: pushes per pass, the
+    rows each layer keeps for the memory update, and all dropped rows."""
+
+    def __init__(self, model, monkeypatch):
+        self.pushes: list[int] = []
+        self.kept: list[list[int]] = []
+        self.dropped = 0
+        push, drop, update = IncrementalPass.push, IncrementalPass.drop, IncrementalPass.update_memories
+
+        def counted_push(run, *args):
+            if run.layers is model.sent_tf.layers:
+                if not any(run.outputs):
+                    self.pushes.append(0)
+                self.pushes[-1] += 1
+            return push(run, *args)
+
+        def counted_drop(run, rows):
+            self.dropped += rows
+            return drop(run, rows)
+
+        def counted_update(run):
+            if run.layers is model.sent_tf.layers:
+                self.kept.append([sum(rows.shape[0] for rows in layer) for layer in run.outputs])
+            return update(run)
+
+        monkeypatch.setattr(IncrementalPass, "push", counted_push)
+        monkeypatch.setattr(IncrementalPass, "drop", counted_drop)
+        monkeypatch.setattr(IncrementalPass, "update_memories", counted_update)
+
+
+def ingredient_rows(model, record):
+    return len(record.ingredients) if model.ing_mlp_gen is not None else 0
+
+
 class TestIncrementalDecoding:
     @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
     def test_matches_full_recompute(self, variant, monkeypatch):
+        """Drafted decoding gives the tokens, selections and memories of one
+        full pass per emitted token, and its run both keeps and rejects
+        drafted tokens."""
         model = trained_model(variant)
         fast_mems, slow_mems = [], []
-        monkeypatch.setattr(model, "generate_sentence", recording(model.generate_sentence, fast_mems))
-        fast = [model.greedy_steps(r) for r in RECORDS]
+        with monkeypatch.context() as patch:
+            passes = SentencePasses(model, patch)
+            patch.setattr(model, "generate_sentence", recording(model.generate_sentence, fast_mems))
+            fast = [model.greedy_steps(r) for r in RECORDS]
         monkeypatch.setattr(model, "generate_sentence", recording(reference_generate(model), slow_mems))
         slow = [model.greedy_steps(r) for r in RECORDS]
         eos_ended = 0
@@ -851,11 +903,16 @@ class TestIncrementalDecoding:
         for fast_layers, slow_layers in zip(fast_mems, slow_mems, strict=True):
             for ma, mb in zip(fast_layers, slow_layers, strict=True):
                 np.testing.assert_allclose(ma.data, mb.data, rtol=0, atol=1e-10)
+        # every push after the first of a sentence carries one emitted token,
+        # so the drafted rows kept are the input rows less the pushes
+        inputs = sum(len(s.tokens) + 1 for steps in fast for s in steps if s.log_probs is not None)
+        assert inputs - sum(passes.pushes) > 0
+        assert passes.dropped > 0
 
     @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
-    def test_sentence_layers_run_once_per_input_token(self, variant, monkeypatch):
-        """A greedy sentence of k tokens runs each sentence layer k + 1
-        times: once on BOS with any ingredient rows, once per token."""
+    def test_sentence_layers_run_once_per_push(self, variant, monkeypatch):
+        """Each sentence layer runs once per push, and keeps k + 1 word rows
+        (BOS and the emitted tokens) of a greedy sentence of k tokens."""
         model = tiny_model(variant)
         runs = collections.Counter()
         layer_call = MemTransformerLayer.__call__
@@ -865,10 +922,87 @@ class TestIncrementalDecoding:
             return layer_call(layer, *args)
 
         monkeypatch.setattr(MemTransformerLayer, "__call__", counted)
-        sentences = [s for r in RECORDS for s in model.greedy_steps(r) if s.log_probs is not None]
-        assert sentences
-        want = sum(len(s.tokens) + 1 for s in sentences)
-        assert [runs[id(layer)] for layer in model.sent_tf.layers] == [want] * len(model.sent_tf.layers)
+        passes = SentencePasses(model, monkeypatch)
+        words, n_ing = [], []
+        for record in RECORDS:
+            for step in model.greedy_steps(record):
+                if step.log_probs is not None:
+                    words.append(len(step.tokens) + 1)
+                    n_ing.append(ingredient_rows(model, record))
+        assert words and len(passes.pushes) == len(words)
+        layers = len(model.sent_tf.layers)
+        assert [runs[id(layer)] for layer in model.sent_tf.layers] == [sum(passes.pushes)] * layers
+        assert passes.kept == [[i + w] * layers for i, w in zip(n_ing, words)]
+        assert sum(passes.pushes) < sum(words)  # some drafted rows were kept
+
+    @pytest.mark.parametrize("variant", ["B", "BIVT"])
+    def test_explicit_drafts_give_the_reference_tokens(self, variant, monkeypatch):
+        """Right, wrong, too long and past-EOS drafts all decode to the tokens
+        of one full pass per emitted token, and no push passes max length,
+        also when a push may carry more drafted tokens than a sentence holds."""
+        model = trained_model(variant, max_sentence_len=4)
+        max_len = model.config.max_sentence_len
+        calls = []
+        generate = model.generate_sentence
+        monkeypatch.setattr(
+            model, "generate_sentence", lambda *a, **k: calls.append((a, k)) or generate(*a, **k)
+        )
+        for record in RECORDS:
+            model.greedy_steps(record)
+        monkeypatch.undo()
+        positions = []
+        word_rows = model._word_rows
+        monkeypatch.setattr(
+            model,
+            "_word_rows",
+            lambda ids, h, start=0: positions.append(start + len(ids) - 1) or word_rows(ids, h, start),
+        )
+        reference = reference_generate(model)
+        content = [t for t in range(len(VOCAB)) if t not in (PAD, BOS, EOS)]
+        seen = collections.Counter()
+        for args, kwargs in calls:
+            sim = kwargs["sim"]
+            want, want_logp, want_mems, _ = reference(*args, sim=sim)
+            ended = len(want) < max_len
+            wrong = [next(t for t in content if t != w) for w in want + [EOS] * max_len][:max_len]
+            drafts = {
+                "right": want,
+                "wrong": wrong,
+                # rejected at once, then longer than the room left
+                "too long": wrong[:1] + want[1:] + content[: max_len + 3],
+                "past EOS": want + content[:3] if ended else None,
+            }
+            for name, draft in drafts.items():
+                if draft is None:
+                    continue
+                for size in (DRAFT_TOKENS, max_len + 2):
+                    monkeypatch.setattr(model_module, "DRAFT_TOKENS", size)
+                    tokens, logp, mems, _ = model.generate_sentence(*args, sim=sim, draft=draft)
+                    assert tokens == want, (name, size)
+                    np.testing.assert_allclose(logp.data, want_logp.data, rtol=0, atol=1e-10)
+                    for a, b in zip(mems, want_mems, strict=True):
+                        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-10)
+                seen[name] += 1
+            seen["max length"] += not ended
+        assert all(seen[name] > 0 for name in ("right", "wrong", "too long", "past EOS", "max length"))
+        assert max(positions) == max_len
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_matches_one_token_decoding(self, precision, monkeypatch):
+        """Drafted decoding emits the selections and tokens of one push per
+        token; in float64 its log-prob rows agree to 1e-12."""
+        model = trained_model("BIVT", precision=precision)
+        drafted = [model.greedy_steps(r) for r in RECORDS]
+        monkeypatch.setattr(model, "generate_sentence", one_token(model.generate_sentence))
+        single = [model.greedy_steps(r) for r in RECORDS]
+        for a_steps, b_steps in zip(drafted, single):
+            assert [s.chosen for s in a_steps] == [s.chosen for s in b_steps]
+            for a, b in zip(a_steps, b_steps):
+                assert a.tokens == b.tokens
+                if a.log_probs is not None:
+                    assert a.log_probs.shape == b.log_probs.shape
+                    if precision == "float64":
+                        np.testing.assert_allclose(a.log_probs.data, b.log_probs.data, rtol=0, atol=1e-12)
 
     def test_float32_stays_float32(self, monkeypatch):
         model = tiny_model("BIVT", precision="float32")
