@@ -497,13 +497,14 @@ class RecipeModel(Layer):
             scores = logp.data.copy()
             scores[:, [PAD, BOS]] = -np.inf
             kept, done = 0, False
-            for token in scores.argmax(axis=1).tolist():
+            # the last row has no drafted token to confirm
+            for token, drafted in zip(scores.argmax(axis=1).tolist(), guess + [None]):
                 kept += 1
                 done = token == EOS or len(decoded) >= max_len
                 if done:
                     break
                 decoded.append(token)
-                if kept > len(guess) or token != guess[kept - 1]:
+                if token != drafted:
                     break
             decoder.drop(len(guess) + 1 - kept)
             rows.append(logp if kept == len(guess) + 1 else logp[:kept])
