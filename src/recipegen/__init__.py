@@ -53,7 +53,7 @@ from .oracle import (
     oracle_sweep,
     subset_candidates,
 )
-from .synth import WorldConfig, generate_world, propose_candidates
+from .synth import WorldConfig, generate_world
 from .textmetrics import CorpusDF, bleu4, build_df, cider_d, meteor_lite
 from .training import (
     ExperimentConfig,

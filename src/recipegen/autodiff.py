@@ -130,10 +130,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -242,10 +238,6 @@ class Tensor:
     def relu(self):
         mask = self.data > 0
         return Tensor._result(self.data * mask, (self,), lambda g: (g * mask,))
-
-    def sqrt(self):
-        data = np.sqrt(self.data)
-        return Tensor._result(data, (self,), lambda g: (g * 0.5 / data,))
 
     # -- reductions ---------------------------------------------------------
 
@@ -394,11 +386,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         return tuple(outs)
 
     return Tensor._result(data, parents, vjp)
-
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    expanded = [t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
-    return concat(expanded, axis=axis)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

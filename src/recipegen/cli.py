@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from . import data
@@ -55,7 +56,16 @@ def _load_experiment(path: str | None, overrides: argparse.Namespace) -> Experim
     return ExperimentConfig.from_dict(raw)
 
 
+def _check_out_dirs(*paths: str | None) -> None:
+    """Each output path's directory exists, checked before any work is done."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path)
+        if not os.path.isdir(folder or "."):
+            raise ValidationError(f"{path}: directory {folder} does not exist")
+
+
 def _cmd_synth(args) -> int:
+    _check_out_dirs(args.out)
     exp = _load_experiment(args.config, args)
     world = exp.world_config()
     records = generate_world(world)
@@ -65,6 +75,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_out_dirs(args.checkpoint, args.log)
     exp = _load_experiment(args.config, args)
     records = load_dataset(args.dataset)
     result = train(records, exp, quiet=args.quiet)
@@ -88,6 +99,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    _check_out_dirs(args.out)
     model, meta = load_checkpoint(args.checkpoint)
     records = load_dataset(args.dataset)
     for r in records:  # a record the model cannot read fails before any decoding
@@ -116,6 +128,7 @@ def _check_predictions(preds, records) -> None:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_out_dirs(args.out)
     records = load_dataset(args.dataset)
     preds = load_predictions(args.predictions)
     _check_predictions(preds, records)
@@ -127,6 +140,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.seed is not None and not args.n_list:
+        raise UsageError("--seed picks the nested subsets of an --n-list sweep; it needs --n-list")
+    _check_out_dirs(args.hist_out, args.out)
     records = load_dataset(args.dataset)
     report = oracle_report(records, mode=args.mode)
     if args.n_list:
@@ -145,6 +161,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    _check_out_dirs(args.out)
     exp = _load_experiment(args.config, args)
     records = load_dataset(args.dataset) if args.dataset else None
     variants = args.variants.split(",") if args.variants else [exp.variant]

@@ -6,7 +6,8 @@ earlier steps), non-overlapping step intervals, jittered candidate proposals,
 and per-candidate feature vectors whose content encodes the underlying step
 semantics.  Everything is a pure function of (config, seed): per-video seeds
 are spawned from the world seed, and candidate lists are generated
-sequentially so candidate sets at increasing budgets are nested prefixes.
+sequentially, so worlds that differ only in ``n_candidates`` hold the same
+videos with nested candidate sets.
 """
 
 from __future__ import annotations
@@ -268,18 +269,18 @@ def propose_candidates(
     duration: float,
     config: WorldConfig,
     rng: np.random.Generator,
-    n: int | None = None,
 ) -> EventCandidateSet:
-    """Candidate proposals: one jittered copy per ground-truth step, then fill
-    slots (distractors or extra copies per ``distractor_fraction``).
+    """``config.n_candidates`` candidate proposals: one jittered copy per
+    ground-truth step, then fill slots (distractors or extra copies per
+    ``distractor_fraction``).
 
     Candidates are drawn sequentially from ``rng``, so for a fixed generator
-    state the first m candidates of a size-n run equal the size-m run:
-    candidate sets at increasing n are nested.
+    state the first m candidates of a run at budget n equal the run at budget
+    m: candidate sets at increasing ``n_candidates`` are nested.
     """
-    n = config.n_candidates if n is None else n
+    n = config.n_candidates
     if n < len(gt_steps):
-        raise ValueError(f"n={n} smaller than step count {len(gt_steps)}")
+        raise ValueError(f"world.n_candidates={n} smaller than step count {len(gt_steps)}")
     # one candidate is fully drawn (interval, then feature noise) before the
     # next starts, so prefixes are identical across different budgets n
     drawn: list[tuple[TimedEvent, StepProgram | None]] = []
@@ -327,8 +328,7 @@ def propose_candidates(
 
 
 def generate_video(
-    config: WorldConfig, index: int, seed_seq: np.random.SeedSequence, vector: HashVectors,
-    n: int | None = None,
+    config: WorldConfig, index: int, seed_seq: np.random.SeedSequence, vector: HashVectors
 ) -> DatasetRecord:
     program_ss, cand_ss = seed_seq.spawn(2)
     program_rng = np.random.default_rng(program_ss)
@@ -336,9 +336,7 @@ def generate_video(
     duration = round(float(program_rng.uniform(*config.duration_range)), 4)
     intervals = _place_intervals(len(program), duration, program_rng)
     gt_steps = list(zip(intervals, program))
-    candidates = propose_candidates(
-        gt_steps, duration, config, np.random.default_rng(cand_ss), n=n
-    )
+    candidates = propose_candidates(gt_steps, duration, config, np.random.default_rng(cand_ss))
     steps = [RecipeStep(ev, list(prog.sentence)) for ev, prog in gt_steps]
     ingredients = sorted({ing for prog in program for ing in prog.ingredients})
     return DatasetRecord(
@@ -350,27 +348,19 @@ def generate_video(
     )
 
 
-def generate_world(config: WorldConfig, n_override: int | None = None) -> list[DatasetRecord]:
+def generate_world(config: WorldConfig) -> list[DatasetRecord]:
     """The full synthetic dataset for a config; pure function of the config.
 
-    ``n_override`` regenerates the same videos at a different candidate
-    budget; for a fixed config seed the candidate sets it produces are nested
-    across increasing budgets.
+    Worlds that differ only in ``n_candidates`` hold the same videos (same
+    duration, steps and ingredients), and each video's candidate set at a
+    smaller budget is a subset of its set at a larger one.
 
     Each hash vector is made once per (kind, name) for the call, and each
     step's base vector once per step; nothing outlives the call.
     """
-    if n_override is not None and n_override < config.steps_range[1]:
-        raise ValueError(
-            f"n_override={n_override} is below the largest step count of "
-            f"steps_range={list(config.steps_range)}"
-        )
     vector = functools.cache(
         lambda kind, name: _hash_vector(config.seed, kind, name, config.feature_dim)
     )
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(config.num_videos)
-    return [
-        generate_video(config, i, child, vector, n=n_override)
-        for i, child in enumerate(children)
-    ]
+    return [generate_video(config, i, child, vector) for i, child in enumerate(children)]

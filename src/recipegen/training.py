@@ -16,7 +16,6 @@ import numpy as np
 
 from .data import (
     DatasetRecord,
-    Vocabulary,
     build_vocabulary,
     check_int,
     config_from_dict,
@@ -133,7 +132,6 @@ class TrainResult:
     log_rows: list[dict]
     best_epoch: int
     best_metric: float
-    vocab: Vocabulary
     val_report: dict
 
 
@@ -279,7 +277,6 @@ def train(
         log_rows=log_rows,
         best_epoch=best_epoch,
         best_metric=best_metric,
-        vocab=vocab,
         val_report=best_report,
     )
 
@@ -307,7 +304,10 @@ def ablate(
     quiet: bool = True,
 ) -> list[dict]:
     """Train/evaluate each (variant, candidate-budget) cell with the shared
-    seed; returns one row per cell."""
+    seed; returns one row per cell.
+
+    Budget n's world is the experiment's world with ``n_candidates`` set to n,
+    so the budgets share their videos, with nested candidate sets."""
     # every cell's config is checked before any cell trains
     cell_exps = [replace(exp, variant=v) for v in variants]
     if (n_list is None) == (records is None):
@@ -316,19 +316,19 @@ def ablate(
         if values is not None and len(values) == 0:
             raise ValueError(f"ablate needs at least one cell: {name} is empty")
     if n_list is None:
-        cells = [(records, None)]
+        cells = [records]
     else:
         world = exp.world_config()
-        cells = [(generate_world(world, n_override=n), n) for n in n_list]
+        cells = [generate_world(replace(world, n_candidates=n)) for n in n_list]
 
     rows = []
-    for cell_records, n in cells:
+    for cell_records in cells:
         digest = dataset_digest(cell_records)
         for cell_exp in cell_exps:
             result = train(cell_records, cell_exp, quiet=quiet)
             row = {
                 "variant": cell_exp.variant,
-                "n_candidates": n if n is not None else len(cell_records[0].candidates),
+                "n_candidates": len(cell_records[0].candidates),
                 "dataset_hash": digest,
                 "best_epoch": result.best_epoch,
             }

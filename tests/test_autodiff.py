@@ -11,7 +11,6 @@ from recipegen.autodiff import (
     log_softmax,
     no_grad,
     softmax,
-    stack,
     straight_through_onehot,
 )
 from recipegen.layers import (
@@ -141,11 +140,6 @@ class TestPrimitives:
         for out in results:
             assert type(out.data) is np.ndarray and out.data.dtype == dtype
             assert out.requires_grad == requires_grad
-
-    def test_stack(self):
-        a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2)))
-        s = stack([a, b], axis=0)
-        assert s.shape == (2, 2, 2)
 
 
 def unfused_linear(x, weight, bias):

@@ -224,7 +224,7 @@ def test_ablate_rejects_budget_below_step_count(tmp_path, capsys):
     code = cli.main(["ablate", "--n-list", "4", "--out", str(tmp_path / "a.csv"), "--quiet"])
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert "n_override" in err and "steps_range" in err
+    assert "world.n_candidates must be an integer >= 6, got 4" in err
 
 
 def test_generate_rejects_checkpoint_with_key_bias(tmp_path, capsys):
@@ -465,6 +465,43 @@ def test_generate_rejects_unreadable_checkpoint(tmp_path, capsys, damage):
     ])
     assert code == cli.EXIT_VALIDATION
     assert str(checkpoint) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train --checkpoint", "train --log", "ablate", "generate"])
+def test_missing_output_directory_fails_before_the_work(tmp_path, capsys, monkeypatch, command):
+    dataset, checkpoint = tmp_path / "world.json", tmp_path / "model.npz"
+    records = generate_world(WorldConfig(num_videos=4, seed=3))
+    save_dataset(records, dataset)
+    vocab = build_vocabulary([s.sentence for r in records for s in r.steps], min_count=1)
+    save_checkpoint(checkpoint, RecipeModel(ModelConfig(hidden=16, heads=2), vocab, list(DEFAULT_ACTIONS)))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
+
+    for target in (cli, training):
+        monkeypatch.setattr(target, "train", fail)
+    monkeypatch.setattr(RecipeModel, "run_inference", fail)
+    missing = str(tmp_path / "absent" / "out.file")
+    args = {
+        "train --checkpoint": ["train", "--dataset", str(dataset), "--checkpoint", missing],
+        "train --log": ["train", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                        "--log", missing],
+        "ablate": ["ablate", "--n-list", "6", "8", "--out", missing],
+        "generate": ["generate", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                     "--out", missing],
+    }[command]
+    assert cli.main(args) == cli.EXIT_VALIDATION
+    assert missing in capsys.readouterr().err
+
+
+def test_oracle_seed_needs_a_budget_list(tmp_path, capsys):
+    dataset, out = tmp_path / "world.json", tmp_path / "oracle.json"
+    save_dataset(generate_world(WorldConfig(num_videos=3)), str(dataset))
+    code = cli.main(["oracle", "--dataset", str(dataset), "--seed", "4", "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--seed" in err and "--n-list" in err
+    assert not out.exists()
 
 
 def test_oracle_rejects_empty_budget_list(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -340,6 +341,24 @@ class TestWorldKnobs:
     )
     def test_default_worlds_keep_their_digest(self, seed, digest):
         assert dataset_digest(generate_world(WorldConfig(seed=seed))) == digest
+
+    def test_worlds_nest_across_n_candidates(self):
+        # the budget axis of ablate compares these worlds: the same videos,
+        # each keeping every candidate it had at a smaller budget
+        world = WorldConfig(num_videos=30, seed=3)
+        worlds = [generate_world(replace(world, n_candidates=n)) for n in (6, 8, 12)]
+
+        def candidates(record):
+            c = record.candidates
+            return {(e.start, e.end, f.tobytes(), s) for e, f, s in zip(c.events, c.features, c.sentences)}
+
+        for smaller, larger in zip(worlds, worlds[1:]):
+            for a, b in zip(smaller, larger, strict=True):
+                assert (a.video_id, a.duration, a.steps, a.ingredients) == (
+                    b.video_id, b.duration, b.steps, b.ingredients
+                )
+                assert len(a.candidates) < len(b.candidates)
+                assert candidates(a) <= candidates(b)
 
     def test_hash_vectors_stay_inside_their_call(self):
         # digests recorded before synthesis made each hash vector once per world

@@ -288,18 +288,20 @@ class TestAblate:
         cells = [(row["variant"], row["n_candidates"]) for row in rows]
         assert cells == [("B", 4), ("BI", 4), ("B", 6), ("BI", 6)]
         for n in (4, 6):
-            records = generate_world(exp.world_config(), n_override=n)
+            records = generate_world(replace(exp.world_config(), n_candidates=n))
             assert {len(r.candidates) for r in records} == {n}
             digests = {row["dataset_hash"] for row in rows if row["n_candidates"] == n}
             assert digests == {training.dataset_digest(records)}
         assert all("soda.cider_d" in row for row in rows)
 
     @pytest.mark.parametrize("n", [0, 3])
-    def test_budget_below_largest_step_count_rejected(self, n):
-        world = WorldConfig(num_videos=10, seed=3, steps_range=(2, 4))
-        with pytest.raises(ValueError, match=rf"n_override={n}\b.*steps_range=\[2, 4\]"):
-            generate_world(world, n_override=n)
-        assert {len(r.candidates) for r in generate_world(world, n_override=4)} == {4}
+    def test_budget_below_largest_step_count_rejected(self, monkeypatch, n):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+        exp = tiny_experiment(world={"num_videos": 10, "seed": 3, "steps_range": [2, 4]})
+        with pytest.raises(ValueError, match=rf"world\.n_candidates must be an integer >= 4, got {n}\b"):
+            training.ablate(exp, ["B"], n_list=[4, n])
+        assert calls == []
 
     def test_cli_writes_csv(self, tmp_path):
         config = tmp_path / "experiment.json"
