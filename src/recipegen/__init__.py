@@ -35,10 +35,7 @@ from .extended import distant_labels, update_ingredients
 from .model import (
     ModelConfig,
     RecipeModel,
-    build_labels,
     load_checkpoint,
-    loss_event,
-    loss_sentence,
     mix_memories,
     pool_memory,
     preset_config,

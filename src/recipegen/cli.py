@@ -57,9 +57,12 @@ def _load_experiment(path: str | None, overrides: argparse.Namespace) -> Experim
 
 
 def _check_out_dirs(*paths: str | None) -> None:
-    """Each output path's directory exists, checked before any work is done."""
+    """Each output path names a file in an existing directory, checked before
+    any work is done."""
     for path in filter(None, paths):
         folder = os.path.dirname(path)
+        if os.path.isdir(path):
+            raise ValidationError(f"{path}: is a directory, not a file")
         if not os.path.isdir(folder or "."):
             raise ValidationError(f"{path}: directory {folder} does not exist")
 
@@ -235,10 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, ParseError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (ValidationError, ParseError, ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001

@@ -136,7 +136,8 @@ def distant_labels(
     """String-matched supervision: ingredient label (t, m) is 1 iff step t's
     sentence contains ingredient m's tokens contiguously; action label (t, r)
     is 1 iff lexicon action r appears in the sentence.  Row t belongs to step
-    t, so its labels bind to the event that ``build_labels`` assigns step t."""
+    t, so its labels bind to the event that ``RecipeModel.labels`` assigns
+    step t."""
     if not action_lexicon:
         raise ValueError("action lexicon must be non-empty")
     n_steps = len(gt.steps)

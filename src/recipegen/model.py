@@ -13,7 +13,8 @@ pinned to the oracle label (so the sentence loss reaches the selector),
 scores the sentence teacher-forced and ends with a STOP step; inference
 (``greedy_steps``, ``run_inference``) takes the argmax and decodes greedily.
 Both modes record one ``Step`` per step, and neither ever selects a candidate
-twice.
+twice.  In training the recurrence also sums every loss term as it goes: each
+step's event, sentence, simulator and textual-attention NLLs.
 
 A sentence is one pass of the sentence layers in both modes.  Ingredient rows
 never read word rows and a word row reads only earlier words, so appending a
@@ -37,9 +38,10 @@ Each variant builds only the modules it reads.  The extension modules are
 drawn last, in the order B < BI < BIV < BIVT, so a variant draws a prefix of
 that list, and every module it keeps starts from the same weights as in the
 variants above it built from the same seed.  Whether a step reads ingredients,
-runs the simulator or applies textual attention follows from which modules
-exist.  Precision is decided once: the layers draw in float64, and the model
-casts each parameter to ``config.dtype``, the cast ``load_checkpoint`` applies.
+runs the simulator or applies textual attention, and whether ``labels`` adds
+distant labels, follows from which modules exist.  Precision is decided once:
+the layers draw in float64, and the model casts each parameter to
+``config.dtype``, the cast ``load_checkpoint`` applies.
 """
 
 from __future__ import annotations
@@ -195,11 +197,6 @@ def mix_memories(
     return fv * g2(gs).sigmoid(), gs * f2(fv).sigmoid()
 
 
-# ---------------------------------------------------------------------------
-# Losses
-# ---------------------------------------------------------------------------
-
-
 def _plus(total: Tensor | None, term: Tensor | None) -> Tensor | None:
     """``total + term``, where None is an empty sum or a term that adds nothing."""
     if term is None:
@@ -207,37 +204,8 @@ def _plus(total: Tensor | None, term: Tensor | None) -> Tensor | None:
     return term if total is None else total + term
 
 
-def loss_event(step_log_probs: list[Tensor], labels: list[int]) -> Tensor:
-    """Negative log-likelihood of the selection labels, one per step; the
-    final label is the STOP index (= number of candidates)."""
-    if len(step_log_probs) != len(labels):
-        raise ValueError("one label per step required")
-    total = None
-    for logp, label in zip(step_log_probs, labels):
-        if not (0 <= label < logp.shape[0]):
-            raise ValueError(f"label {label} out of range for {logp.shape[0]} entries")
-        total = _plus(total, -logp[label])
-    return total
-
-
-def loss_sentence(
-    step_distributions: list[Tensor], step_targets: list[list[int]]
-) -> Tensor:
-    """Token-level NLL summed over steps and positions; PAD targets masked."""
-    total = None
-    for logp, targets in zip(step_distributions, step_targets):
-        ids = np.asarray(targets, dtype=np.intp)
-        keep = np.flatnonzero(ids != PAD)
-        if keep.size == 0:
-            continue
-        total = _plus(total, -logp[keep, ids[keep]].sum())
-    if total is None:
-        raise ValueError("no unmasked target tokens")
-    return total
-
-
 # ---------------------------------------------------------------------------
-# Labels
+# Labels and forward results
 # ---------------------------------------------------------------------------
 
 
@@ -250,44 +218,15 @@ class VideoLabels:
     act_labels: np.ndarray | None = None  # (T, R)
 
 
-def build_labels(
-    record: DatasetRecord,
-    vocab: Vocabulary,
-    action_lexicon: list[str],
-    with_distant: bool,
-) -> VideoLabels:
-    # the reselection mask would zero out a repeated label, so each step takes
-    # the first candidate of its oracle ranking that no earlier step took (its
-    # oracle pick when none is left)
-    ranking, _ = oracle_ranking(record.candidates, record.ground_truth)
-    indices: list[int] = []
-    for column in ranking.T.tolist():
-        indices.append(next((i for i in column if i not in indices), column[0]))
-    token_ids = [vocab.encode(s.sentence) + [EOS] for s in record.steps]
-    surfaces = [list(s.sentence) + ["<eos>"] for s in record.steps]
-    ing_labels = act_labels = None
-    if with_distant:
-        ing_labels, act_labels = distant_labels(record.ground_truth, action_lexicon)
-    return VideoLabels(indices, token_ids, surfaces, ing_labels, act_labels)
-
-
-# ---------------------------------------------------------------------------
-# Forward results
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class Step:
     """One step of the recurrence.  ``log_probs`` holds one vocabulary
-    log-prob row per input position of the sentence (None on STOP), and
-    ``event_log_probs`` the selection log-probs the event loss reads
-    (training only; None where the label was already taken)."""
+    log-prob row per input position of the sentence (None on STOP)."""
 
     probabilities: np.ndarray  # over candidates + STOP (last entry)
     chosen: int  # candidate index, or N for STOP
     tokens: list[int]  # the sentence's ids (the targets, EOS last, in training); [] on STOP
     log_probs: Tensor | None
-    event_log_probs: Tensor | None
 
 
 @dataclass
@@ -527,6 +466,23 @@ class RecipeModel(Layer):
         if self.ing_mlp_sel is not None and not record.ingredients:
             raise ValueError(f"{record.video_id}: variant {self.config.variant} needs an ingredient")
 
+    def labels(self, record: DatasetRecord) -> VideoLabels:
+        """The training targets of ``record`` in this model's vocabulary, with
+        distant simulator labels from its action lexicon (BIV, BIVT)."""
+        # the reselection mask would zero out a repeated label, so each step takes
+        # the first candidate of its oracle ranking that no earlier step took (its
+        # oracle pick when none is left)
+        ranking, _ = oracle_ranking(record.candidates, record.ground_truth)
+        indices: list[int] = []
+        for column in ranking.T.tolist():
+            indices.append(next((i for i in column if i not in indices), column[0]))
+        token_ids = [self.vocab.encode(s.sentence) + [EOS] for s in record.steps]
+        surfaces = [list(s.sentence) + ["<eos>"] for s in record.steps]
+        ing_labels = act_labels = None
+        if self.simulator is not None:
+            ing_labels, act_labels = distant_labels(record.ground_truth, self.action_lexicon)
+        return VideoLabels(indices, token_ids, surfaces, ing_labels, act_labels)
+
     def _context(self, record: DatasetRecord) -> dict:
         """Per-video inputs of every step: the candidate encodings, both
         ingredient encodings (all but B) and the action table (BIV, BIVT)."""
@@ -567,7 +523,7 @@ class RecipeModel(Layer):
         record: DatasetRecord,
         labels: VideoLabels | None = None,
         rng: np.random.Generator | None = None,
-    ) -> tuple[list[Step], Tensor | None, Tensor | None]:
+    ) -> tuple[list[Step], Tensor | None, Tensor | None, Tensor | None, Tensor | None]:
         """The one loop over a video's steps, in either mode.
 
         With ``labels`` (training) each step forwards the oracle event as a
@@ -580,8 +536,12 @@ class RecipeModel(Layer):
         steps.  Either way a chosen event is masked for later steps and the
         memories are mixed after each step.
 
-        Returns (steps, simulator loss, textual-attention loss); both losses
-        are None in inference and where no item or word was labeled.
+        In training each step adds its terms to four running losses: the
+        event NLL of its label (STOP included; none for a label an earlier
+        step took), the NLL of its target tokens, and its simulator and
+        textual-attention NLLs.  Returns (steps, event loss, sentence loss,
+        simulator loss, textual-attention loss); every loss is None in
+        inference, and the last two also where no item or word was labeled.
         """
         ctx = self._context(record)
         n = ctx["n"]
@@ -592,20 +552,19 @@ class RecipeModel(Layer):
         targets = labels.oracle_indices + [n] if teacher else []
         forbidden: set[int] = set()
         steps: list[Step] = []
-        l_vsim = l_tattn = None
+        l_event = l_sentence = l_vsim = l_tattn = None
 
         for t in range(len(targets) if teacher else min(self.config.max_steps, n)):
             h, logits, v_new, sim = self._score_candidates(ctx, v_mems, ing_state, forbidden)
-            event_logp = None
-            # build_labels repeats an oracle label only when the steps outnumber
-            # the candidates; the masked repeat adds no event loss
+            # labels() repeats an oracle label only when the steps outnumber the
+            # candidates; the masked repeat adds no event loss
             if teacher and targets[t] not in forbidden:
-                event_logp = log_softmax(logits, axis=-1)
+                l_event = _plus(l_event, -log_softmax(logits, axis=-1)[targets[t]])
             with no_grad():  # read, not differentiated
                 probs = softmax(logits, axis=-1).data
             chosen = targets[t] if teacher else int(np.argmax(probs))
             if chosen == n:
-                steps.append(Step(probs, chosen, [], None, event_logp))
+                steps.append(Step(probs, chosen, [], None))
                 break
 
             if teacher:
@@ -623,7 +582,9 @@ class RecipeModel(Layer):
                 sim=sim,
                 draft=None if teacher or not steps else steps[-1].tokens,
             )
-            steps.append(Step(probs, chosen, tokens, rows, event_logp))
+            steps.append(Step(probs, chosen, tokens, rows))
+            if teacher:
+                l_sentence = _plus(l_sentence, -rows[np.arange(len(tokens)), tokens].sum())
 
             if sim is not None:
                 if teacher:
@@ -639,7 +600,7 @@ class RecipeModel(Layer):
                 ))
 
             v_mems, s_mems = self._mix(v_new, s_new)
-        return steps, l_vsim, l_tattn
+        return steps, l_event, l_sentence, l_vsim, l_tattn
 
     def training_forward(
         self,
@@ -647,11 +608,9 @@ class RecipeModel(Layer):
         labels: VideoLabels,
         rng: np.random.Generator,
     ) -> ForwardResult:
-        """Losses of one video's teacher-forced rollout."""
-        steps, l_vsim, l_tattn = self._rollout(record, labels, rng)
-        scored = [s for s in steps if s.event_log_probs is not None]
-        l_event = loss_event([s.event_log_probs for s in scored], [s.chosen for s in scored])
-        l_sentence = loss_sentence([s.log_probs for s in steps[:-1]], labels.token_ids)
+        """The four loss terms of one video's teacher-forced rollout and
+        their sum, ``((event + sentence) + simulator) + textual attention``."""
+        steps, l_event, l_sentence, l_vsim, l_tattn = self._rollout(record, labels, rng)
         return ForwardResult(
             loss=_plus(_plus(l_event + l_sentence, l_vsim), l_tattn),
             loss_event=l_event,
@@ -695,9 +654,8 @@ def config_hash(config: ModelConfig, vocab: Vocabulary, action_lexicon: list[str
 
 
 def save_checkpoint(path, model: RecipeModel, extra_meta: dict | None = None):
-    """Write ``model`` as an ``.npz`` archive to ``path``: a binary file
-    object, or a file name, written as named (``np.savez`` given a name
-    appends ``.npz`` to one without it)."""
+    """Write ``model`` as an ``.npz`` archive at exactly the file name
+    ``path`` (``np.savez`` given a name appends ``.npz`` to one without it)."""
     meta = {
         "config": asdict(model.config),
         "vocab": model.vocab.content_tokens,
@@ -708,9 +666,6 @@ def save_checkpoint(path, model: RecipeModel, extra_meta: dict | None = None):
         meta["extra"] = extra_meta
     arrays = {"meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)}
     arrays.update((f"param/{k}", p.data) for k, p in model.parameters().items())
-    if hasattr(path, "write"):
-        np.savez(path, **arrays)
-        return
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 

@@ -22,12 +22,7 @@ from .data import (
     _record_to_obj,
 )
 from .dvceval import REPORT_METRICS, evaluate_corpus
-from .model import (
-    ModelConfig,
-    RecipeModel,
-    build_labels,
-    preset_config,
-)
+from .model import ModelConfig, RecipeModel, preset_config
 from .optim import Adam, OptimizerConfig
 from .parallel import in_halves
 from .synth import WorldConfig, generate_world
@@ -204,8 +199,7 @@ def train(
     model = RecipeModel(exp.model_config(feature_dim), vocab, actions, seed=exp.seed)
     for r in records:  # a record the variant cannot read fails here, not mid-epoch
         model.check_record(r)
-    with_distant = model.simulator is not None
-    labels = [build_labels(r, vocab, actions, with_distant) for r in train_recs]
+    labels = [model.labels(r) for r in train_recs]
     params = model.parameters()
     optimizer = Adam(params, exp.optimizer_config())
 

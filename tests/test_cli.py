@@ -467,7 +467,9 @@ def test_generate_rejects_unreadable_checkpoint(tmp_path, capsys, damage):
     assert str(checkpoint) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train --checkpoint", "train --log", "ablate", "generate"])
+@pytest.mark.parametrize(
+    "command", ["train --checkpoint", "train --log", "ablate", "generate", "train --checkpoint <dir>"]
+)
 def test_missing_output_directory_fails_before_the_work(tmp_path, capsys, monkeypatch, command):
     dataset, checkpoint = tmp_path / "world.json", tmp_path / "model.npz"
     records = generate_world(WorldConfig(num_videos=4, seed=3))
@@ -489,9 +491,32 @@ def test_missing_output_directory_fails_before_the_work(tmp_path, capsys, monkey
         "ablate": ["ablate", "--n-list", "6", "8", "--out", missing],
         "generate": ["generate", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
                      "--out", missing],
+        # an output path that names an existing directory
+        "train --checkpoint <dir>": ["train", "--dataset", str(dataset), "--checkpoint", str(tmp_path)],
     }[command]
     assert cli.main(args) == cli.EXIT_VALIDATION
-    assert missing in capsys.readouterr().err
+    assert args[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", ["oracle --dataset", "train --config", "generate --checkpoint", "evaluate --predictions"]
+)
+def test_input_path_naming_a_directory_is_a_validation_error(tmp_path, capsys, flag):
+    dataset, folder, out = tmp_path / "world.json", tmp_path / "adir", tmp_path / "out.json"
+    save_dataset(generate_world(WorldConfig(num_videos=3)), str(dataset))
+    folder.mkdir()
+    args = {
+        "oracle --dataset": ["oracle", "--dataset", str(folder)],
+        "train --config": ["train", "--config", str(folder), "--dataset", str(dataset),
+                           "--checkpoint", str(out)],
+        "generate --checkpoint": ["generate", "--checkpoint", str(folder), "--dataset", str(dataset),
+                                  "--out", str(out)],
+        "evaluate --predictions": ["evaluate", "--predictions", str(folder), "--dataset", str(dataset),
+                                   "--out", str(out)],
+    }[flag]
+    assert cli.main(args) == cli.EXIT_VALIDATION
+    assert str(folder) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_oracle_seed_needs_a_budget_list(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import copy
 import hashlib
-import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -254,11 +255,11 @@ def _saved_checkpoint():
         Vocabulary(["crack", "eggs"]),
         ["crack", "serve"],
     )
-    buffer = io.BytesIO()
-    save_checkpoint(buffer, model)
-    buffer.seek(0)
-    with np.load(buffer) as blob:
-        return {key: blob[key] for key in blob.files}
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "model.npz")
+        save_checkpoint(path, model)
+        with np.load(path) as blob:
+            return {key: blob[key] for key in blob.files}
 
 
 CHECKPOINT_ARRAYS = _saved_checkpoint()

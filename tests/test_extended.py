@@ -20,7 +20,7 @@ from recipegen.extended import (
     textual_attention_nll,
     update_ingredients,
 )
-from recipegen.model import ModelConfig, RecipeModel, build_labels
+from recipegen.model import ModelConfig, RecipeModel
 from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
 
 WORLD = WorldConfig(num_videos=6, seed=33)
@@ -285,7 +285,7 @@ class TestTextualAttention:
         n = len(pred.sentences)
         assert sorted(calls) == ["map_action"] * n + ["map_ingredient"] * n
         calls.clear()
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, with_distant=True)
+        labels = model.labels(record)
         model.training_forward(record, labels, np.random.default_rng(0))
         n = len(record.steps)
         assert sorted(calls) == ["map_action"] * n + ["map_ingredient"] * n
@@ -319,9 +319,9 @@ class TestDistantLabels:
         np.testing.assert_array_equal(ing, [[1], [0]])
 
     def test_randomized_matches_scan_oracle(self):
-        rng = np.random.default_rng(5)
+        model = tiny_extended("BIV")
         for record in RECORDS:
-            labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, with_distant=True)
+            labels = model.labels(record)
             for t, step in enumerate(record.steps):
                 sent = " ".join(step.sentence)
                 for m, ing in enumerate(record.ingredients):
@@ -408,7 +408,7 @@ class TestTextualAttentionLoss:
     def test_gathered_textual_nll_matches_per_token_sum(self, monkeypatch):
         model = tiny_extended("BIVT", seed=31)
         record = RECORDS[0]
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, with_distant=True)
+        labels = model.labels(record)
         runs = {}
         for name, nll in (("gathered", textual_attention_nll),
                           ("per-token", per_token_textual_nll)):
@@ -454,7 +454,7 @@ class TestAblationContainment:
     def test_extended_gradients_reach_all_extension_parameters(self):
         model = tiny_extended("BIVT", seed=29)
         record = RECORDS[0]
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, with_distant=True)
+        labels = model.labels(record)
         result = model.training_forward(record, labels, np.random.default_rng(0))
         assert result.loss_vsim is not None and result.loss_tattn is not None
         result.loss.backward()

@@ -24,6 +24,7 @@ from recipegen.data import (
     build_vocabulary,
 )
 from recipegen.dvceval import tiou
+from recipegen.extended import distant_labels
 from recipegen.layers import IncrementalPass, MemTransformerLayer, sinusoidal_encoding
 from recipegen.model import (
     DRAFT_TOKENS,
@@ -32,11 +33,8 @@ from recipegen.model import (
     ModelConfig,
     RecipeModel,
     VideoLabels,
-    build_labels,
     config_hash,
     load_checkpoint,
-    loss_event,
-    loss_sentence,
     mix_memories,
     pool_memory,
     preset_config,
@@ -351,46 +349,29 @@ class TestMixMemories:
 
 
 class TestLosses:
-    def test_loss_event_perfect_is_zero(self):
-        logp = Tensor(np.log(np.array([1.0 - 1e-300, 1e-300])))
-        assert loss_event([logp], [0]).item() == pytest.approx(0.0, abs=1e-12)
-
-    def test_loss_event_uniform_closed_form(self):
-        n = 5
-        logp = log_softmax(Tensor(np.zeros(n + 1)))
-        total = loss_event([logp] * 4, [0, 1, 2, n])
-        assert total.item() == pytest.approx(4 * math.log(n + 1))
-
-    def test_loss_event_random_matches_hand_sum(self):
-        rng = np.random.default_rng(6)
-        rows = [log_softmax(Tensor(rng.standard_normal(7))) for _ in range(3)]
-        labels = [2, 0, 6]
-        want = -sum(r.data[l] for r, l in zip(rows, labels))
-        assert loss_event(rows, labels).item() == pytest.approx(want)
-
-    def test_loss_event_label_out_of_range(self):
-        logp = log_softmax(Tensor(np.zeros(3)))
-        with pytest.raises(ValueError):
-            loss_event([logp], [3])
-
-    def test_loss_sentence_uniform_closed_form(self):
-        vocab_size, k = 13, 4
-        rows = log_softmax(Tensor(np.zeros((k, vocab_size))))
-        total = loss_sentence([rows], [[5, 6, 7, 8]])
-        assert total.item() == pytest.approx(k * math.log(vocab_size))
-
-    def test_loss_sentence_pad_masked(self):
-        rows = log_softmax(Tensor(np.zeros((3, 5))))
-        with_pad = loss_sentence([rows], [[1, PAD, 2]])
-        without = loss_sentence([rows[np.array([0, 2])]], [[1, 2]])
-        assert with_pad.item() == pytest.approx(without.item())
-
-    def test_loss_sentence_random_matches_hand_sum(self):
-        rng = np.random.default_rng(7)
-        rows = log_softmax(Tensor(rng.standard_normal((4, 9))))
-        targets = [3, 8, 1, 4]
-        want = -sum(rows.data[i, t] for i, t in enumerate(targets))
-        assert loss_sentence([rows], [targets]).item() == pytest.approx(want)
+    @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
+    def test_training_forward_sums_each_steps_terms(self, variant):
+        """The event loss is the NLL of every unmasked label, STOP included,
+        the sentence loss that of every written step's targets, and the loss
+        their sum plus the simulator and textual-attention terms."""
+        model = tiny_model(variant)
+        record = RECORDS[1]
+        labels = model.labels(record)
+        labels.oracle_indices[1] = labels.oracle_indices[0]  # a masked repeat
+        result = model.training_forward(record, labels, np.random.default_rng(5))
+        kept = [s for t, s in enumerate(result.steps)
+                if s.chosen not in [r.chosen for r in result.steps[:t]]]
+        assert len(kept) == len(result.steps) - 1
+        event = -sum(math.log(s.probabilities[s.chosen]) for s in kept)
+        written = [s for s in result.steps if s.chosen < len(record.candidates)]
+        sentence = -sum(s.log_probs.data[i, token]
+                        for s in written for i, token in enumerate(s.tokens))
+        assert result.loss_event.item() == pytest.approx(event, rel=1e-9)
+        assert result.loss_sentence.item() == pytest.approx(sentence, rel=1e-9)
+        total = result.loss_event.item() + result.loss_sentence.item()
+        for term in (result.loss_vsim, result.loss_tattn):
+            total += 0.0 if term is None else term.item()
+        assert result.loss.item() == total
 
 
 def label_record(candidates, steps, duration=40.0):
@@ -426,23 +407,38 @@ def label_records(draw):
     return label_record(candidates, list(zip(cuts[::2], cuts[1::2])), duration=12.0)
 
 
+# labels() of a B model: the oracle indices and targets, no distant labels
+LABELER = tiny_model()
+
+
 class TestBuildLabels:
     def test_shared_best_candidate_falls_back_through_ties(self):
         # [0, 20] is both steps' best (tIoU 0.5); for the second step the
         # other three tie at tIoU 0.4, [10, 14] and [10, 35] also on start
         record = label_record([(0, 20), (10, 14), (10, 35), (16, 20)], [(0, 10), (10, 20)])
         assert oracle_select(record.candidates, record.ground_truth).indices == [0, 0]
-        assert build_labels(record, VOCAB, DEFAULT_ACTIONS, False).oracle_indices == [0, 1]
+        assert LABELER.labels(record).oracle_indices == [0, 1]
 
     def test_more_steps_than_candidates_repeat_the_oracle_pick(self):
         record = label_record([(0, 20), (18, 30)], [(0, 10), (10, 20), (20, 30)])
-        assert build_labels(record, VOCAB, DEFAULT_ACTIONS, False).oracle_indices == [0, 1, 1]
+        assert LABELER.labels(record).oracle_indices == [0, 1, 1]
 
     @settings(max_examples=300, deadline=None)
     @given(record=label_records())
     def test_matches_the_scalar_fallback(self, record):
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, False)
+        labels = LABELER.labels(record)
         assert labels.oracle_indices == fallback_label_indices(record)
+
+    @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
+    def test_distant_labels_exactly_with_a_simulator(self, variant):
+        record = RECORDS[0]
+        labels = tiny_model(variant).labels(record)
+        if variant in ("BIV", "BIVT"):
+            ing, act = distant_labels(record.ground_truth, DEFAULT_ACTIONS)
+            np.testing.assert_array_equal(labels.ing_labels, ing)
+            np.testing.assert_array_equal(labels.act_labels, act)
+        else:
+            assert labels.ing_labels is None and labels.act_labels is None
 
 
 class TestTrainingForward:
@@ -451,7 +447,7 @@ class TestTrainingForward:
         # a model holds only what it reads: rounding noise (~1e-16) fails too
         model = tiny_model(variant)
         for i, record in enumerate(RECORDS[:3]):
-            labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, variant in ("BIV", "BIVT"))
+            labels = model.labels(record)
             model.training_forward(record, labels, np.random.default_rng(i)).loss.backward()
         for name, p in model.parameters().items():
             assert p.grad is not None and np.abs(p.grad).max() > 1e-8, f"{variant}: {name}"
@@ -467,7 +463,7 @@ class TestTrainingForward:
     def test_selection_trace_masks_previous_choices(self):
         model = tiny_model()
         record = RECORDS[0]
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, False)
+        labels = model.labels(record)
         result = model.training_forward(record, labels, np.random.default_rng(1))
         seen = set()
         for step in result.steps[:-1]:
@@ -480,16 +476,16 @@ class TestTrainingForward:
     def test_teacher_conditioning_follows_labels(self):
         model = tiny_model()
         record = RECORDS[1]
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, False)
+        labels = model.labels(record)
         result = model.training_forward(record, labels, np.random.default_rng(2))
         assert [t.chosen for t in result.steps[:-1]] == labels.oracle_indices
 
     def test_repeated_oracle_label_adds_no_event_loss(self):
-        # build_labels repeats a label only when the steps outnumber the
+        # labels() repeats a label only when the steps outnumber the
         # candidates; the repeat is masked, so its event loss would be ~1e9
         model = tiny_model()
         record = RECORDS[1]
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, False)
+        labels = model.labels(record)
         labels.oracle_indices[1] = labels.oracle_indices[0]
         result = model.training_forward(record, labels, np.random.default_rng(3))
         targets = labels.oracle_indices + [len(record.candidates)]
@@ -515,7 +511,7 @@ class TestTrainingForward:
         # STOP logit and the vocabulary heads after the selected row
         model = tiny_model(variant)
         record = RECORDS[0]
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, variant == "BIVT")
+        labels = model.labels(record)
         params = model.parameters()
         # a freshly seeded rng per call draws the same Gumbel noise each time
         err = grad_check(
@@ -555,7 +551,7 @@ class TestTrainingForward:
     def test_float32_losses_and_grads_stay_float32(self, variant):
         model = tiny_model(variant, precision="float32")
         record = RECORDS[0]
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, variant in ("BIV", "BIVT"))
+        labels = model.labels(record)
         result = model.training_forward(record, labels, np.random.default_rng(0))
         result.loss.backward()
         losses = [result.loss, result.loss_event, result.loss_sentence, result.loss_vsim]
@@ -567,7 +563,7 @@ class TestTrainingForward:
     def test_trace_probabilities_build_no_graph(self, monkeypatch):
         model = tiny_model("BIVT")
         record = RECORDS[0]
-        labels = build_labels(record, VOCAB, DEFAULT_ACTIONS, True)
+        labels = model.labels(record)
         runs = []
         # the second run differentiates the trace softmax, as earlier versions did
         for no_grad in (model_module.no_grad, contextlib.nullcontext):
@@ -667,7 +663,6 @@ class TestInference:
         steps = model.greedy_steps(RECORDS[1])
         assert next(autodiff._node_seq) == first + 1
         for step in steps:
-            assert step.event_log_probs is None
             assert step.log_probs is None or not step.log_probs.requires_grad
 
 
@@ -829,8 +824,7 @@ def one_token(generate):
 
 def trained_model(variant, epochs=8, **overrides):
     model = tiny_model(variant, **overrides)
-    with_distant = variant in ("BIV", "BIVT")
-    labels = [build_labels(r, VOCAB, DEFAULT_ACTIONS, with_distant) for r in RECORDS]
+    labels = [model.labels(r) for r in RECORDS]
     optimizer = Adam(model.parameters(), OptimizerConfig(lr=3e-3, warmup_epochs=0))
     rng = np.random.default_rng(0)
     for _ in range(epochs):
@@ -1021,7 +1015,8 @@ class TestOneRecurrence:
     @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
     def test_teacher_rollout_of_greedy_choices_matches_greedy(self, variant):
         """Teacher-forcing a greedy rollout's own choices and tokens (+EOS)
-        runs the same recurrence: every step's selection matches."""
+        runs the same recurrence: every step's selection matches, and the
+        sentence loss is the NLL that greedy's own rows give those tokens."""
         model = trained_model(variant)
         compared = 0
         for record in RECORDS:
@@ -1035,11 +1030,15 @@ class TestOneRecurrence:
                 ing_labels=np.ones((k, len(record.ingredients)), dtype=np.int8),
                 act_labels=np.ones((k, len(DEFAULT_ACTIONS)), dtype=np.int8),
             )
-            teacher, _, _ = model._rollout(record, labels, np.random.default_rng(0))
+            teacher, _, l_sentence, _, _ = model._rollout(record, labels, np.random.default_rng(0))
             for a, b in zip(greedy, teacher):
                 assert a.chosen == b.chosen
                 np.testing.assert_allclose(a.probabilities, b.probabilities, rtol=0, atol=1e-10)
                 if a.log_probs is not None:
                     np.testing.assert_allclose(a.log_probs.data, b.log_probs.data, rtol=0, atol=1e-10)
+            if k:
+                want = -sum(s.log_probs.data[np.arange(len(s.tokens) + 1), s.tokens + [EOS]].sum()
+                            for s in written)
+                assert l_sentence.item() == pytest.approx(want, rel=1e-9)
             compared += k
         assert compared > 0
