@@ -74,6 +74,13 @@ def check_number(name: str, value, low: float, high: float = math.inf) -> None:
         raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
+def check_distinct(name: str, values: list) -> None:
+    """Raise ``ValueError`` naming ``name`` and each value it lists more than once."""
+    repeated = [str(v) for v, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{name}: {', '.join(repeated)} listed more than once")
+
+
 def check_flag(name: str, value) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a bool."""
     if not isinstance(value, bool):
@@ -321,7 +328,10 @@ def _interval(obj, where: str) -> TimedEvent:
 def _record_from_obj(obj, where: str) -> DatasetRecord:
     vid = _field(obj, "video_id", str, where)
     events, feats, cand_sents = [], [], []
-    for i, c in enumerate(_field(obj, "candidates", list, vid)):
+    raw_candidates = _field(obj, "candidates", list, vid)
+    if not raw_candidates:
+        raise ValidationError(f"{vid}: field 'candidates' needs at least one candidate")
+    for i, c in enumerate(raw_candidates):
         at = f"{vid}: candidates[{i}]"
         events.append(_interval(c, at))
         feats.append(_finite(_field(c, "feature", list, at), at, "feature"))

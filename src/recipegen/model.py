@@ -20,13 +20,14 @@ A sentence is one pass of the sentence layers in both modes.  Ingredient rows
 never read word rows and a word row reads only earlier words, so appending a
 word changes no earlier hidden state.  Teacher forcing pushes the ingredient
 rows and every input word at once.  Greedy decoding pushes the ingredient rows
-with BOS, then the last emitted token; each push also carries up to
-``DRAFT_TOKENS`` drafted tokens, the previous step's sentence aligned by
-position, and keeps the drafted rows the argmax confirms (greedy speculative
-decoding).  Rejected rows are dropped from the pass, so the tokens are those
-of one push per token.  The sentence memories are updated once per sentence,
-over all the kept rows, so a greedy decode equals the teacher-forced pass
-over BOS and its own output.
+with BOS, then the last emitted token; each push also carries drafted tokens
+and keeps the drafted rows the argmax confirms (greedy speculative decoding).
+After two equal tokens the draft is that token again up to the maximum length,
+a guess that the run goes on; otherwise it is up to ``DRAFT_TOKENS`` tokens of
+the previous step's sentence, aligned by position.  Rejected rows are dropped
+from the pass, so the tokens are those of one push per token.  The sentence
+memories are updated once per sentence, over all the kept rows, so a greedy
+decode equals the teacher-forced pass over BOS and its own output.
 
 Model variants:
   B      events only
@@ -101,7 +102,8 @@ VARIANTS = ("B", "BI", "BIV", "BIVT")
 # rows of the sinusoidal position table: candidate ranks and word positions
 # (greedy decoding puts the k-th emitted token at position k)
 POSITIONS = 512
-# most drafted tokens one greedy decoding push checks besides the last emitted one
+# most tokens of the previous step's sentence one greedy decoding push drafts
+# (a drafted run of one repeated token is bounded only by the maximum length)
 DRAFT_TOKENS = 4
 
 
@@ -398,12 +400,15 @@ class RecipeModel(Layer):
         ``_sentence_mask``: BOS plus all targets but the last in teacher mode,
         BOS plus the first drafted tokens in greedy mode.  Greedy mode then
         pushes the last emitted token with the drafted tokens that follow it.
-        ``draft`` guesses the emitted ids by position (``draft[k]`` for the
-        k-th); a push carries at most ``DRAFT_TOKENS`` of them and never a
-        position past ``config.max_sentence_len``.  Row by row, a push keeps
-        each drafted token that equals the argmax of the row before it, up to
-        the first that does not, and emits the argmax of every kept row; the
-        rows after it are dropped.  Without a draft every push is one row.
+        After m emitted ids, of which the last two are equal, a push drafts
+        that id again for each of the ``config.max_sentence_len - m``
+        positions left.  Otherwise it drafts from ``draft``, which guesses the
+        emitted ids by position (``draft[k]`` for the k-th): at most
+        ``DRAFT_TOKENS`` of them, and never a position past
+        ``config.max_sentence_len``.  Row by row, a push keeps each drafted
+        token that equals the argmax of the row before it, up to the first
+        that does not, and emits the argmax of every kept row; the rows after
+        it are dropped.  Without a draft, a push drafts only runs.
         Either way the emitted tokens are those of one push per token, and
         greedy mode returns one log-prob row per input position (BOS plus the
         emitted ids) and no attention weights; it never emits PAD or BOS.
@@ -450,7 +455,11 @@ class RecipeModel(Layer):
             if done:
                 return decoded, concat(rows, axis=0), decoder.update_memories(), None
             m = len(decoded)
-            guess = draft[m : m + min(DRAFT_TOKENS, max_len - m)]
+            room = max_len - m
+            if m >= 2 and decoded[-1] == decoded[-2]:  # a run: guess it goes on
+                guess = [decoded[-1]] * room
+            else:
+                guess = draft[m : m + min(DRAFT_TOKENS, room)]
             word_h = decoder.push(
                 self._word_rows([decoded[-1]] + guess, h_sel, start=m),
                 self._sentence_mask(0, len(guess) + 1) if guess else None,

@@ -17,6 +17,7 @@ from .data import (
     EventCandidateSet,
     GroundTruthRecipe,
     PredictionRecipe,
+    check_distinct,
     check_int,
     tokenize,
 )
@@ -188,6 +189,7 @@ def oracle_sweep(records: list[DatasetRecord], n_list: list[int], seed: int = 0)
     scores its half at every budget with its own copy of the memoized scorers."""
     for n in n_list:
         check_int("candidate budget", n, 1)
+    check_distinct("candidate budgets", n_list)  # a repeated budget is the same row
     metrics = sentence_metrics(reference_df([r.ground_truth for r in records]))
     budgets = sorted(n_list)
 

@@ -17,6 +17,7 @@ import numpy as np
 from .data import (
     DatasetRecord,
     build_vocabulary,
+    check_distinct,
     check_int,
     config_from_dict,
     _record_to_obj,
@@ -179,16 +180,19 @@ def train(
     exp: ExperimentConfig,
     quiet: bool = True,
 ) -> TrainResult:
-    """Train on the 80 split, validate per epoch on the 20 split, keep the
-    checkpoint that maximizes the early-stop metric.
+    """Train on the videos ``split_dataset`` does not hold out, validate per
+    epoch on the ``val_fraction`` it does, and keep the checkpoint that
+    maximizes the early-stop metric.
 
     A minibatch's gradient is the sum over its first ceil(k/2) videos, in
     batch order, plus the sum over the rest; validation splits the same way.
     The split is fixed at two, for the idle second core of a 2-core box, so a
     machine decides only where the second half runs, never what is summed."""
     train_recs, val_recs = split_dataset(records, exp.val_fraction)
-    if not train_recs or not val_recs:
-        raise ValueError("dataset too small to split into train and validation")
+    empty = [name for name, split in (("train", train_recs), ("validation", val_recs)) if not split]
+    if empty:
+        raise ValueError(f"dataset too small to split: {len(records)} videos at val_fraction "
+                         f"{exp.val_fraction} leave the {' and '.join(empty)} split empty")
     corpus = [s.sentence for r in train_recs for s in r.steps]
     vocab = build_vocabulary(corpus, min_count=exp.vocab_min_count)
     # the width most videos share (the first video's on a tie), so that
@@ -307,8 +311,11 @@ def ablate(
     if (n_list is None) == (records is None):
         raise ValueError("ablate needs a dataset or a candidate-count list, not both")
     for name, values in (("variants", variants), ("n_list", n_list)):
-        if values is not None and len(values) == 0:
+        if values is None:
+            continue
+        if len(values) == 0:
             raise ValueError(f"ablate needs at least one cell: {name} is empty")
+        check_distinct(name, values)  # a repeated value would train a cell twice
     if n_list is None:
         cells = [records]
     else:

@@ -107,6 +107,25 @@ def test_ablate_checks_variants_before_training(tmp_path, capsys, monkeypatch):
     assert trained == []
 
 
+@pytest.mark.parametrize(
+    "cells, repeated",
+    [(["--variants", "B,BI,B", "--n-list", "6"], "variants: B"), (["--n-list", "6", "8", "6"], "n_list: 6")],
+    ids=["variants", "budgets"],
+)
+def test_ablate_rejects_a_repeated_cell_before_any_work(tmp_path, capsys, monkeypatch, cells, repeated):
+    calls = []
+    monkeypatch.setattr(training, "generate_world", lambda *args: calls.append("synth"))
+    monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append("train"))
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(EXPERIMENT))
+    out = tmp_path / "a.csv"
+    code = cli.main(["ablate", "--config", str(config), *cells, "--out", str(out), "--quiet"])
+    assert code == cli.EXIT_VALIDATION
+    assert f"{repeated} listed more than once" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def _result(**fields):
     return {"index": 0, "start": 0.0, "end": 1.0, "sentence": "stir", **fields}
 
@@ -360,6 +379,7 @@ def test_ablate_checks_sections_first(tmp_path, capsys, monkeypatch, source, sec
     [
         ((1,), 7, ["record 1"]),
         ((0, "candidates"), {}, ["video_0000", "'candidates'"]),
+        ((0, "candidates"), [], ["video_0000", "'candidates' needs at least one candidate"]),
         ((0, "candidates", 2), 5, ["video_0000", "candidates[2]"]),
         ((0, "steps", 1, "sentence"), 3, ["video_0000", "steps[1]", "'sentence'"]),
         ((0, "duration"), float("nan"), ["video_0000", "'duration'"]),
@@ -369,7 +389,7 @@ def test_ablate_checks_sections_first(tmp_path, capsys, monkeypatch, source, sec
         ((0, "steps"), [{"start": float(i), "end": i + 0.5, "sentence": "stir"} for i in range(13)],
          ["video_0000", "step count 13"]),
     ],
-    ids=["record", "candidates", "candidate", "sentence", "nan-duration", "infinite-feature",
+    ids=["record", "candidates", "no-candidates", "candidate", "sentence", "nan-duration", "infinite-feature",
          "long-sentence", "too-many-steps"],
 )
 def test_bad_dataset_record_exits_validation(tmp_path, capsys, path, value, names):
@@ -549,3 +569,27 @@ def test_oracle_rejects_budget_below_one(tmp_path, capsys, budget):
     assert code == cli.EXIT_VALIDATION
     assert f"candidate budget must be an integer >= 1, got {budget}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_oracle_rejects_a_repeated_budget(tmp_path, capsys):
+    dataset, out = tmp_path / "world.json", tmp_path / "oracle.json"
+    save_dataset(generate_world(WorldConfig(num_videos=3)), str(dataset))
+    code = cli.main(["oracle", "--dataset", str(dataset), "--n-list", "4", "6", "4", "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert "candidate budgets: 4 listed more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "videos, val_fraction, split",
+    [(8, 0.2, "validation"), (2, 0.8, "train")],
+    ids=["no-validation", "no-train"],
+)
+def test_train_names_the_empty_split(tmp_path, capsys, videos, val_fraction, split):
+    save_dataset(generate_world(WorldConfig(num_videos=videos, seed=3)), tmp_path / "world.json")
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps({**EXPERIMENT, "val_fraction": val_fraction}))
+    assert cli.main(_train_args(tmp_path, config)) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{videos} videos at val_fraction {val_fraction} leave the {split} split empty" in err
+    assert not (tmp_path / "model.npz").exists()

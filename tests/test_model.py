@@ -813,13 +813,33 @@ def recording(generate, memories):
     return call
 
 
-def one_token(generate):
-    """``generate`` with every draft left out: one push per emitted token."""
+def no_draft(generate):
+    """``generate`` with no draft from the previous step: a push drafts only
+    the run of one repeated token that the sentence is in."""
 
     def call(*args, draft=None, **kwargs):
         return generate(*args, **kwargs)
 
     return call
+
+
+def assert_same_decodes(fast, slow, fast_mems, slow_mems, max_len):
+    """Two decodes of the same videos give the same selections and tokens,
+    and log-prob rows and sentence memories within 1e-10; some sentence ends
+    before ``max_len``."""
+    eos_ended = 0
+    for fast_steps, slow_steps in zip(fast, slow, strict=True):
+        assert [s.chosen for s in fast_steps] == [s.chosen for s in slow_steps]
+        for a, b in zip(fast_steps, slow_steps):
+            assert a.tokens == b.tokens
+            if a.log_probs is None:
+                continue
+            eos_ended += len(a.tokens) < max_len
+            np.testing.assert_allclose(a.log_probs.data, b.log_probs.data, rtol=0, atol=1e-10)
+    assert eos_ended > 0
+    for fast_layers, slow_layers in zip(fast_mems, slow_mems, strict=True):
+        for ma, mb in zip(fast_layers, slow_layers, strict=True):
+            np.testing.assert_allclose(ma.data, mb.data, rtol=0, atol=1e-10)
 
 
 def trained_model(variant, epochs=8, **overrides):
@@ -884,24 +904,97 @@ class TestIncrementalDecoding:
             fast = [model.greedy_steps(r) for r in RECORDS]
         monkeypatch.setattr(model, "generate_sentence", recording(reference_generate(model), slow_mems))
         slow = [model.greedy_steps(r) for r in RECORDS]
-        eos_ended = 0
-        for fast_steps, slow_steps in zip(fast, slow):
-            assert [s.chosen for s in fast_steps] == [s.chosen for s in slow_steps]
-            for a, b in zip(fast_steps, slow_steps):
-                assert a.tokens == b.tokens
-                if a.log_probs is None:
-                    continue
-                eos_ended += len(a.tokens) < model.config.max_sentence_len
-                np.testing.assert_allclose(a.log_probs.data, b.log_probs.data, rtol=0, atol=1e-10)
-        assert eos_ended > 0
-        for fast_layers, slow_layers in zip(fast_mems, slow_mems, strict=True):
-            for ma, mb in zip(fast_layers, slow_layers, strict=True):
-                np.testing.assert_allclose(ma.data, mb.data, rtol=0, atol=1e-10)
+        assert_same_decodes(fast, slow, fast_mems, slow_mems, model.config.max_sentence_len)
         # every push after the first of a sentence carries one emitted token,
         # so the drafted rows kept are the input rows less the pushes
         inputs = sum(len(s.tokens) + 1 for steps in fast for s in steps if s.log_probs is not None)
         assert inputs - sum(passes.pushes) > 0
         assert passes.dropped > 0
+
+    @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
+    def test_runs_without_a_draft_match_full_recompute(self, variant, monkeypatch):
+        """With no draft from the previous step a push drafts only a run of
+        one repeated token, and decoding still gives the tokens, selections,
+        log-prob rows and memories of one full pass per emitted token."""
+        model = trained_model(variant)
+        fast_mems, slow_mems = [], []
+        with monkeypatch.context() as patch:
+            passes = SentencePasses(model, patch)
+            patch.setattr(model, "generate_sentence", recording(no_draft(model.generate_sentence), fast_mems))
+            fast = [model.greedy_steps(r) for r in RECORDS]
+        monkeypatch.setattr(model, "generate_sentence", recording(reference_generate(model), slow_mems))
+        slow = [model.greedy_steps(r) for r in RECORDS]
+        assert any(a == b for steps in fast for s in steps for a, b in zip(s.tokens, s.tokens[1:]))
+        assert_same_decodes(fast, slow, fast_mems, slow_mems, model.config.max_sentence_len)
+        inputs = sum(len(s.tokens) + 1 for steps in fast for s in steps if s.log_probs is not None)
+        assert sum(passes.pushes) < inputs  # drafted runs were kept
+        assert passes.dropped > 0
+
+    def scripted_sentence(self, monkeypatch, script, draft=None):
+        """One greedy sentence of an untrained BI model whose row at word
+        position p emits ``script[p]``, while the sentence layers run on every
+        pushed row; returns the decode, one full pass per emitted token over
+        the same script, and the sentence-layer counts of the decode."""
+        model = tiny_model("BI")
+        rng = np.random.default_rng(0)
+        gen_ing = Tensor(rng.standard_normal((2, model.config.hidden)))
+        h_sel = Tensor(rng.standard_normal((1, model.config.hidden)))
+        starts, word_rows = [], model._word_rows
+
+        def rows(ids, h, start=0):
+            starts.append(start)
+            return word_rows(ids, h, start)
+
+        def log_probs(word_h, keys):
+            positions = starts[-1] + np.arange(word_h.shape[0])
+            logits = np.zeros((len(positions), len(VOCAB)))
+            logits[np.arange(len(positions)), [script[p] for p in positions]] = 10.0
+            return log_softmax(Tensor(logits), axis=-1), None
+
+        monkeypatch.setattr(model, "_word_rows", rows)
+        monkeypatch.setattr(model, "_vocab_log_probs", log_probs)
+        args = (h_sel, model.sent_tf.initial_memory(), gen_ing)
+        with autodiff.no_grad():
+            want = reference_generate(model)(*args)
+            with monkeypatch.context() as patch:
+                passes = SentencePasses(model, patch)
+                got = model.generate_sentence(*args, draft=draft)
+        assert got[0] == want[0]
+        np.testing.assert_allclose(got[1].data, want[1].data, rtol=0, atol=1e-10)
+        for a, b in zip(got[2], want[2], strict=True):
+            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-10)
+        return got[0], passes
+
+    def test_a_run_of_one_token_takes_at_most_three_pushes(self, monkeypatch):
+        """BOS, the token once more, then the rest of the run in one push,
+        whatever its length and the draft; the pushed rows past its end are
+        dropped."""
+        max_len = ModelConfig().max_sentence_len
+        token, other = 5, 7  # content ids
+        for length in (2, 3, max_len // 2, max_len):
+            script = [token] * length + [EOS] * (max_len + 1 - length)
+            for draft in (None, [token] * max_len, [other] * max_len):
+                tokens, passes = self.scripted_sentence(monkeypatch, script, draft)
+                assert tokens == [token] * length
+                assert passes.pushes[0] <= 3, (length, draft)
+                if draft is None:
+                    assert passes.pushes == [3]
+                    assert passes.dropped == max_len - length
+                assert passes.kept == [[2 + length + 1] * 2]
+
+    def test_a_broken_run_drops_the_rejected_rows(self, monkeypatch):
+        """A run that another token breaks keeps the rows up to that token
+        and drops the rest of the run's push; the next push drafts nothing."""
+        max_len = ModelConfig().max_sentence_len
+        script = [5, 5, 5, 7] + [EOS] * max_len
+        tokens, passes = self.scripted_sentence(monkeypatch, script)
+        assert tokens == [5, 5, 5, 7]
+        # BOS; the second 5; the run's push, rejected at the 7; the 7 alone
+        assert passes.pushes == [4]
+        # the run's push holds the last emitted 5 and max_len - 2 drafted 5s,
+        # and keeps two rows
+        assert passes.dropped == max_len - 3
+        assert passes.kept == [[2 + 5] * 2]
 
     @pytest.mark.parametrize("variant", ["B", "BI", "BIV", "BIVT"])
     def test_sentence_layers_run_once_per_push(self, variant, monkeypatch):
@@ -933,7 +1026,8 @@ class TestIncrementalDecoding:
     def test_explicit_drafts_give_the_reference_tokens(self, variant, monkeypatch):
         """Right, wrong, too long and past-EOS drafts all decode to the tokens
         of one full pass per emitted token, and no push passes max length,
-        also when a push may carry more drafted tokens than a sentence holds."""
+        also when a push may carry more drafted tokens than a sentence holds
+        or drafts the run a sentence is in."""
         model = trained_model(variant, max_sentence_len=4)
         max_len = model.config.max_sentence_len
         calls = []
@@ -978,16 +1072,18 @@ class TestIncrementalDecoding:
                         np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-10)
                 seen[name] += 1
             seen["max length"] += not ended
-        assert all(seen[name] > 0 for name in ("right", "wrong", "too long", "past EOS", "max length"))
+            seen["run"] += any(a == b for a, b in zip(want, want[1:]))
+        names = ("right", "wrong", "too long", "past EOS", "max length", "run")
+        assert all(seen[name] > 0 for name in names)
         assert max(positions) == max_len
 
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     def test_matches_one_token_decoding(self, precision, monkeypatch):
-        """Drafted decoding emits the selections and tokens of one push per
-        token; in float64 its log-prob rows agree to 1e-12."""
+        """Drafted decoding emits the selections and tokens of one full pass
+        per emitted token; in float64 its log-prob rows agree to 1e-12."""
         model = trained_model("BIVT", precision=precision)
         drafted = [model.greedy_steps(r) for r in RECORDS]
-        monkeypatch.setattr(model, "generate_sentence", one_token(model.generate_sentence))
+        monkeypatch.setattr(model, "generate_sentence", reference_generate(model))
         single = [model.greedy_steps(r) for r in RECORDS]
         for a_steps, b_steps in zip(drafted, single):
             assert [s.chosen for s in a_steps] == [s.chosen for s in b_steps]

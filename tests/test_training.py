@@ -339,6 +339,13 @@ class TestAblate:
             training.ablate(tiny_experiment(), variants, **cells)
         assert calls == []
 
+    def test_repeated_variant_on_a_dataset_rejected_before_training(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="variants: BI listed more than once"):
+            training.ablate(tiny_experiment(), ["BI", "B", "BI"], records=RECORDS)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "options, error",
         [
