@@ -382,6 +382,8 @@ def _check_unique(path, items) -> None:
 def load_dataset(path) -> list[DatasetRecord]:
     """Load and validate a dataset file; records come back ordered by video_id."""
     raw = read_json(path, list, "a top-level array of records")
+    if not raw:
+        raise ValidationError(f"{path}: no records")
     records = [_record_from_obj(obj, f"{path}: record {pos}") for pos, obj in enumerate(raw)]
     _check_unique(path, records)
     records.sort(key=lambda r: r.video_id)

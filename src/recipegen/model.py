@@ -13,8 +13,9 @@ pinned to the oracle label (so the sentence loss reaches the selector),
 scores the sentence teacher-forced and ends with a STOP step; inference
 (``greedy_steps``, ``run_inference``) takes the argmax and decodes greedily.
 Both modes record one ``Step`` per step, and neither ever selects a candidate
-twice.  In training the recurrence also sums every loss term as it goes: each
-step's event, sentence, simulator and textual-attention NLLs.
+twice.  In training the recurrence also sums each loss term as it goes, into
+one map keyed by ``LOSS_TERMS``: each step's event, sentence, simulator and
+textual-attention NLLs.
 
 A sentence is one pass of the sentence layers in both modes.  Ingredient rows
 never read word rows and a word row reads only earlier words, so appending a
@@ -105,6 +106,9 @@ POSITIONS = 512
 # most tokens of the previous step's sentence one greedy decoding push drafts
 # (a drafted run of one repeated token is bounded only by the maximum length)
 DRAFT_TOKENS = 4
+# the training loss terms, which are also training log keys, in the order the
+# loss adds them
+LOSS_TERMS = ("loss_event", "loss_sentence", "loss_vsim", "loss_tattn")
 
 
 # Switches of ablations the model no longer has, each fixed to the value of
@@ -176,36 +180,6 @@ def preset_config(preset: str = "toy", **overrides) -> ModelConfig:
     return config_from_dict(ModelConfig, {**PRESETS[preset], **overrides}, "model")
 
 
-def pool_memory(memories: list[Tensor]) -> Tensor:
-    """Element-wise max over the rows of every layer's memory: one
-    hidden-size vector, from one concat and one max."""
-    if not memories:
-        raise ValueError("need at least one memory layer")
-    return concat(memories, axis=0).amax(axis=0)
-
-
-def mix_memories(
-    v_mem: Tensor,
-    s_mem: Tensor,
-    f1: Linear,
-    f2: Linear,
-    g1: Linear,
-    g2: Linear,
-) -> tuple[Tensor, Tensor]:
-    """Gated cross-exchange of the selector and generator memories:
-    v' = f1(v) * sigmoid(g2(g1(s))),  s' = g1(s) * sigmoid(f2(f1(v)))."""
-    fv = f1(v_mem)
-    gs = g1(s_mem)
-    return fv * g2(gs).sigmoid(), gs * f2(fv).sigmoid()
-
-
-def _plus(total: Tensor | None, term: Tensor | None) -> Tensor | None:
-    """``total + term``, where None is an empty sum or a term that adds nothing."""
-    if term is None:
-        return total
-    return term if total is None else total + term
-
-
 # ---------------------------------------------------------------------------
 # Labels and forward results
 # ---------------------------------------------------------------------------
@@ -215,7 +189,6 @@ def _plus(total: Tensor | None, term: Tensor | None) -> Tensor | None:
 class VideoLabels:
     oracle_indices: list[int]
     token_ids: list[list[int]]  # per step: encoded sentence tokens + EOS
-    target_surfaces: list[list[str]]
     ing_labels: np.ndarray | None = None  # (T, M)
     act_labels: np.ndarray | None = None  # (T, R)
 
@@ -234,10 +207,7 @@ class Step:
 @dataclass
 class ForwardResult:
     loss: Tensor
-    loss_event: Tensor
-    loss_sentence: Tensor
-    loss_vsim: Tensor | None
-    loss_tattn: Tensor | None
+    terms: dict[str, Tensor]  # each loss term that occurred, by its LOSS_TERMS key
     steps: list[Step]
 
 
@@ -293,8 +263,6 @@ class RecipeModel(Layer):
         if duration <= 0:
             raise ValueError("duration must be positive")
         n = len(candidates)
-        if n > POSITIONS:
-            raise ValueError(f"too many candidates for the position table ({n})")
         feats = Tensor(candidates.features.astype(self.config.dtype))
         rel = np.asarray(
             [
@@ -308,8 +276,6 @@ class RecipeModel(Layer):
     def encode_ingredients(self, ingredients: list[str]) -> Tensor:
         """Mean word embedding of each ingredient's tokens: one row per
         ingredient, which the selector and generator MLPs both read."""
-        if not ingredients:
-            raise ValueError("extended model requires at least one ingredient")
         rows = [
             self.word_embed(self.vocab.encode(tokenize(ing))).mean(axis=0, keepdims=True)
             for ing in ingredients
@@ -341,9 +307,14 @@ class RecipeModel(Layer):
         return logits
 
     def _mix(self, v_mems: list[Tensor], s_mems: list[Tensor]):
-        maps = (self.mix_f1, self.mix_f2, self.mix_g1, self.mix_g2)
-        pairs = [mix_memories(v, s, *maps) for v, s in zip(v_mems, s_mems)]
-        return [v for v, _ in pairs], [s for _, s in pairs]
+        """Gated cross-exchange of each layer's selector and generator memories:
+        v' = f1(v) * sigmoid(g2(g1(s))),  s' = g1(s) * sigmoid(f2(f1(v)))."""
+        mixed_v, mixed_s = [], []
+        for v, s in zip(v_mems, s_mems):
+            fv, gs = self.mix_f1(v), self.mix_g1(s)
+            mixed_v.append(fv * self.mix_g2(gs).sigmoid())
+            mixed_s.append(gs * self.mix_f2(fv).sigmoid())
+        return mixed_v, mixed_s
 
     # -- sentence side ----------------------------------------------------------
 
@@ -472,8 +443,16 @@ class RecipeModel(Layer):
         width, want = record.candidates.features.shape[1], self.config.feature_dim
         if width != want:
             raise ValueError(f"{record.video_id}: model expects feature dim {want}, video has {width}")
-        if self.ing_mlp_sel is not None and not record.ingredients:
-            raise ValueError(f"{record.video_id}: variant {self.config.variant} needs an ingredient")
+        if len(record.candidates) > POSITIONS:
+            raise ValueError(f"{record.video_id}: too many candidates for the position table "
+                             f"({len(record.candidates)} > {POSITIONS})")
+        if self.ing_mlp_sel is not None:
+            if not record.ingredients:
+                raise ValueError(f"{record.video_id}: variant {self.config.variant} needs an ingredient")
+            # an ingredient is the mean of its word rows, so it needs a word
+            for ing in record.ingredients:
+                if not tokenize(ing):
+                    raise ValueError(f"{record.video_id}: ingredient {ing!r} has no words")
 
     def labels(self, record: DatasetRecord) -> VideoLabels:
         """The training targets of ``record`` in this model's vocabulary, with
@@ -486,11 +465,10 @@ class RecipeModel(Layer):
         for column in ranking.T.tolist():
             indices.append(next((i for i in column if i not in indices), column[0]))
         token_ids = [self.vocab.encode(s.sentence) + [EOS] for s in record.steps]
-        surfaces = [list(s.sentence) + ["<eos>"] for s in record.steps]
         ing_labels = act_labels = None
         if self.simulator is not None:
             ing_labels, act_labels = distant_labels(record.ground_truth, self.action_lexicon)
-        return VideoLabels(indices, token_ids, surfaces, ing_labels, act_labels)
+        return VideoLabels(indices, token_ids, ing_labels, act_labels)
 
     def _context(self, record: DatasetRecord) -> dict:
         """Per-video inputs of every step: the candidate encodings, both
@@ -524,7 +502,8 @@ class RecipeModel(Layer):
         if ctx["actions"] is not None:
             sim = self.simulator.step(h_events, ctx["actions"], ing_state)
             h_events = sim.fused_events
-        logits = self.event_logits(h_events, pool_memory(v_new), forbidden)
+        # the query: the element-wise max over the rows of every layer's memory
+        logits = self.event_logits(h_events, concat(v_new, axis=0).amax(axis=0), forbidden)
         return h_events, logits, v_new, sim
 
     def _rollout(
@@ -532,7 +511,7 @@ class RecipeModel(Layer):
         record: DatasetRecord,
         labels: VideoLabels | None = None,
         rng: np.random.Generator | None = None,
-    ) -> tuple[list[Step], Tensor | None, Tensor | None, Tensor | None, Tensor | None]:
+    ) -> tuple[list[Step], dict[str, Tensor]]:
         """The one loop over a video's steps, in either mode.
 
         With ``labels`` (training) each step forwards the oracle event as a
@@ -545,12 +524,13 @@ class RecipeModel(Layer):
         steps.  Either way a chosen event is masked for later steps and the
         memories are mixed after each step.
 
-        In training each step adds its terms to four running losses: the
-        event NLL of its label (STOP included; none for a label an earlier
-        step took), the NLL of its target tokens, and its simulator and
-        textual-attention NLLs.  Returns (steps, event loss, sentence loss,
-        simulator loss, textual-attention loss); every loss is None in
-        inference, and the last two also where no item or word was labeled.
+        In training each step adds its terms to a running sum per
+        ``LOSS_TERMS`` key: the event NLL of its label (STOP included; none
+        for a label an earlier step took), the NLL of its target tokens, and
+        its simulator and textual-attention NLLs (against the words of the
+        record's step).  Returns (steps, terms), where ``terms`` maps each
+        term that occurred to its sum; it is empty in inference, and lacks
+        the last two where no item or word was labeled.
         """
         ctx = self._context(record)
         n = ctx["n"]
@@ -561,14 +541,18 @@ class RecipeModel(Layer):
         targets = labels.oracle_indices + [n] if teacher else []
         forbidden: set[int] = set()
         steps: list[Step] = []
-        l_event = l_sentence = l_vsim = l_tattn = None
+        terms: dict[str, Tensor] = {}
+
+        def add(key: str, term: Tensor | None) -> None:
+            if term is not None:
+                terms[key] = terms[key] + term if key in terms else term
 
         for t in range(len(targets) if teacher else min(self.config.max_steps, n)):
             h, logits, v_new, sim = self._score_candidates(ctx, v_mems, ing_state, forbidden)
             # labels() repeats an oracle label only when the steps outnumber the
             # candidates; the masked repeat adds no event loss
             if teacher and targets[t] not in forbidden:
-                l_event = _plus(l_event, -log_softmax(logits, axis=-1)[targets[t]])
+                add("loss_event", -log_softmax(logits, axis=-1)[targets[t]])
             with no_grad():  # read, not differentiated
                 probs = softmax(logits, axis=-1).data
             chosen = targets[t] if teacher else int(np.argmax(probs))
@@ -593,7 +577,7 @@ class RecipeModel(Layer):
             )
             steps.append(Step(probs, chosen, tokens, rows))
             if teacher:
-                l_sentence = _plus(l_sentence, -rows[np.arange(len(tokens)), tokens].sum())
+                add("loss_sentence", -rows[np.arange(len(tokens)), tokens].sum())
 
             if sim is not None:
                 if teacher:
@@ -601,15 +585,15 @@ class RecipeModel(Layer):
                         (sim.action_event_logits, labels.act_labels[t]),
                         (sim.ingredient_event_logits, labels.ing_labels[t]),
                     ):
-                        l_vsim = _plus(l_vsim, selector_nll(logits_mat, lab, chosen))
+                        add("loss_vsim", selector_nll(logits_mat, lab, chosen))
                 ing_state = sim.new_state
             if alphas is not None:  # teacher mode only
-                l_tattn = _plus(l_tattn, textual_attention_nll(
-                    *alphas, labels.target_surfaces[t], record.ingredients, self.action_lexicon
+                add("loss_tattn", textual_attention_nll(
+                    *alphas, record.steps[t].sentence, record.ingredients, self.action_lexicon
                 ))
 
             v_mems, s_mems = self._mix(v_new, s_new)
-        return steps, l_event, l_sentence, l_vsim, l_tattn
+        return steps, terms
 
     def training_forward(
         self,
@@ -617,17 +601,13 @@ class RecipeModel(Layer):
         labels: VideoLabels,
         rng: np.random.Generator,
     ) -> ForwardResult:
-        """The four loss terms of one video's teacher-forced rollout and
-        their sum, ``((event + sentence) + simulator) + textual attention``."""
-        steps, l_event, l_sentence, l_vsim, l_tattn = self._rollout(record, labels, rng)
-        return ForwardResult(
-            loss=_plus(_plus(l_event + l_sentence, l_vsim), l_tattn),
-            loss_event=l_event,
-            loss_sentence=l_sentence,
-            loss_vsim=l_vsim,
-            loss_tattn=l_tattn,
-            steps=steps,
-        )
+        """The loss terms of one video's teacher-forced rollout, by their
+        ``LOSS_TERMS`` key, and the loss: the terms present, added in
+        ``LOSS_TERMS`` order, ``((event + sentence) + simulator) + textual
+        attention``."""
+        steps, terms = self._rollout(record, labels, rng)
+        present = [terms[key] for key in LOSS_TERMS if key in terms]
+        return ForwardResult(loss=sum(present[1:], present[0]), terms=terms, steps=steps)
 
     def greedy_steps(self, record: DatasetRecord) -> list[Step]:
         """The greedy rollout of one video, ending with its STOP step if it

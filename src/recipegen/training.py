@@ -23,7 +23,7 @@ from .data import (
     _record_to_obj,
 )
 from .dvceval import REPORT_METRICS, evaluate_corpus
-from .model import ModelConfig, RecipeModel, preset_config
+from .model import LOSS_TERMS, ModelConfig, RecipeModel, preset_config
 from .optim import Adam, OptimizerConfig
 from .parallel import in_halves
 from .synth import WorldConfig, generate_world
@@ -132,7 +132,6 @@ class TrainResult:
 
 
 LOG_METRICS = ("soda.tiou", "soda.cider_d", "soda.meteor", "count_stats.eta1")
-LOSS_TERMS = ("loss", "loss_event", "loss_sentence", "loss_vsim", "loss_tattn")
 
 
 class _Uniforms:
@@ -211,14 +210,13 @@ def train(
     draws = np.array([len(r.steps) * len(r.candidates) for r in train_recs])  # Gumbel uniforms
     val_gts = [r.ground_truth for r in val_recs]
 
-    def train_half(videos) -> list[list[float]]:  # each video's loss terms
-        terms = []
+    def train_half(videos) -> list[dict]:  # each video's loss and the terms that occurred
+        logged = []
         for i, uniforms, scale in videos:
             result = model.training_forward(train_recs[i], labels[i], _Uniforms(uniforms))
             (result.loss * scale).backward()
-            terms.append([0.0 if t is None else t.item() for t in
-                          (getattr(result, key) for key in LOSS_TERMS)])
-        return terms
+            logged.append({"loss": result.loss.item(), **{k: t.item() for k, t in result.terms.items()}})
+        return logged
 
     best_metric = -np.inf
     best_epoch = -1
@@ -228,15 +226,15 @@ def train(
 
     for epoch in range(exp.max_epochs):
         order = shuffle_rng.permutation(len(train_recs))
-        sums = dict.fromkeys(LOSS_TERMS, 0.0)
+        sums = dict.fromkeys(("loss",) + LOSS_TERMS, 0.0)  # an absent term logs 0
         for start in range(0, len(order), exp.batch_size):
             batch = order[start : start + exp.batch_size]
             # drawn in batch order, so each video sees the noise a serial loop would
             uniforms = np.split(gumbel_rng.random(draws[batch].sum()), np.cumsum(draws[batch])[:-1])
             videos = [(i, u, 1.0 / len(batch)) for i, u in zip(batch, uniforms)]
-            terms_a, terms_b = _in_halves(train_half, videos, params)
-            for video_terms in terms_a + terms_b:
-                for key, value in zip(LOSS_TERMS, video_terms):
+            logged_a, logged_b = _in_halves(train_half, videos, params)
+            for video in logged_a + logged_b:
+                for key, value in video.items():
                     sums[key] += value
             optimizer.step(epoch)
 

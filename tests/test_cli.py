@@ -1,11 +1,19 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from recipegen import cli, training
-from recipegen.data import TimedEvent, Vocabulary, build_vocabulary, save_dataset, save_predictions
+from recipegen.data import (
+    EventCandidateSet,
+    TimedEvent,
+    Vocabulary,
+    build_vocabulary,
+    save_dataset,
+    save_predictions,
+)
 from recipegen.model import ModelConfig, RecipeModel, save_checkpoint
 from recipegen.oracle import oracle_prediction
 from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
@@ -593,3 +601,79 @@ def test_train_names_the_empty_split(tmp_path, capsys, videos, val_fraction, spl
     err = capsys.readouterr().err
     assert f"{videos} videos at val_fraction {val_fraction} leave the {split} split empty" in err
     assert not (tmp_path / "model.npz").exists()
+
+
+def _untrained_checkpoint(path, records, variant):
+    vocab = build_vocabulary([s.sentence for r in records for s in r.steps], min_count=1)
+    model = RecipeModel(ModelConfig(variant=variant, hidden=16, heads=2), vocab, list(DEFAULT_ACTIONS))
+    save_checkpoint(path, model)
+
+
+def _exits_before_any_work(tmp_path, capsys, monkeypatch, records, variant, message):
+    """``train --variant`` and ``generate`` on ``records`` each exit 2 naming
+    ``message`` before any training step or decoding, and write nothing."""
+    dataset, checkpoint = tmp_path / "world.json", tmp_path / "model.npz"
+    save_dataset(records, dataset)
+    config = tmp_path / "experiment.json"
+    config.write_text(json.dumps(EXPERIMENT))
+    calls = []
+    monkeypatch.setattr(RecipeModel, "training_forward", lambda *args: calls.append(args))
+    monkeypatch.setattr(RecipeModel, "run_inference", lambda *args: calls.append(args))
+    assert cli.main(_train_args(tmp_path, config, "--variant", variant)) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert calls == [] and not checkpoint.exists()
+
+    _untrained_checkpoint(checkpoint, records, variant)
+    out = tmp_path / "pred.json"
+    code = cli.main(["generate", "--checkpoint", str(checkpoint), "--dataset", str(dataset), "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("ingredient, variant", [("!!!", "BI"), ("", "BIVT")], ids=["punctuation", "empty"])
+def test_wordless_ingredient_is_named_before_any_work(tmp_path, capsys, monkeypatch, ingredient, variant):
+    # an ingredient is the mean of its word rows, so one without a word has none
+    records = generate_world(WorldConfig(**EXPERIMENT["world"]))
+    records[3] = replace(records[3], ingredients=[ingredient, *records[3].ingredients])
+    message = f"{records[3].video_id}: ingredient {ingredient!r} has no words"
+    with monkeypatch.context() as patch:
+        _exits_before_any_work(tmp_path, capsys, patch, records, variant, message)
+    # B reads no ingredients, so it trains on the record
+    config = tmp_path / "experiment.json"
+    assert cli.main(_train_args(tmp_path, config, "--variant", "B")) == cli.EXIT_OK
+
+
+def test_too_many_candidates_are_named_before_any_work(tmp_path, capsys, monkeypatch):
+    records = generate_world(WorldConfig(**EXPERIMENT["world"]))
+    record = records[3]
+    width = record.duration / 600
+    events = [TimedEvent(i * width, (i + 1) * width) for i in range(513)]
+    features = np.zeros((513, record.candidates.features.shape[1]))
+    records[3] = replace(record, candidates=EventCandidateSet(events, features))
+    message = f"{record.video_id}: too many candidates for the position table (513 > 512)"
+    _exits_before_any_work(tmp_path, capsys, monkeypatch, records, "B", message)
+
+
+@pytest.mark.parametrize("command", ["oracle", "evaluate", "train", "generate"])
+def test_empty_dataset_file_is_named(tmp_path, capsys, command):
+    dataset = tmp_path / "world.json"
+    dataset.write_text("[]\n")
+    config, checkpoint, out = tmp_path / "experiment.json", tmp_path / "model.npz", tmp_path / "out.json"
+    config.write_text(json.dumps(EXPERIMENT))
+    predictions = tmp_path / "pred.json"
+    predictions.write_text("[]\n")
+    if command == "generate":
+        _untrained_checkpoint(checkpoint, generate_world(WorldConfig(num_videos=2, seed=3)), "B")
+    argv = {
+        "oracle": ["oracle", "--dataset", str(dataset), "--out", str(out)],
+        "evaluate": ["evaluate", "--predictions", str(predictions), "--dataset", str(dataset),
+                     "--out", str(out)],
+        "train": _train_args(tmp_path, config),
+        "generate": ["generate", "--checkpoint", str(checkpoint), "--dataset", str(dataset),
+                     "--out", str(out)],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert f"{dataset}: no records" in capsys.readouterr().err
+    assert not out.exists()
+    assert command == "generate" or not checkpoint.exists()

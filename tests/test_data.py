@@ -132,7 +132,8 @@ class TestDatasetIO:
         for path in (tmp_path / "world.json", indented):
             assert training.dataset_digest(load_dataset(path)) == training.dataset_digest(records)
         _write_dataset(tmp_path / "empty.json", [])
-        assert load_dataset(tmp_path / "empty.json") == []
+        with pytest.raises(ValidationError, match=r"empty\.json: no records"):
+            load_dataset(tmp_path / "empty.json")
 
     def test_unsorted_candidates_rejected(self):
         events = [TimedEvent(3.0, 5.0), TimedEvent(0.0, 2.0)]

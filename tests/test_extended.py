@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -418,7 +419,7 @@ class TestTextualAttentionLoss:
             result = model.training_forward(record, labels, np.random.default_rng(0))
             result.loss.backward()
             grads = {k: p.grad for k, p in model.parameters().items()}
-            runs[name] = result.loss_tattn.item(), grads
+            runs[name] = result.terms["loss_tattn"].item(), grads
         (value, grads), (want, want_grads) = runs["gathered"], runs["per-token"]
         assert value > 0 and value == pytest.approx(want, rel=1e-12)
         for k, grad in grads.items():
@@ -456,7 +457,7 @@ class TestAblationContainment:
         record = RECORDS[0]
         labels = model.labels(record)
         result = model.training_forward(record, labels, np.random.default_rng(0))
-        assert result.loss_vsim is not None and result.loss_tattn is not None
+        assert {"loss_vsim", "loss_tattn"} <= result.terms.keys()
         result.loss.backward()
         params = model.parameters()
         for prefix in ("action_embed", "ing_mlp_sel", "ing_mlp_gen", "simulator"):
@@ -465,9 +466,16 @@ class TestAblationContainment:
             assert hit, prefix
 
     def test_empty_ingredients_rejected_for_extended(self):
-        model = tiny_extended("BI")
-        with pytest.raises(ValueError):
-            model.encode_ingredients([])
+        # an ingredient is the mean of its word rows, so each needs a word
+        record = RECORDS[0]
+        for ingredients, message in (([], "needs an ingredient"),
+                                     (["!!!", "eggs"], "ingredient '!!!' has no words"),
+                                     (["eggs", ""], "ingredient '' has no words")):
+            bad = replace(record, ingredients=ingredients)
+            for variant in ("BI", "BIV", "BIVT"):
+                with pytest.raises(ValueError, match=f"{record.video_id}: .*{message}"):
+                    tiny_extended(variant).check_record(bad)
+            tiny_extended("B").check_record(bad)
 
     def test_multiword_ingredient_mean_embedding(self):
         model = tiny_extended("BI")

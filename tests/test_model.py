@@ -1,8 +1,10 @@
 import collections
 import contextlib
+import copy
 import json
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -35,8 +37,6 @@ from recipegen.model import (
     VideoLabels,
     config_hash,
     load_checkpoint,
-    mix_memories,
-    pool_memory,
     preset_config,
     save_checkpoint,
 )
@@ -211,33 +211,48 @@ class TestEventStep:
         np.testing.assert_allclose(new_mems[0].data, new_mem, atol=1e-10)
 
 
+def pooled_query(mems):
+    """The query ``_score_candidates`` pools from new event memories ``mems``,
+    and the number of graph nodes the pooling makes."""
+    model = tiny_model()
+    ctx = model._context(RECORDS[0])
+    seen = {}
+
+    def event_step(sequence, memories, n_events):
+        seen["after_step"] = next(autodiff._node_seq)
+        return ctx["events"], mems
+
+    def event_logits(h_events, pooled, forbidden):
+        seen["nodes"] = next(autodiff._node_seq) - seen["after_step"] - 1
+        seen["pooled"] = pooled
+        return Tensor(np.zeros(h_events.shape[0] + 1))
+
+    model.event_step, model.event_logits = event_step, event_logits
+    model._score_candidates(ctx, model.event_tf.initial_memory(), None, set())
+    return seen["pooled"], seen["nodes"]
+
+
 class TestPoolMemory:
     def test_single_layer_single_slot_identity(self):
         v = np.array([[1.0, -2.0, 3.0]])
-        np.testing.assert_array_equal(pool_memory([Tensor(v)]).data, v[0])
+        np.testing.assert_array_equal(pooled_query([Tensor(v)])[0].data, v[0])
 
     def test_two_layers(self):
         a = Tensor(np.array([[1.0, -1.0]]))
         b = Tensor(np.array([[0.0, 2.0]]))
-        np.testing.assert_array_equal(pool_memory([a, b]).data, [1.0, 2.0])
+        np.testing.assert_array_equal(pooled_query([a, b])[0].data, [1.0, 2.0])
 
     def test_random_matches_brute_force(self):
         rng = np.random.default_rng(1)
         mems = [Tensor(rng.standard_normal((3, 5))) for _ in range(4)]
-        got = pool_memory(mems).data
+        got = pooled_query(mems)[0].data
         want = np.max(np.stack([m.data for m in mems]), axis=(0, 1))
         np.testing.assert_array_equal(got, want)
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            pool_memory([])
 
     @pytest.mark.parametrize("layers", [1, 2, 5])
     def test_two_graph_nodes_for_any_layer_count(self, layers):
         mems = [Tensor(np.ones((1, 4)), requires_grad=True) for _ in range(layers)]
-        first = next(autodiff._node_seq)
-        pool_memory(mems)
-        assert next(autodiff._node_seq) == first + 1 + 2  # one concat, one max
+        assert pooled_query(mems)[1] == 2  # one concat, one max
 
 
 class TestEventProbabilities:
@@ -302,6 +317,10 @@ class TestMixMemories:
     def _linears(self, model):
         return model.mix_f1, model.mix_f2, model.mix_g1, model.mix_g2
 
+    def mix_one(self, model, v, s):
+        (mv,), (ms,) = model._mix([v], [s])
+        return mv, ms
+
     def test_zero_gate_maps_halve_partner(self):
         model = tiny_model()
         f1, f2, g1, g2 = self._linears(model)
@@ -311,7 +330,7 @@ class TestMixMemories:
             lin.bias.data = np.zeros_like(lin.bias.data)
         rng = np.random.default_rng(3)
         v, s = Tensor(rng.standard_normal((1, h))), Tensor(rng.standard_normal((1, h)))
-        mv, ms = mix_memories(v, s, f1, f2, g1, g2)
+        mv, ms = self.mix_one(model, v, s)
         f1v = v.data @ f1.weight.data + f1.bias.data
         np.testing.assert_allclose(mv.data, 0.5 * f1v, atol=1e-12)
         np.testing.assert_allclose(ms.data, np.zeros((1, h)), atol=1e-12)
@@ -326,16 +345,18 @@ class TestMixMemories:
         f2.bias.data = np.zeros(h)
         rng = np.random.default_rng(4)
         v, s = Tensor(rng.standard_normal((1, h))), Tensor(rng.standard_normal((1, h)))
-        _, ms = mix_memories(v, s, f1, f2, g1, g2)
+        _, ms = self.mix_one(model, v, s)
         g1s = s.data @ g1.weight.data + g1.bias.data
         np.testing.assert_allclose(ms.data, 0.5 * g1s, atol=1e-12)
 
     def test_random_matches_formula(self):
+        # each layer's pair is exchanged on its own, through the shared maps
         model = tiny_model()
         f1, f2, g1, g2 = self._linears(model)
         h = model.config.hidden
         rng = np.random.default_rng(5)
-        v, s = rng.standard_normal((1, h)), rng.standard_normal((1, h))
+        vs = [rng.standard_normal((2, h)) for _ in range(3)]
+        ss = [rng.standard_normal((2, h)) for _ in range(3)]
 
         def lin(l, x):
             return x @ l.weight.data + l.bias.data
@@ -343,9 +364,27 @@ class TestMixMemories:
         def sig(x):
             return 1 / (1 + np.exp(-x))
 
-        mv, ms = mix_memories(Tensor(v), Tensor(s), f1, f2, g1, g2)
-        np.testing.assert_allclose(mv.data, lin(f1, v) * sig(lin(g2, lin(g1, s))), atol=1e-12)
-        np.testing.assert_allclose(ms.data, lin(g1, s) * sig(lin(f2, lin(f1, v))), atol=1e-12)
+        mixed_v, mixed_s = model._mix([Tensor(v) for v in vs], [Tensor(s) for s in ss])
+        assert len(mixed_v) == len(mixed_s) == 3
+        for v, s, mv, ms in zip(vs, ss, mixed_v, mixed_s):
+            np.testing.assert_allclose(mv.data, lin(f1, v) * sig(lin(g2, lin(g1, s))), atol=1e-12)
+            np.testing.assert_allclose(ms.data, lin(g1, s) * sig(lin(f2, lin(f1, v))), atol=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        model = tiny_model()
+        h = model.config.hidden
+        rng = np.random.default_rng(6)
+        vs = [Tensor(rng.standard_normal((1, h)), requires_grad=True) for _ in range(2)]
+        ss = [Tensor(rng.standard_normal((1, h)), requires_grad=True) for _ in range(2)]
+        weights = Tensor(rng.standard_normal((1, h)))
+
+        def mixed_sum():
+            mixed_v, mixed_s = model._mix(vs, ss)
+            return (autodiff.concat(mixed_v + mixed_s, axis=0) * weights).sum()
+
+        err = grad_check(mixed_sum, [*vs, *ss, *(l.weight for l in self._linears(model))],
+                         max_coords_per_param=6)
+        assert err <= 1e-5
 
 
 class TestLosses:
@@ -366,11 +405,13 @@ class TestLosses:
         written = [s for s in result.steps if s.chosen < len(record.candidates)]
         sentence = -sum(s.log_probs.data[i, token]
                         for s in written for i, token in enumerate(s.tokens))
-        assert result.loss_event.item() == pytest.approx(event, rel=1e-9)
-        assert result.loss_sentence.item() == pytest.approx(sentence, rel=1e-9)
-        total = result.loss_event.item() + result.loss_sentence.item()
-        for term in (result.loss_vsim, result.loss_tattn):
-            total += 0.0 if term is None else term.item()
+        terms = result.terms
+        assert terms["loss_event"].item() == pytest.approx(event, rel=1e-9)
+        assert terms["loss_sentence"].item() == pytest.approx(sentence, rel=1e-9)
+        assert set(terms) <= set(model_module.LOSS_TERMS)
+        total = terms["loss_event"].item() + terms["loss_sentence"].item()
+        for key in ("loss_vsim", "loss_tattn"):
+            total += terms[key].item() if key in terms else 0.0
         assert result.loss.item() == total
 
 
@@ -492,7 +533,7 @@ class TestTrainingForward:
         kept = [t for t, label in enumerate(targets) if label not in targets[:t]]
         assert len(kept) == len(targets) - 1
         want = -sum(math.log(result.steps[t].probabilities[targets[t]]) for t in kept)
-        assert result.loss_event.item() == pytest.approx(want, rel=1e-9)
+        assert result.terms["loss_event"].item() == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize(
         "variant, names",
@@ -554,9 +595,8 @@ class TestTrainingForward:
         labels = model.labels(record)
         result = model.training_forward(record, labels, np.random.default_rng(0))
         result.loss.backward()
-        losses = [result.loss, result.loss_event, result.loss_sentence, result.loss_vsim]
-        for loss in losses:
-            assert loss is None or loss.data.dtype == np.float32
+        for loss in [result.loss, *result.terms.values()]:
+            assert loss.data.dtype == np.float32
         for name, p in model.parameters().items():
             assert p.grad is None or p.grad.dtype == np.float32, name
 
@@ -595,7 +635,7 @@ class TestInference:
         # point the STOP vector along the step-1 pooled memory so STOP dominates
         e = model.encode_events(record.candidates, record.duration)
         _, v_new = model.event_step(e, model.event_tf.initial_memory(), len(record.candidates))
-        pooled = pool_memory(v_new).data
+        pooled = np.max(np.concatenate([m.data for m in v_new]), axis=0)
         model.stop_vector.data = 100.0 * np.sign(pooled) * np.maximum(np.abs(pooled), 1e-3)
         pred = model.run_inference(record)
         assert pred.selections == [] and pred.sentences == [] and pred.intervals == []
@@ -1122,11 +1162,13 @@ class TestOneRecurrence:
             labels = VideoLabels(
                 oracle_indices=[s.chosen for s in written],
                 token_ids=[s.tokens + [EOS] for s in written],
-                target_surfaces=[VOCAB.decode(s.tokens) + ["<eos>"] for s in written],
                 ing_labels=np.ones((k, len(record.ingredients)), dtype=np.int8),
                 act_labels=np.ones((k, len(DEFAULT_ACTIONS)), dtype=np.int8),
             )
-            teacher, _, l_sentence, _, _ = model._rollout(record, labels, np.random.default_rng(0))
+            # the textual-attention targets are the words of the record's steps
+            taught = copy.copy(record)
+            taught.steps = [types.SimpleNamespace(sentence=VOCAB.decode(s.tokens)) for s in written]
+            teacher, terms = model._rollout(taught, labels, np.random.default_rng(0))
             for a, b in zip(greedy, teacher):
                 assert a.chosen == b.chosen
                 np.testing.assert_allclose(a.probabilities, b.probabilities, rtol=0, atol=1e-10)
@@ -1135,6 +1177,6 @@ class TestOneRecurrence:
             if k:
                 want = -sum(s.log_probs.data[np.arange(len(s.tokens) + 1), s.tokens + [EOS]].sum()
                             for s in written)
-                assert l_sentence.item() == pytest.approx(want, rel=1e-9)
+                assert terms["loss_sentence"].item() == pytest.approx(want, rel=1e-9)
             compared += k
         assert compared > 0
