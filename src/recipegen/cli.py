@@ -56,19 +56,28 @@ def _load_experiment(path: str | None, overrides: argparse.Namespace) -> Experim
     return ExperimentConfig.from_dict(raw)
 
 
-def _check_out_dirs(*paths: str | None) -> None:
-    """Each output path names a file in an existing directory, checked before
-    any work is done."""
-    for path in filter(None, paths):
-        folder = os.path.dirname(path)
-        if os.path.isdir(path):
-            raise ValidationError(f"{path}: is a directory, not a file")
-        if not os.path.isdir(folder or "."):
-            raise ValidationError(f"{path}: directory {folder} does not exist")
+def _check_out_dirs(args: argparse.Namespace, outputs: list[str], inputs: list[str]) -> None:
+    """Each output path (the ``args`` attributes named in ``outputs``) names a
+    file in an existing directory and resolves to no file that an input or an
+    earlier output names; checked before any work is done."""
+    taken = {}  # resolved path -> the option that names it first
+    for name in inputs + outputs:
+        if not (path := getattr(args, name)):
+            continue
+        option, resolved = f"--{name.replace('_', '-')} {path}", os.path.realpath(path)
+        if name in outputs:
+            folder = os.path.dirname(path)
+            if os.path.isdir(path):
+                raise ValidationError(f"{path}: is a directory, not a file")
+            if not os.path.isdir(folder or "."):
+                raise ValidationError(f"{path}: directory {folder} does not exist")
+            if resolved in taken:
+                raise ValidationError(f"{option} is the same file as {taken[resolved]}")
+        taken.setdefault(resolved, option)
 
 
 def _cmd_synth(args) -> int:
-    _check_out_dirs(args.out)
+    _check_out_dirs(args, ["out"], ["config"])
     exp = _load_experiment(args.config, args)
     world = exp.world_config()
     records = generate_world(world)
@@ -78,7 +87,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _check_out_dirs(args.checkpoint, args.log)
+    _check_out_dirs(args, ["checkpoint", "log"], ["config", "dataset"])
     exp = _load_experiment(args.config, args)
     records = load_dataset(args.dataset)
     result = train(records, exp, quiet=args.quiet)
@@ -102,7 +111,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    _check_out_dirs(args.out)
+    _check_out_dirs(args, ["out"], ["checkpoint", "dataset"])
     model, meta = load_checkpoint(args.checkpoint)
     records = load_dataset(args.dataset)
     for r in records:  # a record the model cannot read fails before any decoding
@@ -131,7 +140,7 @@ def _check_predictions(preds, records) -> None:
 
 
 def _cmd_evaluate(args) -> int:
-    _check_out_dirs(args.out)
+    _check_out_dirs(args, ["out"], ["predictions", "dataset"])
     records = load_dataset(args.dataset)
     preds = load_predictions(args.predictions)
     _check_predictions(preds, records)
@@ -145,7 +154,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.seed is not None and not args.n_list:
         raise UsageError("--seed picks the nested subsets of an --n-list sweep; it needs --n-list")
-    _check_out_dirs(args.hist_out, args.out)
+    _check_out_dirs(args, ["hist_out", "out"], ["dataset"])
     records = load_dataset(args.dataset)
     report = oracle_report(records, mode=args.mode)
     if args.n_list:
@@ -164,7 +173,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    _check_out_dirs(args.out)
+    _check_out_dirs(args, ["out"], ["config", "dataset"])
     exp = _load_experiment(args.config, args)
     records = load_dataset(args.dataset) if args.dataset else None
     variants = args.variants.split(",") if args.variants else [exp.variant]

@@ -209,10 +209,12 @@ class DatasetRecord:
     def __post_init__(self):
         if self.duration <= 0:
             raise ValidationError(f"{self.video_id}: duration must be positive")
-        for ev in self.candidates.events:
+        events = [("candidate", ev) for ev in self.candidates.events]
+        events += [(f"step {k}", step.interval) for k, step in enumerate(self.steps)]
+        for what, ev in events:
             if ev.end > self.duration + 1e-9:
                 raise ValidationError(
-                    f"{self.video_id}: candidate [{ev.start}, {ev.end}] exceeds "
+                    f"{self.video_id}: {what} [{ev.start}, {ev.end}] exceeds "
                     f"duration {self.duration}"
                 )
         overlaps = sum(

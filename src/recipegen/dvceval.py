@@ -180,10 +180,10 @@ def sentence_metrics(df: CorpusDF) -> dict[str, SentenceMetric]:
     BLEU-4 and CIDEr-D share the sentence profiles that ``df`` keeps."""
     return {
         "bleu4": _memo(
-            lambda c, r: bleu4_from_profiles(df.profile(c), [df.profile(r)]) if c else 0.0
+            lambda c, r: bleu4_from_profiles(df.profile(c), df.profile(r)) if c else 0.0
         ),
         "meteor": _memo(lambda c, r: meteor_lite(c, r) if c else 0.0),
-        "cider_d": _memo(lambda c, r: cider_d(c, [r], df)),
+        "cider_d": _memo(lambda c, r: cider_d(c, r, df)),
     }
 
 

@@ -9,6 +9,9 @@ import numpy as np
 from .autodiff import Tensor
 from .data import check_int, check_number
 
+# added to the root of the second-moment estimate before it divides the update
+EPS = 1e-8
+
 
 @dataclass
 class OptimizerConfig:
@@ -17,14 +20,12 @@ class OptimizerConfig:
     beta2: float = 0.999
     weight_decay: float = 0.01
     warmup_epochs: int = 5
-    eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("lr", "beta1", "beta2", "weight_decay", "eps"):
+        for name in ("lr", "beta1", "beta2", "weight_decay"):
             check_number(f"optimizer.{name}", getattr(self, name), 0.0)
-        for name in ("lr", "eps"):
-            if getattr(self, name) == 0:
-                raise ValueError(f"optimizer.{name} must be positive")
+        if self.lr == 0:
+            raise ValueError("optimizer.lr must be positive")
         for name in ("beta1", "beta2"):
             if getattr(self, name) >= 1:
                 raise ValueError(f"optimizer.{name} must lie in [0, 1), got {getattr(self, name)!r}")
@@ -71,7 +72,7 @@ class Adam:
             self.v[name] = cfg.beta2 * self.v[name] + (1.0 - cfg.beta2) * p.grad * p.grad
             m_hat = self.m[name] / bias1
             v_hat = self.v[name] / bias2
-            update = m_hat / (np.sqrt(v_hat) + cfg.eps)
+            update = m_hat / (np.sqrt(v_hat) + EPS)
             if cfg.weight_decay:
                 update = update + cfg.weight_decay * p.data
             p.data = p.data - lr * update

@@ -2,12 +2,15 @@
 
 Generates feature-level "videos": an ordered cooking program (actions applied
 to ingredients, with state-carrying noun phrases so later sentences depend on
-earlier steps), non-overlapping step intervals, jittered candidate proposals,
-and per-candidate feature vectors whose content encodes the underlying step
-semantics.  Everything is a pure function of (config, seed): per-video seeds
-are spawned from the world seed, and candidate lists are generated
-sequentially, so worlds that differ only in ``n_candidates`` hold the same
-videos with nested candidate sets.
+earlier steps), non-overlapping step intervals, and candidate proposals.
+Each candidate is one draw of an interval, a feature vector and an attached
+sentence: a jittered copy of a step carries that step's base vector and
+sentence; a distractor carries the overlap-weighted sum of the base vectors
+of the steps it covers and the sentence of the step it overlaps most (the
+first step's when it covers none).  Everything is a pure function of
+(config, seed): per-video seeds are spawned from the world seed, and
+candidate lists are generated sequentially, so worlds that differ only in
+``n_candidates`` hold the same videos with nested candidate sets.
 """
 
 from __future__ import annotations
@@ -130,8 +133,6 @@ class StepProgram:
     """Latent semantics of one ground-truth step, with the base feature
     vector that every candidate covering the step draws on."""
 
-    ordinal: int
-    action: str
     ingredients: list[str]
     sentence: list[str]
     base: np.ndarray = field(compare=False, repr=False)
@@ -200,7 +201,7 @@ def _build_program(
         for ing in step_ings:
             last_action[ing] = action
         base = _step_base_vector(vector, t, action, step_ings)
-        program.append(StepProgram(t, action, step_ings, tokens, base))
+        program.append(StepProgram(step_ings, tokens, base))
     return program
 
 
@@ -237,33 +238,6 @@ def _random_span(duration: float, rng: np.random.Generator) -> TimedEvent:
     return TimedEvent(round(float(start), 4), round(float(start + length), 4))
 
 
-def featurize_event(
-    interval: TimedEvent,
-    step_semantics: StepProgram | None,
-    gt_steps: list[tuple[TimedEvent, StepProgram]],
-    config: WorldConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Feature vector for a candidate.
-
-    A jittered copy carries its source step's base embedding; a distractor
-    carries the overlap-fraction-weighted mixture of the steps it covers (the
-    zero vector when it covers none).  Gaussian noise of ``noise_scale`` is
-    added either way.
-    """
-    dim = config.feature_dim
-    if step_semantics is not None:
-        base = step_semantics.base
-    else:
-        base = np.zeros(dim)
-        for ev, prog in gt_steps:
-            inter = max(0.0, min(interval.end, ev.end) - max(interval.start, ev.start))
-            frac = inter / interval.length if interval.length > 0 else 0.0
-            if frac > 0:
-                base = base + frac * prog.base
-    return base + config.noise_scale * rng.standard_normal(dim)
-
-
 def propose_candidates(
     gt_steps: list[tuple[TimedEvent, StepProgram]],
     duration: float,
@@ -274,6 +248,15 @@ def propose_candidates(
     ground-truth step, then fill slots (distractors or extra copies per
     ``distractor_fraction``).
 
+    Each candidate is one draw of its interval, feature and attached
+    sentence.  A copy carries its step's base vector and sentence.  A
+    distractor carries the sum of ``frac * base`` over the steps it covers,
+    in step order (the zero vector when it covers none), where ``frac`` is
+    the share of the distractor that a step covers; its sentence is that of
+    the step with the largest share, the first on a tie, and the first
+    step's when it covers none.  Gaussian noise of ``noise_scale`` is added
+    to every feature.
+
     Candidates are drawn sequentially from ``rng``, so for a fixed generator
     state the first m candidates of a run at budget n equal the run at budget
     m: candidate sets at increasing ``n_candidates`` are nested.
@@ -283,12 +266,23 @@ def propose_candidates(
         raise ValueError(f"world.n_candidates={n} smaller than step count {len(gt_steps)}")
     # one candidate is fully drawn (interval, then feature noise) before the
     # next starts, so prefixes are identical across different budgets n
-    drawn: list[tuple[TimedEvent, StepProgram | None]] = []
-    features: list[np.ndarray] = []
+    drawn: list[tuple[TimedEvent, np.ndarray, list[str]]] = []
 
     def emit(interval: TimedEvent, prog: StepProgram | None) -> None:
-        drawn.append((interval, prog))
-        features.append(featurize_event(interval, prog, gt_steps, config, rng))
+        if prog is not None:
+            base, sentence = prog.base, prog.sentence
+        else:
+            base, best_frac = np.zeros(config.feature_dim), 0.0
+            sentence = gt_steps[0][1].sentence
+            for ev, step in gt_steps:
+                inter = max(0.0, min(interval.end, ev.end) - max(interval.start, ev.start))
+                frac = inter / interval.length if interval.length > 0 else 0.0
+                if frac > 0:
+                    base = base + frac * step.base
+                if frac > best_frac:
+                    sentence, best_frac = step.sentence, frac
+        noise = config.noise_scale * rng.standard_normal(config.feature_dim)
+        drawn.append((interval, base + noise, sentence))
 
     for ev, prog in gt_steps:
         emit(_jitter_interval(ev, duration, config, rng), prog)
@@ -304,26 +298,13 @@ def propose_candidates(
             j = int(rng.integers(len(gt_steps)))
             ev, prog = gt_steps[j]
             emit(_jitter_interval(ev, duration, config, rng), prog)
-    sentences = None
-    if config.attach_candidate_sentences:
-        sentences = []
-        for ev, prog in drawn:
-            if prog is not None:
-                sentences.append(detokenize(prog.sentence))
-            else:
-                best, best_frac = None, 0.0
-                for gev, gprog in gt_steps:
-                    inter = max(0.0, min(ev.end, gev.end) - max(ev.start, gev.start))
-                    frac = inter / ev.length if ev.length > 0 else 0.0
-                    if frac > best_frac:
-                        best, best_frac = gprog, frac
-                sentences.append(detokenize((best or gt_steps[0][1]).sentence))
-
-    order = sorted(range(len(drawn)), key=lambda i: (drawn[i][0].start, drawn[i][0].end, i))
+    drawn.sort(key=lambda cand: (cand[0].start, cand[0].end))  # stable: ties keep draw order
     return EventCandidateSet(
-        events=[drawn[i][0] for i in order],
-        features=np.asarray([features[i] for i in order]),
-        sentences=[sentences[i] for i in order] if sentences is not None else None,
+        events=[ev for ev, _, _ in drawn],
+        features=np.asarray([feature for _, feature, _ in drawn]),
+        sentences=[detokenize(sentence) for _, _, sentence in drawn]
+        if config.attach_candidate_sentences
+        else None,
     )
 
 

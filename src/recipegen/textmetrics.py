@@ -1,8 +1,9 @@
 """Word-overlap sentence metrics: BLEU-4, METEOR-lite, and CIDEr-D.
 
-All three operate on pre-tokenized sentences (lists of token strings) and are
-pure functions of surface forms.  METEOR-lite is an exact-match-only variant
-(no stemming, no synonymy); reports produced downstream carry
+Each scores one pre-tokenized candidate (a list of token strings) against
+one reference, the single-reference protocol of ``dvceval.REPORT_METADATA``,
+and is a pure function of surface forms.  METEOR-lite is an exact-match-only
+variant (no stemming, no synonymy); reports produced downstream carry
 ``"meteor_variant": "exact-lite"`` so scores are self-describing.
 
 The protocol settings are module constants, not parameters: ``MAX_NGRAM``
@@ -85,30 +86,26 @@ def build_df(reference_sets: list[list[list[str]]]) -> CorpusDF:
 # ---------------------------------------------------------------------------
 
 
-def bleu4(candidate: list[str], references: list[list[str]]) -> float:
+def bleu4(candidate: list[str], reference: list[str]) -> float:
     """Sentence-level BLEU with uniform weights over n = 1..4.
 
     Higher-order precisions (n >= 2) get add-one smoothing; the unigram
-    precision is left unsmoothed, so candidates sharing no unigram with any
-    reference score 0.  Brevity penalty uses the closest reference length
-    (ties resolved toward the shorter reference).
+    precision is left unsmoothed, so a candidate sharing no unigram with the
+    reference scores 0.  The brevity penalty uses the reference length.
     """
-    if not candidate:
-        raise ValueError("candidate must be non-empty")
-    if not references or any(not r for r in references):
-        raise ValueError("need at least one non-empty reference")
-    return bleu4_from_profiles(ngram_profile(candidate), [ngram_profile(r) for r in references])
+    if not candidate or not reference:
+        raise ValueError("candidate and reference must both be non-empty")
+    return bleu4_from_profiles(ngram_profile(candidate), ngram_profile(reference))
 
 
-def bleu4_from_profiles(cand_prof: Profile, ref_profs: list[Profile]) -> float:
+def bleu4_from_profiles(cand_prof: Profile, ref_prof: Profile) -> float:
     """``bleu4`` of the n-gram profiles of non-empty sentences."""
     log_sum = 0.0
     for n in range(1, MAX_NGRAM + 1):
         total = sum(cand_prof[n].values())
         matched = 0
         for gram, count in cand_prof[n].items():
-            best = max(prof[n].get(gram, 0) for prof in ref_profs)
-            matched += min(count, best)
+            matched += min(count, ref_prof[n].get(gram, 0))
         if n == 1:
             if matched == 0:
                 return 0.0
@@ -118,7 +115,7 @@ def bleu4_from_profiles(cand_prof: Profile, ref_profs: list[Profile]) -> float:
         log_sum += math.log(precision) / MAX_NGRAM
 
     c = sum(cand_prof[1].values())
-    r = min((abs(len_r - c), len_r) for len_r in (sum(p[1].values()) for p in ref_profs))[1]
+    r = sum(ref_prof[1].values())
     bp = math.exp(1.0 - r / c) if c < r else 1.0
     return bp * math.exp(log_sum)
 
@@ -188,28 +185,24 @@ def _tfidf_vector(profile: Profile, df: CorpusDF) -> tuple[list[dict], list[floa
     return vecs, norms
 
 
-def cider_d(candidate: list[str], references: list[list[str]], df: CorpusDF) -> float:
+def cider_d(candidate: list[str], reference: list[str], df: CorpusDF) -> float:
     """CIDEr-D: clipped TF-IDF cosine per n, Gaussian length penalty, averaged
-    over n = 1..4 and over references, scaled by 10.  The TF-IDF vectors are
-    the ones ``df`` keeps."""
+    over n = 1..4, scaled by 10.  The TF-IDF vectors are the ones ``df``
+    keeps."""
     if df is None:
         raise ValueError("cider_d requires document frequencies (build_df)")
-    if not references:
-        raise ValueError("need at least one reference")
     cand_vecs, cand_norms, cand_len = df.tfidf(candidate)
-    total = 0.0
-    for ref_vecs, ref_norms, ref_len in map(df.tfidf, references):
-        penalty = gaussian_length_penalty(cand_len, ref_len)
-        per_n = 0.0
-        for n in range(MAX_NGRAM):
+    ref_vecs, ref_norms, ref_len = df.tfidf(reference)
+    penalty = gaussian_length_penalty(cand_len, ref_len)
+    per_n = 0.0
+    for n in range(MAX_NGRAM):
+        num = 0.0
+        for gram, w in cand_vecs[n].items():
+            rw = ref_vecs[n].get(gram, 0.0)
+            num += min(w, rw) * rw
+        if cand_norms[n] > 0.0 and ref_norms[n] > 0.0:
+            num /= cand_norms[n] * ref_norms[n]
+        else:
             num = 0.0
-            for gram, w in cand_vecs[n].items():
-                rw = ref_vecs[n].get(gram, 0.0)
-                num += min(w, rw) * rw
-            if cand_norms[n] > 0.0 and ref_norms[n] > 0.0:
-                num /= cand_norms[n] * ref_norms[n]
-            else:
-                num = 0.0
-            per_n += num * penalty
-        total += per_n / MAX_NGRAM
-    return 10.0 * total / len(references)
+        per_n += num * penalty
+    return 10.0 * (per_n / MAX_NGRAM)

@@ -25,9 +25,9 @@ def unmemoized_scores():
     def score(preds, gts):
         df = reference_df(gts)
         metrics = {
-            "bleu4": lambda c, r: bleu4(c, [r]) if c else 0.0,
+            "bleu4": lambda c, r: bleu4(c, r) if c else 0.0,
             "meteor": lambda c, r: meteor_lite(c, r) if c else 0.0,
-            "cider_d": lambda c, r: cider_d(c, [r], df),
+            "cider_d": lambda c, r: cider_d(c, r, df),
         }
         rows = []
         for pred, gt in zip(preds, gts):

@@ -21,7 +21,7 @@ from recipegen.layers import (
     causal_mask,
     sinusoidal_encoding,
 )
-from recipegen.optim import Adam, OptimizerConfig, warmup_lr
+from recipegen.optim import EPS, Adam, OptimizerConfig, warmup_lr
 
 from gradcheck import grad_check
 
@@ -605,7 +605,7 @@ class TestAdam:
         p.grad = g.copy()
         opt = Adam({"p": p}, cfg)
         opt.step(epoch=0)
-        want = np.array([1.0, 1.0]) - cfg.lr * g / (np.abs(g) + cfg.eps)
+        want = np.array([1.0, 1.0]) - cfg.lr * g / (np.abs(g) + EPS)
         np.testing.assert_allclose(p.data, want, atol=1e-12)
 
     def test_decoupled_weight_decay(self):

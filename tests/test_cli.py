@@ -396,9 +396,10 @@ def test_ablate_checks_sections_first(tmp_path, capsys, monkeypatch, source, sec
         ((0, "steps", 1, "sentence"), "stir " * 25, ["video_0000", "steps[1]", "sentence length 25"]),
         ((0, "steps"), [{"start": float(i), "end": i + 0.5, "sentence": "stir"} for i in range(13)],
          ["video_0000", "step count 13"]),
+        ((0, "steps", 0, "end"), 1e4, ["video_0000", "step 0 [", "exceeds duration"]),
     ],
     ids=["record", "candidates", "no-candidates", "candidate", "sentence", "nan-duration", "infinite-feature",
-         "long-sentence", "too-many-steps"],
+         "long-sentence", "too-many-steps", "step-past-the-end"],
 )
 def test_bad_dataset_record_exits_validation(tmp_path, capsys, path, value, names):
     dataset = tmp_path / "world.json"
@@ -677,3 +678,53 @@ def test_empty_dataset_file_is_named(tmp_path, capsys, command):
     assert f"{dataset}: no records" in capsys.readouterr().err
     assert not out.exists()
     assert command == "generate" or not checkpoint.exists()
+
+
+@pytest.mark.parametrize(
+    "command, output, clash",
+    [
+        ("synth", "--out", "--config"),
+        ("train", "--checkpoint", "--dataset"),
+        ("train", "--log", "--dataset"),
+        ("train", "--log", "--checkpoint"),
+        ("generate", "--out", "--dataset"),
+        ("generate", "--out", "--checkpoint"),
+        ("evaluate", "--out", "--predictions"),
+        ("evaluate", "--out", "--dataset"),
+        ("oracle", "--out", "--hist-out"),
+        ("oracle", "--out", "--dataset"),
+        ("ablate", "--out", "--dataset"),
+        ("ablate", "--out", "--config"),
+    ],
+)
+def test_output_on_the_file_of_another_path_exits_before_any_work(tmp_path, capsys, command, output, clash):
+    records = generate_world(WorldConfig(num_videos=4, seed=3))
+    files = {
+        flag: tmp_path / name
+        for flag, name in [
+            ("--config", "experiment.json"), ("--dataset", "world.json"), ("--checkpoint", "model.npz"),
+            ("--predictions", "pred.json"), ("--log", "log.csv"), ("--hist-out", "hist.csv"),
+            ("--out", "out.json"),
+        ]
+    }
+    files["--config"].write_text(json.dumps(EXPERIMENT))
+    save_dataset(records, files["--dataset"])
+    _untrained_checkpoint(files["--checkpoint"], records, "B")
+    save_predictions([oracle_prediction(r)[0] for r in records], files["--predictions"])
+    flags = {
+        "synth": ["--config", "--out"],
+        "train": ["--config", "--dataset", "--checkpoint", "--log"],
+        "generate": ["--checkpoint", "--dataset", "--out"],
+        "evaluate": ["--predictions", "--dataset", "--out"],
+        "oracle": ["--dataset", "--hist-out", "--out"],
+        "ablate": ["--config", "--dataset", "--out"],
+    }[command]
+    paths = {flag: str(files[flag]) for flag in flags}
+    # spelled through a subdirectory, so that only resolving the path finds the clash
+    (tmp_path / "sub").mkdir()
+    paths[output] = str(tmp_path / "sub" / ".." / files[clash].name)
+    before = {flag: files[flag].read_bytes() for flag in flags if files[flag].exists()}
+    assert cli.main([command] + [arg for flag in flags for arg in (flag, paths[flag])]) == cli.EXIT_VALIDATION
+    assert f"{output} {paths[output]} is the same file as {clash} {paths[clash]}" in capsys.readouterr().err
+    assert {flag: files[flag].read_bytes() for flag in before} == before
+    assert [flag for flag in flags if files[flag].exists()] == list(before)

@@ -99,6 +99,18 @@ class TestDatasetIO:
         with pytest.raises(ValidationError, match="broken_vid"):
             load_dataset(path)
 
+    def test_step_past_the_end_names_video_and_step(self, tmp_path):
+        path = _write_dataset(tmp_path / "d.json", [_toy_record("vid_a")])
+        raw = json.loads(path.read_text())
+        raw[0]["steps"][1].update(start=9.5, end=10.5)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError, match=r"vid_a: step 1 \[9.5, 10.5\] exceeds duration 10.0"):
+            load_dataset(path)
+        # the tolerance of a candidate's end holds for a step's too
+        raw[0]["steps"][1]["end"] = 10.0 + 1e-10
+        path.write_text(json.dumps(raw))
+        assert load_dataset(path)[0].steps[1].interval.end == 10.0 + 1e-10
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('[\n{"video_id": "x",]\n')

@@ -309,7 +309,7 @@ class TestScorersOfOneCorpus:
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_cider_d_follows_its_own_corpus(self, order):
-        want = [cider_d(self.CANDIDATE, [self.REFERENCE], build_df(c)) for c in self.CORPORA]
+        want = [cider_d(self.CANDIDATE, self.REFERENCE, build_df(c)) for c in self.CORPORA]
         assert want[0] != want[1]
         for k in order:
             scorer = sentence_metrics(build_df(self.CORPORA[k]))["cider_d"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recipegen import dvceval
+from recipegen import dvceval, synth
 from recipegen.data import (
     DatasetRecord,
     EventCandidateSet,
@@ -26,7 +26,7 @@ from recipegen.oracle import (
     subset_candidates,
     tiou_histogram,
 )
-from recipegen.synth import WorldConfig, generate_world
+from recipegen.synth import StepProgram, WorldConfig, generate_world, propose_candidates
 from recipegen.training import dataset_digest
 
 
@@ -376,3 +376,55 @@ class TestWorldKnobs:
             assert a.candidates.events == b.candidates.events
             assert a.candidates.sentences == b.candidates.sentences
             assert np.array_equal(a.candidates.features, b.candidates.features)
+
+
+class FillWithSpans:
+    """A generator stand-in for ``propose_candidates``: jitter and noise draw
+    zeros, so copies are exact, and every fill slot is a distractor of a
+    random span (0.75 is below the distractor fraction 1 but not below the
+    merge chance 0.5)."""
+
+    def random(self):
+        return 0.75
+
+    def normal(self, loc, scale):
+        return loc
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+class TestCandidateRule:
+    STEPS = [
+        (TimedEvent(10.0, 20.0), ["crack", "the", "eggs"]),
+        (TimedEvent(30.0, 40.0), ["stir", "the", "cracked", "eggs"]),
+        (TimedEvent(50.0, 60.0), ["fry", "the", "stirred", "eggs", "in", "the", "pan"]),
+    ]
+
+    def test_copies_and_distractors_follow_the_rule(self, monkeypatch):
+        bases = [(k + 1.0) * np.eye(3)[k] for k in range(3)]
+        gt_steps = [
+            (ev, StepProgram(["eggs"], sentence, base))
+            for (ev, sentence), base in zip(self.STEPS, bases)
+        ]
+        spans = [
+            TimedEvent(35.0, 55.0),  # a tie: steps 1 and 2 each cover a quarter
+            TimedEvent(70.0, 90.0),  # covers no step
+            TimedEvent(18.0, 40.0),  # steps 0 and 1 cover 2/22 and 10/22
+        ]
+        monkeypatch.setattr(synth, "_random_span", lambda duration, rng: spans.pop(0))
+        world = WorldConfig(feature_dim=3, n_candidates=6, noise_scale=0.0)
+        got = propose_candidates(gt_steps, 100.0, world, FillWithSpans())
+
+        a, b, c = (" ".join(sentence) for _, sentence in self.STEPS)
+        want = [
+            ((10.0, 20.0), bases[0], a),  # copies carry their own step
+            ((18.0, 40.0), 2 / 22 * bases[0] + 10 / 22 * bases[1], b),  # largest share
+            ((30.0, 40.0), bases[1], b),
+            ((35.0, 55.0), 0.25 * bases[1] + 0.25 * bases[2], b),  # first of a tie
+            ((50.0, 60.0), bases[2], c),
+            ((70.0, 90.0), np.zeros(3), a),  # uncovered: the first step's sentence
+        ]
+        assert [(e.start, e.end) for e in got.events] == [interval for interval, _, _ in want]
+        np.testing.assert_allclose(got.features, [feature for _, feature, _ in want], atol=1e-15)
+        assert got.sentences == [sentence for _, _, sentence in want]

@@ -39,12 +39,12 @@ class TestNGramProfile:
 class TestBleu4:
     def test_identity_is_one(self):
         cand = ["stir", "the", "eggs", "in", "the", "bowl"]
-        assert bleu4(cand, [cand]) == pytest.approx(1.0)
+        assert bleu4(cand, cand) == pytest.approx(1.0)
 
     def test_zero_unigram_overlap_floors_at_zero(self):
         cand = ["a", "b", "c", "d", "e"]
         ref = ["v", "w", "x", "y", "z"]
-        score = bleu4(cand, [ref])
+        score = bleu4(cand, ref)
         assert score < 0.05
         assert score == 0.0
 
@@ -52,7 +52,7 @@ class TestBleu4:
         # candidate 3 tokens, reference 4: every n-gram precision is 1
         # (unigram 3/3; smoothed higher orders (m+1)/(m+1)), so the score is
         # exactly the brevity penalty exp(1 - 4/3)
-        score = bleu4(["the", "cat", "sat"], [["the", "cat", "sat", "down"]])
+        score = bleu4(["the", "cat", "sat"], ["the", "cat", "sat", "down"])
         assert score == pytest.approx(math.exp(1.0 - 4.0 / 3.0))
 
     def test_smoothed_hand_computation(self):
@@ -60,22 +60,22 @@ class TestBleu4:
         # zero higher-order matches -> p2 = 1/5, p3 = 1/4, p4 = 1/3 with
         # add-one smoothing; lengths equal so BP = 1.
         expected = (3 / 5 * 1 / 5 * 1 / 4 * 1 / 3) ** 0.25
-        score = bleu4(list("abcde"), [["a", "x", "c", "y", "e"]])
+        score = bleu4(list("abcde"), ["a", "x", "c", "y", "e"])
         assert score == pytest.approx(expected, rel=1e-12)
 
     def test_empty_inputs_error(self):
         with pytest.raises(ValueError):
-            bleu4([], [["a"]])
+            bleu4([], ["a"])
         with pytest.raises(ValueError):
             bleu4(["a"], [])
 
     def test_range_and_determinism(self):
         for _ in range(100):
             cand = random_sentence(RNG)
-            refs = [random_sentence(RNG) for _ in range(2)]
-            s = bleu4(cand, refs)
-            assert 0.0 <= s <= 1.0
-            assert s == bleu4(cand, refs)
+            for ref in [random_sentence(RNG) for _ in range(2)]:
+                s = bleu4(cand, ref)
+                assert 0.0 <= s <= 1.0
+                assert s == bleu4(cand, ref)
 
 
 class TestMeteorLite:
@@ -136,7 +136,7 @@ class TestCorpusDF:
             build_df([])
 
 
-def brute_force_cider_d(candidate, references, videos, sigma=6.0):
+def brute_force_cider_d(candidate, reference, videos, sigma=6.0):
     """Independent CIDEr-D implementation used as the test oracle."""
     num_docs = len(videos)
     doc_freq = {n: defaultdict(int) for n in range(1, 5)}
@@ -158,18 +158,15 @@ def brute_force_cider_d(candidate, references, videos, sigma=6.0):
             for g, c in grams(tokens, n).items()
         }
 
-    total = 0.0
-    for ref in references:
-        pen = math.exp(-((len(candidate) - len(ref)) ** 2) / (2 * sigma**2))
-        acc = 0.0
-        for n in range(1, 5):
-            vc, vr = tfidf(candidate, n), tfidf(ref, n)
-            num = sum(min(vc[g], vr.get(g, 0.0)) * vr.get(g, 0.0) for g in vc)
-            nc = math.sqrt(sum(v * v for v in vc.values()))
-            nr = math.sqrt(sum(v * v for v in vr.values()))
-            acc += (num / (nc * nr) if nc > 0 and nr > 0 else 0.0) * pen
-        total += acc / 4
-    return 10.0 * total / len(references)
+    pen = math.exp(-((len(candidate) - len(reference)) ** 2) / (2 * sigma**2))
+    acc = 0.0
+    for n in range(1, 5):
+        vc, vr = tfidf(candidate, n), tfidf(reference, n)
+        num = sum(min(vc[g], vr.get(g, 0.0)) * vr.get(g, 0.0) for g in vc)
+        nc = math.sqrt(sum(v * v for v in vc.values()))
+        nr = math.sqrt(sum(v * v for v in vr.values()))
+        acc += (num / (nc * nr) if nc > 0 and nr > 0 else 0.0) * pen
+    return 10.0 * acc / 4
 
 
 class TestCiderD:
@@ -184,14 +181,14 @@ class TestCiderD:
         videos = self._toy_corpus()
         df = build_df(videos)
         cand = ["crack", "the", "eggs"]
-        got = cider_d(cand, [cand], df)
-        want = brute_force_cider_d(cand, [cand], videos)
+        got = cider_d(cand, cand, df)
+        want = brute_force_cider_d(cand, cand, videos)
         assert got == pytest.approx(want, rel=1e-12)
         assert got > 0
 
     def test_zero_overlap_is_zero(self):
         df = build_df(self._toy_corpus())
-        assert cider_d(["x", "y", "z"], [["crack", "the", "eggs"]], df) == 0.0
+        assert cider_d(["x", "y", "z"], ["crack", "the", "eggs"], df) == 0.0
 
     def test_length_penalty_is_gaussian(self):
         assert CIDER_SIGMA == 6.0
@@ -206,7 +203,7 @@ class TestCiderD:
         scores = []
         for extra in range(5):
             cand = ref + ["zz"] * extra
-            scores.append(cider_d(cand, [ref], df))
+            scores.append(cider_d(cand, ref, df))
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
     def test_randomized_matches_oracle(self):
@@ -215,20 +212,20 @@ class TestCiderD:
             videos = [[random_sentence(rng, 2, 8) for _ in range(2)] for _ in range(5)]
             df = build_df(videos)
             cand = random_sentence(rng, 2, 8)
-            refs = videos[0]
-            assert cider_d(cand, refs, df) == pytest.approx(
-                brute_force_cider_d(cand, refs, videos), rel=1e-12, abs=1e-15
-            )
+            for ref in videos[0]:
+                assert cider_d(cand, ref, df) == pytest.approx(
+                    brute_force_cider_d(cand, ref, videos), rel=1e-12, abs=1e-15
+                )
 
     def test_range(self):
         df = build_df(self._toy_corpus())
         for _ in range(50):
-            s = cider_d(random_sentence(RNG), [random_sentence(RNG)], df)
+            s = cider_d(random_sentence(RNG), random_sentence(RNG), df)
             assert 0.0 <= s <= 10.0
 
     def test_missing_df_errors(self):
         with pytest.raises(ValueError):
-            cider_d(["a"], [["a"]], None)
+            cider_d(["a"], ["a"], None)
 
 
 class TestRelabelingSymmetry:
@@ -241,10 +238,10 @@ class TestRelabelingSymmetry:
             r_cand = [mapping[t] for t in cand]
             r_ref = [mapping[t] for t in ref]
             r_videos = [[[mapping[t] for t in s] for s in v] for v in videos]
-            assert bleu4(cand, [ref]) == pytest.approx(bleu4(r_cand, [r_ref]))
+            assert bleu4(cand, ref) == pytest.approx(bleu4(r_cand, r_ref))
             assert meteor_lite(cand, ref) == pytest.approx(meteor_lite(r_cand, r_ref))
-            assert cider_d(cand, [ref], build_df(videos)) == pytest.approx(
-                cider_d(r_cand, [r_ref], build_df(r_videos))
+            assert cider_d(cand, ref, build_df(videos)) == pytest.approx(
+                cider_d(r_cand, r_ref, build_df(r_videos))
             )
 
 
@@ -260,12 +257,13 @@ class TestProfileCores:
         scored_first=st.lists(SENTENCES, max_size=3),
     )
     def test_cores_equal_public_scorers(self, cand, refs, others, scored_first):
-        bleu = bleu4_from_profiles(ngram_profile(cand), [ngram_profile(r) for r in refs])
-        assert bleu == bleu4(cand, refs)
+        for ref in refs:
+            assert bleu4_from_profiles(ngram_profile(cand), ngram_profile(ref)) == bleu4(cand, ref)
         videos = [refs] + others
         df = build_df(videos)
         # the vectors a corpus keeps from earlier sentences change no later score
         for sentence in scored_first:
             df.tfidf(sentence)
-        assert cider_d(cand, refs, df) == cider_d(cand, refs, build_df(videos))
+        for ref in refs:
+            assert cider_d(cand, ref, df) == cider_d(cand, ref, build_df(videos))
         assert df == build_df(videos)
