@@ -398,7 +398,7 @@ def _record_to_obj(record: DatasetRecord) -> dict:
         c = {
             "start": ev.start,
             "end": ev.end,
-            "feature": [float(x) for x in record.candidates.features[i]],
+            "feature": record.candidates.features[i].tolist(),
         }
         if record.candidates.sentences is not None:
             c["sentence"] = record.candidates.sentences[i]

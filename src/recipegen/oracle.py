@@ -186,7 +186,10 @@ def oracle_sweep(records: list[DatasetRecord], n_list: list[int], seed: int = 0)
 
     Every budget keeps the same ground truth, so one set of scorers serves
     them all: ``parallel.in_halves`` splits the videos once, and each process
-    scores its half at every budget with its own copy of the memoized scorers."""
+    scores its half at every budget with its own copy of the memoized scorers.
+    The rows score the ground-truth sentences (``sentence_mode`` in the
+    metadata), whatever mode the report they go with uses."""
+    mode = "gt-sentences"
     for n in n_list:
         check_int("candidate budget", n, 1)
     check_distinct("candidate budgets", n_list)  # a repeated budget is the same row
@@ -195,8 +198,8 @@ def oracle_sweep(records: list[DatasetRecord], n_list: list[int], seed: int = 0)
 
     def sweep(half):  # per budget, the half's report rows
         return [[row for row, _ in _scored([subset_candidates(r, n, seed) for r in half],
-                                           "gt-sentences", metrics)] for n in budgets]
+                                           mode, metrics)] for n in budgets]
 
     mine, theirs = in_halves(sweep, records)
     rows = [{"n_candidates": n, **_summary(a + b)} for n, a, b in zip(budgets, mine, theirs)]
-    return {"rows": rows, "metadata": {"nested_subset_seed": seed}}
+    return {"rows": rows, "metadata": {"nested_subset_seed": seed, "sentence_mode": mode}}

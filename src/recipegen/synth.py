@@ -149,10 +149,12 @@ HashVectors = Callable[[str, str], np.ndarray]
 
 
 def _step_base_vector(vector: HashVectors, t: int, action: str, ings: list[str]) -> np.ndarray:
-    parts = [vector("action", action)]
-    parts.extend(vector("ingredient", ing) for ing in ings)
-    parts.append(vector("ordinal", str(t)))
-    return np.sum(parts, axis=0) / np.sqrt(len(parts))
+    # summed one addition at a time in this order; the world digests pin its bits
+    total = vector("action", action)
+    for ing in ings:
+        total = total + vector("ingredient", ing)
+    total = total + vector("ordinal", str(t))
+    return total / np.sqrt(len(ings) + 2)
 
 
 def _ingredient_phrase(ingredient: str, last_action: str | None) -> list[str]:
@@ -211,22 +213,25 @@ def _place_intervals(n_steps: int, duration: float, rng: np.random.Generator) ->
     lengths = lengths / lengths.sum() * (fill * duration)
     gaps = rng.uniform(0.2, 1.0, size=n_steps + 1)
     gaps = gaps / gaps.sum() * ((1.0 - fill) * duration)
-    events = []
-    cursor = 0.0
-    for i in range(n_steps):
-        cursor += gaps[i]
-        events.append(TimedEvent(round(cursor, 4), round(cursor + lengths[i], 4)))
-        cursor += lengths[i]
-    return events
+    # Step i starts after gap i and ends after length i, on a cursor that
+    # walks gap 0, length 0, gap 1, ... from 0.0.  np.cumsum over that walk
+    # (add.accumulate: one addition at a time, in order, never pairwise) makes
+    # each of the cursor loop's additions in the loop's order, so every bound
+    # has the loop's bits; np.round is what round() does to a numpy scalar.
+    walk = np.empty(2 * n_steps)
+    walk[0::2] = gaps[:n_steps]
+    walk[1::2] = lengths
+    bounds = np.round(np.cumsum(walk), 4).reshape(n_steps, 2)
+    return [TimedEvent(start, end) for start, end in bounds.tolist()]
 
 
 def _jitter_interval(
     source: TimedEvent, duration: float, config: WorldConfig, rng: np.random.Generator
 ) -> TimedEvent:
     sigma = config.jitter_sigma_frac * source.length
-    for _ in range(50):
-        s = float(np.clip(source.start + rng.normal(0.0, sigma), 0.0, duration))
-        e = float(np.clip(source.end + rng.normal(0.0, sigma), 0.0, duration))
+    for _ in range(50):  # min/max keep Python floats, which round() rounds decimally
+        s = min(max(source.start + rng.normal(0.0, sigma), 0.0), duration)
+        e = min(max(source.end + rng.normal(0.0, sigma), 0.0), duration)
         if s < e and tiou(TimedEvent(s, e), source) >= config.jitter_min_tiou:
             return TimedEvent(round(s, 4), round(e, 4))
     return source

@@ -246,6 +246,19 @@ def test_attached_oracle_needs_candidate_sentences(tmp_path, capsys):
     assert "video_0000" in capsys.readouterr().err
 
 
+def test_attached_oracle_names_the_sweep_sentence_mode(tmp_path):
+    dataset, out = tmp_path / "world.json", tmp_path / "oracle.json"
+    save_dataset(generate_world(WorldConfig(num_videos=3, seed=3)), dataset)
+    code = cli.main([
+        "oracle", "--dataset", str(dataset), "--mode", "attached", "--n-list", "4", "6",
+        "--out", str(out),
+    ])
+    assert code == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["metadata"]["sentence_mode"] == "attached"
+    assert report["sweep"]["metadata"]["sentence_mode"] == "gt-sentences"
+
+
 def test_ablate_rejects_budget_below_step_count(tmp_path, capsys):
     # the default world draws up to 6 steps per video
     code = cli.main(["ablate", "--n-list", "4", "--out", str(tmp_path / "a.csv"), "--quiet"])

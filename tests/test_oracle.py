@@ -342,6 +342,33 @@ class TestWorldKnobs:
     def test_default_worlds_keep_their_digest(self, seed, digest):
         assert dataset_digest(generate_world(WorldConfig(seed=seed))) == digest
 
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            ({"seed": 4, "distractor_fraction": 0.3, "attach_candidate_sentences": False},
+             "d9e4c8217c593a74"),
+            ({"seed": 5, "n_candidates": 20, "steps_range": (1, 12)}, "46e0f588e1f24ad5"),
+            ({"seed": 6, "noise_scale": 0.25, "jitter_sigma_frac": 0.3}, "740387c575348ef8"),
+        ],
+    )
+    def test_other_worlds_keep_their_digest(self, overrides, digest):
+        # recorded before synthesis dropped its per-draw numpy scalar overhead
+        world = WorldConfig(num_videos=20, **overrides)
+        assert dataset_digest(generate_world(world)) == digest
+
+    def test_jitter_clamps_to_the_video(self):
+        class Pushes:  # moves the start below 0 and the end past the duration
+            def __init__(self):
+                self.draws = iter([-50.0, 50.0])
+
+            def normal(self, loc, scale):
+                return next(self.draws)
+
+        jittered = synth._jitter_interval(TimedEvent(2.0, 18.0), 20.0, WorldConfig(), Pushes())
+        assert jittered == TimedEvent(0.0, 20.0)
+        assert [type(jittered.start), type(jittered.end)] == [float, float]
+        assert str(jittered.start) == "0.0"  # not -0.0
+
     def test_worlds_nest_across_n_candidates(self):
         # the budget axis of ablate compares these worlds: the same videos,
         # each keeping every candidate it had at a smaller budget
