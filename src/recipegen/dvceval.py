@@ -15,15 +15,19 @@ which ``REPORT_METADATA`` quotes), and the oracle report's histogram bin width
 in ``oracle.HISTOGRAM_BIN_WIDTH``.  SODA reads only the total of the best
 order-preserving alignment (``alignment_total``), not the pairs.
 
+A video's tIoU table (``tiou_matrix``) is rows of Python floats, one per
+prediction and one entry per ground-truth step, each with the bits of scalar
+``tiou``.  ``score_video`` builds it, or takes the one that
+``oracle.oracle_report`` and ``oracle.oracle_sweep`` built for the oracle's
+ranking, and hands it to dvc_eval and to SODA (which weights new rows).
+
 Each quantity is computed once per report: the report's ``CorpusDF`` makes
 each sentence's n-gram profile and TF-IDF vector once, which BLEU-4 and
 CIDEr-D share; the scorers of ``sentence_metrics`` remember each (candidate,
-reference) pair's score for as long as they live; ``score_video`` hands one
-tIoU matrix per video to dvc_eval and to SODA (which weights a copy); dvc_eval
-scores the pairs above its lowest threshold once and filters that one list
-per threshold; and ``oracle.oracle_sweep`` shares one set of scorers across
-its budgets, whose ground truth is the same.  Nothing is kept between
-reports.
+reference) pair's score for as long as they live; dvc_eval scores the pairs
+above its lowest threshold once and filters that one list per threshold; and
+``oracle.oracle_sweep`` shares one set of scorers across its budgets, whose
+ground truth is the same.  Nothing is kept between reports.
 
 The scorers are built in the calling process; ``parallel.in_halves`` makes
 the per-video rows (the second half in a forked child when two CPUs are
@@ -55,20 +59,29 @@ def tiou(a: TimedEvent, b: TimedEvent) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def tiou_matrix(pred: Sequence[TimedEvent], gt: Sequence[TimedEvent]) -> np.ndarray:
-    """``tiou(pred[i], gt[j])`` at ``[i, j]``, by the same operations in the same order."""
-    p, g = (np.array([(e.start, e.end) for e in ev], np.float64).reshape(-1, 2) for ev in (pred, gt))
-    inter = np.maximum(0.0, np.minimum(p[:, 1:], g[:, 1]) - np.maximum(p[:, :1], g[:, 0]))
-    union = (p[:, 1:] - p[:, :1]) + (g[:, 1] - g[:, 0]) - inter
-    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+def tiou_matrix(pred: Sequence[TimedEvent], gt: Sequence[TimedEvent]) -> list[list[float]]:
+    """The tIoU table: one row of floats per prediction, ``tiou(pred[i], gt[j])``
+    at ``[i][j]``, by ``tiou``'s operations in ``tiou``'s order."""
+    columns = [(b.start, b.end, b.length) for b in gt]
+    rows = []
+    for a in pred:
+        start, end, length = a.start, a.end, a.length
+        row = []
+        for g_start, g_end, g_length in columns:
+            inter = max(0.0, min(end, g_end) - max(start, g_start))
+            union = length + g_length - inter
+            row.append(inter / union if union > 0 else 0.0)
+        rows.append(row)
+    return rows
 
 
-def alignment_total(scores: np.ndarray) -> float:
+def alignment_total(scores: Sequence[Sequence[float]]) -> float:
     """Best total of an order-preserving one-to-one matching of predictions
     (rows) to ground truth (columns), by dynamic program one row at a time."""
-    scores = np.asarray(scores, dtype=np.float64)
-    prev = [0.0] * (scores.shape[1] + 1)
-    for row in scores.tolist():
+    if not len(scores):
+        return 0.0
+    prev = [0.0] * (len(scores[0]) + 1)
+    for row in scores:
         cur = [0.0]
         for j, score in enumerate(row):
             cur.append(max(prev[j + 1], cur[j], prev[j] + score))
@@ -76,9 +89,11 @@ def alignment_total(scores: np.ndarray) -> float:
     return prev[-1]
 
 
-def soda_from_matrix(scores: np.ndarray) -> tuple[float, float, float]:
-    """Precision, recall, F1 of the optimal monotone alignment of ``scores``."""
-    n_p, n_g = scores.shape
+def soda_from_matrix(scores: Sequence[Sequence[float]]) -> tuple[float, float, float]:
+    """Precision, recall, F1 of the optimal monotone alignment of ``scores``
+    (one row per prediction)."""
+    n_p = len(scores)
+    n_g = len(scores[0]) if n_p else 0
     if n_p == 0 or n_g == 0:
         return 0.0, 0.0, 0.0
     total = alignment_total(scores)
@@ -89,16 +104,19 @@ def soda_from_matrix(scores: np.ndarray) -> tuple[float, float, float]:
 
 
 def _soda(
-    mat: np.ndarray, pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric | None
+    table: list[list[float]],
+    pred: PredictionRecipe,
+    gt: GroundTruthRecipe,
+    metric: SentenceMetric | None,
 ) -> tuple[float, float, float]:
-    """SODA over a precomputed tIoU matrix, which is weighted in a copy."""
+    """SODA over a video's tIoU table, whose positive entries are weighted in new rows."""
     if metric is not None:
-        mat = mat.copy()
-        for i, sent in enumerate(pred.sentences):
-            for j, step in enumerate(gt.steps):
-                if mat[i, j] > 0.0:
-                    mat[i, j] *= metric(sent, step.sentence) if sent else 0.0
-    return soda_from_matrix(mat)
+        table = [
+            [value * (metric(sent, step.sentence) if sent else 0.0) if value > 0.0 else value
+             for value, step in zip(row, gt.steps)]
+            for row, sent in zip(table, pred.sentences)
+        ]
+    return soda_from_matrix(table)
 
 
 def soda(
@@ -115,26 +133,30 @@ def soda(
 
 
 def _dvc_eval(
-    mat: np.ndarray, pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric
+    table: list[list[float]], pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric
 ) -> float:
-    """dvc_eval over a precomputed tIoU matrix."""
+    """dvc_eval over a video's tIoU table."""
+    loosest = min(DVC_EVAL_THRESHOLDS)
     scored = [
-        (mat[i, j], metric(pred.sentences[i], gt.steps[j].sentence) if pred.sentences[i] else 0.0)
-        for i, j in zip(*np.nonzero(mat > min(DVC_EVAL_THRESHOLDS)))
+        (value, metric(sent, step.sentence) if sent else 0.0)
+        for row, sent in zip(table, pred.sentences)
+        for value, step in zip(row, gt.steps)
+        if value > loosest
     ]
-    per_threshold = []
+    # added in order: np.mean's bits, as np.add.reduce adds fewer than 8 values
+    # in order (sum() compensates on Python >= 3.12)
+    total = 0.0
     for t in DVC_EVAL_THRESHOLDS:
         qualifying = [score for value, score in scored if value > t]
-        per_threshold.append(sum(qualifying) / len(qualifying) if qualifying else 0.0)
-    return float(np.mean(per_threshold))
+        total += sum(qualifying) / len(qualifying) if qualifying else 0.0
+    return total / len(DVC_EVAL_THRESHOLDS)
 
 
 def dvc_eval(pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric) -> float:
     """dvc_eval score for one video: per threshold of ``DVC_EVAL_THRESHOLDS``,
     average the sentence metric over all prediction x ground-truth pairs whose
     tIoU exceeds it (0 when none qualifies), then average over thresholds."""
-    mat = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
-    return _dvc_eval(mat, pred, gt, metric)
+    return _dvc_eval(tiou_matrix(pred.intervals, [s.interval for s in gt.steps]), pred, gt, metric)
 
 
 def event_count_stats(pairs: Sequence[tuple[int, int]]) -> dict[int, float]:
@@ -204,16 +226,20 @@ REPORT_METRICS = VIDEO_SCORES + tuple(f"count_stats.eta{eta}" for eta in COUNT_S
 
 
 def score_video(
-    pred: PredictionRecipe, gt: GroundTruthRecipe, metrics: dict[str, SentenceMetric]
+    pred: PredictionRecipe,
+    gt: GroundTruthRecipe,
+    metrics: dict[str, SentenceMetric],
+    table: list[list[float]] | None = None,
 ) -> dict[str, float]:
     """The ``VIDEO_SCORES`` of one video: dvc_eval with every sentence metric,
     and SODA F1 with METEOR, with CIDEr-D and with tIoU alone, all over one
-    tIoU matrix."""
-    mat = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
-    row = {f"dvc_eval.{name}": _dvc_eval(mat, pred, gt, fn) for name, fn in metrics.items()}
+    tIoU table, ``tiou_matrix`` of the video's intervals unless given."""
+    if table is None:
+        table = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
+    row = {f"dvc_eval.{name}": _dvc_eval(table, pred, gt, fn) for name, fn in metrics.items()}
     for name in ("meteor", "cider_d"):
-        row[f"soda.{name}"] = _soda(mat, pred, gt, metrics[name])[2]
-    row["soda.tiou"] = _soda(mat, pred, gt, None)[2]
+        row[f"soda.{name}"] = _soda(table, pred, gt, metrics[name])[2]
+    row["soda.tiou"] = _soda(table, pred, gt, None)[2]
     return row
 
 

@@ -462,7 +462,7 @@ class RecipeModel(Layer):
         # oracle pick when none is left)
         ranking, _ = oracle_ranking(record.candidates, record.ground_truth)
         indices: list[int] = []
-        for column in ranking.T.tolist():
+        for column in ranking:
             indices.append(next((i for i in column if i not in indices), column[0]))
         token_ids = [self.vocab.encode(s.sentence) + [EOS] for s in record.steps]
         ing_labels = act_labels = None

@@ -3,11 +3,20 @@
 The oracle is both an analysis tool (upper bound on selection quality, tIoU
 distributions, candidate-count sweeps) and the source of training labels for
 the event selector.
+
+``oracle_ranking`` builds a video's tIoU table (``dvceval.tiou_matrix``, one
+row of floats per candidate) and ranks each step's candidates over it.  The
+oracle's picks and their tIoUs come from that one table, and
+``oracle_report`` and ``oracle_sweep`` pass the picked candidates' rows to
+``dvceval.score_video``, so each scores a video from the table it ranked it
+by; the sweep ranks a video once for all its budgets.  ``RecipeModel.labels``
+reads the ranking.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,23 +54,35 @@ class OracleAssignment:
 
 def oracle_ranking(
     candidates: EventCandidateSet, gt: GroundTruthRecipe
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per ground-truth step (column), every candidate index from best to
-    worst, and the (candidates, steps) tIoU matrix.  Candidates rank by tIoU,
-    ties toward the earliest start, then the lowest index."""
+) -> tuple[list[list[int]], list[list[float]]]:
+    """Per ground-truth step, every candidate index from best to worst, and the
+    tIoU table (``tiou_matrix``, one row per candidate).  Candidates rank by
+    tIoU, ties toward the lowest index, which is the earliest start: an
+    ``EventCandidateSet`` is sorted by start."""
     if len(candidates) == 0:
         raise ValueError(f"{gt.video_id}: oracle selection needs at least one candidate")
-    mat = tiou_matrix(candidates.events, [step.interval for step in gt.steps])
-    starts = np.broadcast_to([[ev.start] for ev in candidates.events], mat.shape)
-    return np.lexsort((starts, -mat), axis=0), mat  # stable: the lowest index among full ties
+    table = tiou_matrix(candidates.events, [step.interval for step in gt.steps])
+    order = range(len(table))
+    # a reversed sort is still stable: equal tIoUs keep their ascending index
+    return [sorted(order, key=column.__getitem__, reverse=True) for column in zip(*table)], table
+
+
+def _assignment(
+    ranking: list[list[int]], table: list[list[float]], kept: list[int] | None = None
+) -> OracleAssignment:
+    """Each step's first candidate in its ranking (of those in ``kept``, if given)."""
+    if kept is None:
+        indices = [column[0] for column in ranking]
+    else:
+        keep = set(kept)
+        indices = [next(i for i in column if i in keep) for column in ranking]
+    return OracleAssignment(indices, [table[i][j] for j, i in enumerate(indices)])
 
 
 def oracle_select(candidates: EventCandidateSet, gt: GroundTruthRecipe) -> OracleAssignment:
-    """Independent per-step argmax of tIoU over the candidate set: the first
-    row of ``oracle_ranking``.  Candidates may be reused across steps."""
-    ranking, mat = oracle_ranking(candidates, gt)
-    best = ranking[0]
-    return OracleAssignment([int(i) for i in best], [float(mat[i, j]) for j, i in enumerate(best)])
+    """Independent per-step argmax of tIoU over the candidate set: each step's
+    first candidate in ``oracle_ranking``.  Candidates may be reused across steps."""
+    return _assignment(*oracle_ranking(candidates, gt))
 
 
 def oracle_prediction(
@@ -74,6 +95,11 @@ def oracle_prediction(
     ground-truth sentences (selection-quality-only analysis).
     """
     assignment = oracle_select(record.candidates, record.ground_truth)
+    return _prediction(record, assignment, mode), assignment
+
+
+def _prediction(record: DatasetRecord, assignment: OracleAssignment, mode: str) -> PredictionRecipe:
+    """The oracle prediction of ``oracle_prediction`` for a given assignment."""
     if mode == "attached":
         if record.candidates.sentences is None:
             raise ValueError(
@@ -85,10 +111,7 @@ def oracle_prediction(
     else:
         raise ValueError(f"unknown oracle sentence mode: {mode!r}")
     intervals = [record.candidates.events[i] for i in assignment.indices]
-    return (
-        PredictionRecipe(record.video_id, list(assignment.indices), sentences, intervals),
-        assignment,
-    )
+    return PredictionRecipe(record.video_id, list(assignment.indices), sentences, intervals)
 
 
 def tiou_histogram(values: list[float]) -> list[tuple[float, float, int]]:
@@ -96,12 +119,10 @@ def tiou_histogram(values: list[float]) -> list[tuple[float, float, int]]:
     the last bin is closed at 1."""
     n_bins = int(round(1.0 / HISTOGRAM_BIN_WIDTH))
     counts = [0] * n_bins
-    for v in values:
-        counts[min(int(v / HISTOGRAM_BIN_WIDTH), n_bins - 1)] += 1
-    return [
-        (round(i * HISTOGRAM_BIN_WIDTH, 10), round((i + 1) * HISTOGRAM_BIN_WIDTH, 10), counts[i])
-        for i in range(n_bins)
-    ]
+    edges = [round(i * HISTOGRAM_BIN_WIDTH, 10) for i in range(n_bins + 1)]
+    for v in values:  # in the row whose [low, high) holds it (1.0 in the last)
+        counts[min(bisect_right(edges, v) - 1, n_bins - 1)] += 1
+    return [(edges[i], edges[i + 1], counts[i]) for i in range(n_bins)]
 
 
 def oracle_report(records: list[DatasetRecord], mode: str = "gt-sentences") -> dict:
@@ -126,15 +147,23 @@ def _scored(records: list[DatasetRecord], mode: str, metrics: dict) -> list[tupl
     """Each video's report row and oracle tIoUs, with the given sentence scorers."""
     scored = []
     for record in records:
-        pred, assignment = oracle_prediction(record, mode=mode)
-        row = {
-            "video_id": record.video_id,
-            "mean_tiou": assignment.mean_tiou,
-            "duplicate_assignments": assignment.duplicate_assignments,
-        }
-        row.update(score_video(pred, record.ground_truth, metrics))
-        scored.append((row, assignment.tious))
+        ranking, table = oracle_ranking(record.candidates, record.ground_truth)
+        assignment = _assignment(ranking, table)
+        scored.append((_row(record, assignment, table, mode, metrics), assignment.tious))
     return scored
+
+
+def _row(record: DatasetRecord, assignment: OracleAssignment, table: list[list[float]],
+         mode: str, metrics: dict) -> dict:
+    """A video's report row, scored over the chosen candidates' rows of its tIoU table."""
+    row = {
+        "video_id": record.video_id,
+        "mean_tiou": assignment.mean_tiou,
+        "duplicate_assignments": assignment.duplicate_assignments,
+    }
+    pred = _prediction(record, assignment, mode)
+    row.update(score_video(pred, record.ground_truth, metrics, [table[i] for i in assignment.indices]))
+    return row
 
 
 def _summary(per_video: list[dict]) -> dict:
@@ -152,6 +181,15 @@ def _stable_permutation(video_id: str, n: int, seed: int) -> np.ndarray:
     return rng.permutation(n)
 
 
+def _kept(record: DatasetRecord, budgets: list[int], seed: int) -> list[list[int] | None]:
+    """Per budget, the sorted indices of the candidates it keeps (None: all of
+    them), all from one permutation of the video's candidates."""
+    total = len(record.candidates)
+    cut = any(n < total for n in budgets)
+    perm = _stable_permutation(record.video_id, total, seed) if cut else None
+    return [sorted(perm[:n].tolist()) if n < total else None for n in budgets]
+
+
 def subset_candidates(record: DatasetRecord, n: int, seed: int = 0) -> DatasetRecord:
     """Deterministic candidate subset of size ``n``.
 
@@ -160,11 +198,9 @@ def subset_candidates(record: DatasetRecord, n: int, seed: int = 0) -> DatasetRe
     monotone by construction.
     """
     check_int("candidate budget", n, 1)
-    total = len(record.candidates)
-    if n >= total:
+    [chosen] = _kept(record, [n], seed)
+    if chosen is None:
         return record
-    perm = _stable_permutation(record.video_id, total, seed)
-    chosen = sorted(perm[:n])
     events = [record.candidates.events[i] for i in chosen]
     feats = record.candidates.features[chosen]
     sents = (
@@ -187,8 +223,12 @@ def oracle_sweep(records: list[DatasetRecord], n_list: list[int], seed: int = 0)
     Every budget keeps the same ground truth, so one set of scorers serves
     them all: ``parallel.in_halves`` splits the videos once, and each process
     scores its half at every budget with its own copy of the memoized scorers.
-    The rows score the ground-truth sentences (``sentence_mode`` in the
-    metadata), whatever mode the report they go with uses."""
+    Each video's tIoU table, ranking and candidate permutation are made once
+    for all budgets: a budget's oracle takes each step's first ranked candidate
+    that the budget keeps, as ``oracle_select`` on ``subset_candidates`` would,
+    since the kept indices stay in order.  The rows score the ground-truth
+    sentences (``sentence_mode`` in the metadata), whatever mode the report
+    they go with uses."""
     mode = "gt-sentences"
     for n in n_list:
         check_int("candidate budget", n, 1)
@@ -197,8 +237,13 @@ def oracle_sweep(records: list[DatasetRecord], n_list: list[int], seed: int = 0)
     budgets = sorted(n_list)
 
     def sweep(half):  # per budget, the half's report rows
-        return [[row for row, _ in _scored([subset_candidates(r, n, seed) for r in half],
-                                           mode, metrics)] for n in budgets]
+        per_budget = [[] for _ in budgets]
+        for record in half:
+            ranking, table = oracle_ranking(record.candidates, record.ground_truth)
+            for rows, kept in zip(per_budget, _kept(record, budgets, seed)):
+                assignment = _assignment(ranking, table, kept)
+                rows.append(_row(record, assignment, table, mode, metrics))
+        return per_budget
 
     mine, theirs = in_halves(sweep, records)
     rows = [{"n_candidates": n, **_summary(a + b)} for n, a, b in zip(budgets, mine, theirs)]

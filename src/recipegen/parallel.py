@@ -37,7 +37,12 @@ def in_halves(work, items: list, channel=None) -> tuple:
         return work(first), work(second)
     pack, unpack = channel() if channel else (lambda result: result,) * 2
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:  # e.g. BlockingIOError at the process limit
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         try:
             os.close(read_fd)

@@ -193,10 +193,10 @@ class TestDvcEval:
         # theta 0.9: none (strict >)    -> 0.0
         gt = make_gt([(0, 10), (20, 30)], [["a"], ["b"]])
         pred = make_pred([(0, 6), (20, 29), (4, 24)], [["a"], ["b"], ["c"]])
-        mat = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
-        assert mat[0, 0] == pytest.approx(0.6)
-        assert mat[1, 1] == pytest.approx(0.9)
-        assert mat[2, 0] == pytest.approx(0.25)
+        table = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
+        assert table[0][0] == pytest.approx(0.6)
+        assert table[1][1] == pytest.approx(0.9)
+        assert table[2][0] == pytest.approx(0.25)
         expected = (0.5 + 0.5 + 0.5 + 0.0) / 4
         assert dvc_eval(pred, gt, meteor_lite) == pytest.approx(expected)
 
@@ -211,12 +211,43 @@ class TestDvcEval:
             gt = make_gt([(i * 20, i * 20 + 10) for i in range(3)], [["a"]] * 3)
             starts = rng.uniform(0, 50, size=k)
             pred = make_pred([(s, s + 8) for s in sorted(starts)], [["a"]] * k)
-            mat = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
+            values = [v for row in tiou_matrix(pred.intervals, [s.interval for s in gt.steps]) for v in row]
             averaged = dvc_eval(pred, gt, meteor_lite)
-            loosest = meteor_lite(["a"], ["a"]) if (mat > 0.3).any() else 0.0
+            loosest = meteor_lite(["a"], ["a"]) if max(values) > 0.3 else 0.0
             assert averaged <= loosest + 1e-12
-            kept = [(mat > t).any() for t in DVC_EVAL_THRESHOLDS]
+            kept = [max(values) > t for t in DVC_EVAL_THRESHOLDS]
             assert averaged == pytest.approx(loosest * sum(kept) / len(kept))
+
+    def test_threshold_mean_is_np_mean_bit_for_bit(self):
+        # dvc_eval adds its four per-threshold means in order, which np.mean
+        # does below 8 values; checked on arbitrary floats and against the
+        # per-threshold means of scalar tiou and np.mean
+        rng = np.random.default_rng(29)
+        for values in rng.uniform(0, 1, size=(5000, len(DVC_EVAL_THRESHOLDS))).tolist():
+            total = 0.0
+            for v in values:
+                total += v
+            assert total / len(values) == float(np.mean(values))
+        words = [[w] for w in "abcde"]
+        scores = {(c[0], r[0]): float(rng.uniform()) for c in words for r in words}
+
+        def metric(c, r):
+            return scores[(c[0], r[0])]
+
+        for _ in range(300):
+            starts = np.sort(rng.uniform(0, 40, size=int(rng.integers(1, 6))))
+            gt = make_gt([(s, s + rng.uniform(2, 12)) for s in starts],
+                         [words[i] for i in rng.integers(0, 5, size=len(starts))])
+            pred_starts = np.sort(starts[rng.integers(0, len(starts), size=int(rng.integers(1, 7)))])
+            pred = make_pred([(s + rng.uniform(-2, 2) + 2, s + rng.uniform(4, 14)) for s in pred_starts],
+                             [words[i] for i in rng.integers(0, 5, size=len(pred_starts))])
+            per_threshold = []
+            for t in DVC_EVAL_THRESHOLDS:
+                qualifying = [metric(sent, step.sentence)
+                              for a, sent in zip(pred.intervals, pred.sentences)
+                              for step in gt.steps if tiou(a, step.interval) > t]
+                per_threshold.append(sum(qualifying) / len(qualifying) if qualifying else 0.0)
+            assert dvc_eval(pred, gt, metric) == float(np.mean(per_threshold))
 
 
 class TestEventCountStats:

@@ -16,7 +16,7 @@ from recipegen.data import (
     RecipeStep,
     TimedEvent,
 )
-from recipegen.dvceval import VIDEO_SCORES, soda, tiou
+from recipegen.dvceval import VIDEO_SCORES, reference_df, score_video, sentence_metrics, soda, tiou
 from recipegen.oracle import (
     HISTOGRAM_BIN_WIDTH,
     oracle_prediction,
@@ -75,11 +75,11 @@ class TestOracleSelect:
     @given(events=INTERVALS.filter(bool), intervals=INTERVALS.filter(bool))
     def test_matrix_and_selection_equal_the_scalar_loop(self, events, intervals):
         for pred, gt in ((events, intervals), (events, []), ([], intervals)):
-            mat = dvceval.tiou_matrix(pred, gt)
-            assert mat.shape == (len(pred), len(gt))
+            table = dvceval.tiou_matrix(pred, gt)
+            assert [len(row) for row in table] == [len(gt)] * len(pred)
             for i, a in enumerate(pred):
                 for j, b in enumerate(gt):
-                    assert mat[i, j] == tiou(a, b)
+                    assert type(table[i][j]) is float and table[i][j] == tiou(a, b)
         candidates = EventCandidateSet(events, np.zeros((len(events), 2)))
         gt = GroundTruthRecipe("v", 10.0, [RecipeStep(interval, ["stir"]) for interval in intervals], [])
         assignment = oracle_select(candidates, gt)
@@ -198,6 +198,15 @@ class TestOracleReport:
         assert hist[9] == (0.9, 1.0, 2)
         assert sum(c for _, _, c in hist) == 5
 
+    def test_histogram_counts_a_lower_edge_in_its_own_bin(self):
+        # 3/10, 6/10 and 7/10 are exact tIoUs that fall one bin low under int(v / 0.1)
+        values = [tiou(TimedEvent(0, end), TimedEvent(0, 10)) for end in (3, 6, 7)]
+        assert values == [0.3, 0.6, 0.7]
+        hist = tiou_histogram(values + [1.0])
+        for (low, high, count), value in zip([hist[3], hist[6], hist[7], hist[9]], values + [1.0]):
+            assert count == 1 and low <= value and (value < high or value == high == 1.0)
+        assert sum(c for _, _, c in hist) == 4
+
     def test_metadata_quotes_the_histogram_bin_width(self):
         records = generate_world(WorldConfig(num_videos=4, seed=9))
         report = oracle_report(records)
@@ -278,6 +287,43 @@ class TestSharedScorers:
         monkeypatch.setattr(dvceval, "cider_d", counting)
         oracle_sweep(repeated_world, [3, 6, 8], seed=1)
         assert calls and max(calls.values()) == 1
+
+
+class TestSharedTable:
+    """The report, the sweep and the scorers read one tIoU table per video.
+    Up to 12 steps, so that ``mean_tiou`` also averages 8 or more values."""
+
+    WORLD = WorldConfig(num_videos=10, seed=3, steps_range=(1, 12), n_candidates=14)
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        records = generate_world(self.WORLD)
+        assert max(len(r.steps) for r in records) >= 8
+        return records
+
+    @pytest.mark.parametrize("mode", ["attached", "gt-sentences"])
+    def test_report_rows_equal_their_parts(self, world, mode):
+        report = oracle_report(world, mode=mode)
+        metrics = sentence_metrics(reference_df([r.ground_truth for r in world]))
+        assert len(report["per_video"]) == len(world)
+        for record, row in zip(world, report["per_video"]):
+            pred, assignment = oracle_prediction(record, mode)
+            expected = {
+                "video_id": record.video_id,
+                "mean_tiou": assignment.mean_tiou,
+                "duplicate_assignments": assignment.duplicate_assignments,
+                **score_video(pred, record.ground_truth, metrics),
+            }
+            assert list(row.items()) == list(expected.items())
+
+    def test_sweep_rows_equal_reports_of_subsets(self, world):
+        sweep = oracle_sweep(world, [20, 2, 14, 5, 9], seed=2)
+        assert [row["n_candidates"] for row in sweep["rows"]] == [2, 5, 9, 14, 20]
+        for row in sweep["rows"]:
+            subset = [subset_candidates(r, row["n_candidates"], seed=2) for r in world]
+            expected = oracle_report(subset)["metrics"]
+            assert list(row.items())[1:] == list(expected.items())
+        assert oracle_sweep(world, [])["rows"] == []
 
 
 class TestWorldKnobs:

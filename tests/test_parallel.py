@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from recipegen import oracle, parallel
+from recipegen import dvceval, oracle, parallel
 from recipegen.dvceval import evaluate_corpus
 from recipegen.oracle import oracle_prediction, oracle_report, oracle_sweep
 from recipegen.synth import WorldConfig, generate_world
@@ -146,6 +146,19 @@ class TestInHalves:
             os.kill(children[0], 0)
         assert_no_child_left()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors from /proc")
+    def test_failed_fork_closes_the_pipe(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            parallel.in_halves(len, [1, 2])
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
     def test_channel_runs_only_when_forking(self, monkeypatch):
         usable_cpus(monkeypatch, 1)
         opened = []
@@ -207,16 +220,18 @@ class TestScoreHalves:
         assert mapped == []
 
     def test_sweep_scores_each_half_once_for_all_budgets(self, monkeypatch):
-        """Each process builds each budget's subsets of its own half only."""
+        """Each process builds the tIoU table of each video of its own half
+        only, once for all budgets."""
         children = usable_cpus(monkeypatch, 2)
-        subsets = []
-        subset = oracle.subset_candidates
+        tables = []
+        build = oracle.tiou_matrix
 
-        def counted(record, n, seed):
-            subsets.append((record.video_id, n))
-            return subset(record, n, seed)
+        def counted(pred, gt):
+            tables.append(gt)
+            return build(pred, gt)
 
-        monkeypatch.setattr(oracle, "subset_candidates", counted)
+        monkeypatch.setattr(oracle, "tiou_matrix", counted)
+        monkeypatch.setattr(dvceval, "tiou_matrix", counted)
         oracle_sweep(WORLD, [6, 4])
         assert len(children) == 1
-        assert subsets == [(r.video_id, n) for n in (4, 6) for r in WORLD[:6]]
+        assert tables == [[s.interval for s in r.steps] for r in WORLD[:6]]
