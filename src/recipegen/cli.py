@@ -144,7 +144,7 @@ def _cmd_evaluate(args) -> int:
     records = load_dataset(args.dataset)
     preds = load_predictions(args.predictions)
     _check_predictions(preds, records)
-    report = evaluate_corpus(preds, [r.ground_truth for r in records])
+    report = evaluate_corpus(preds, records)
     data.save_report(report, args.out)
     for key in sorted(report["metrics"]):
         print(f"{key}: {report['metrics'][key]:.4f}")

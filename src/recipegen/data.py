@@ -1,5 +1,8 @@
 """Core records, vocabulary, and the JSON file formats shared by every module.
 
+A ``DatasetRecord`` is its ``GroundTruthRecipe`` (video id, duration, steps,
+ingredients) plus its candidate events, so a record is its own ground truth.
+
 File formats
 ------------
 Dataset JSON: a top-level array of objects::
@@ -196,15 +199,13 @@ class PredictionRecipe:
             )
 
 
-@dataclass
-class DatasetRecord:
-    """One video: duration, candidate events + features, recipe, ingredients."""
+@dataclass(kw_only=True)
+class DatasetRecord(GroundTruthRecipe):
+    """One video: its ground-truth recipe plus the candidate events and their
+    features (keyword-only, after the recipe fields).  A record is its own
+    ground truth: it passes wherever a ``GroundTruthRecipe`` is read."""
 
-    video_id: str
-    duration: float
     candidates: EventCandidateSet
-    steps: list[RecipeStep]
-    ingredients: list[str]
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -228,14 +229,12 @@ class DatasetRecord:
                 ValidationWarning,
                 stacklevel=3,
             )
-        # re-run the recipe-level checks (ordering, step count)
-        GroundTruthRecipe(self.video_id, self.duration, self.steps, self.ingredients)
+        super().__post_init__()
 
     @property
     def ground_truth(self) -> GroundTruthRecipe:
-        return GroundTruthRecipe(
-            self.video_id, self.duration, self.steps, self.ingredients
-        )
+        """The record itself, which is its ground-truth recipe."""
+        return self
 
 
 class Vocabulary:
@@ -355,7 +354,7 @@ def _record_from_obj(obj, where: str) -> DatasetRecord:
     ingredients = _field(obj, "ingredients", list, vid)
     if not all(isinstance(i, str) for i in ingredients):
         raise ValidationError(f"{vid}: field 'ingredients' must hold strings")
-    return DatasetRecord(vid, _number(obj, "duration", vid), candidates, steps, ingredients)
+    return DatasetRecord(vid, _number(obj, "duration", vid), steps, ingredients, candidates=candidates)
 
 
 def read_json(path, kind: type, what: str):

@@ -222,6 +222,10 @@ class RecipeModel(Layer):
         self.config = config
         self.vocab = vocab
         self.action_lexicon = list(action_lexicon)
+        level = VARIANTS.index(config.variant)
+        ing, sim, text = level >= 1, level >= 2, level >= 3
+        if sim and not self.action_lexicon:
+            raise ValueError(f"variant {config.variant} needs a non-empty action lexicon")
         rng = np.random.default_rng(seed)
         h = config.hidden
 
@@ -241,11 +245,9 @@ class RecipeModel(Layer):
         self.mix_f1, self.mix_f2, self.mix_g1, self.mix_g2 = (Linear(h, h, rng) for _ in range(4))
 
         # extension modules, drawn last so that each variant draws a prefix
-        level = VARIANTS.index(config.variant)
-        ing, sim, text = level >= 1, level >= 2, level >= 3
         self.ing_mlp_sel = MLP(h, h, h, rng) if ing else None
         self.ing_mlp_gen = MLP(h, h, h, rng) if ing else None
-        self.action_embed = Embedding(max(1, len(action_lexicon)), h, rng) if sim else None
+        self.action_embed = Embedding(len(action_lexicon), h, rng) if sim else None
         self.simulator = DotProductSimulator(h, rng) if sim else None
         self.textual_attention = TextualAttention(h, rng) if text else None
         self.vocab_head_ing = Linear(h, len(vocab), rng, bias=False) if text else None
@@ -460,14 +462,14 @@ class RecipeModel(Layer):
         # the reselection mask would zero out a repeated label, so each step takes
         # the first candidate of its oracle ranking that no earlier step took (its
         # oracle pick when none is left)
-        ranking, _ = oracle_ranking(record.candidates, record.ground_truth)
+        ranking, _ = oracle_ranking(record.candidates, record)
         indices: list[int] = []
         for column in ranking:
             indices.append(next((i for i in column if i not in indices), column[0]))
         token_ids = [self.vocab.encode(s.sentence) + [EOS] for s in record.steps]
         ing_labels = act_labels = None
         if self.simulator is not None:
-            ing_labels, act_labels = distant_labels(record.ground_truth, self.action_lexicon)
+            ing_labels, act_labels = distant_labels(record, self.action_lexicon)
         return VideoLabels(indices, token_ids, ing_labels, act_labels)
 
     def _context(self, record: DatasetRecord) -> dict:
@@ -701,15 +703,15 @@ def load_checkpoint(path) -> tuple[RecipeModel, dict]:
         try:
             config = config_from_dict(ModelConfig, meta["config"], "model")
             vocab = Vocabulary(meta["vocab"])
+            want = config_hash(config, vocab, meta["actions"])
+            if meta["config_hash"] != want:
+                raise ValueError(
+                    f"stored config_hash {meta['config_hash']!r} does not match "
+                    f"{want!r} computed from its config, vocabulary and actions"
+                )
+            model = RecipeModel(config, vocab, meta["actions"], seed=0)
         except ValueError as exc:
             raise ValueError(f"checkpoint {path}: {exc}") from None
-        want = config_hash(config, vocab, meta["actions"])
-        if meta["config_hash"] != want:
-            raise ValueError(
-                f"checkpoint {path}: stored config_hash {meta['config_hash']!r} "
-                f"does not match {want!r} computed from its config, vocabulary and actions"
-            )
-        model = RecipeModel(config, vocab, meta["actions"], seed=0)
         params = model.parameters()
         stored = {key[len("param/"):] for key in blob.files if key.startswith("param/")}
         missing = sorted(params.keys() - stored)

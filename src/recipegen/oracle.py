@@ -6,11 +6,12 @@ the event selector.
 
 ``oracle_ranking`` builds a video's tIoU table (``dvceval.tiou_matrix``, one
 row of floats per candidate) and ranks each step's candidates over it.  The
-oracle's picks and their tIoUs come from that one table, and
-``oracle_report`` and ``oracle_sweep`` pass the picked candidates' rows to
-``dvceval.score_video``, so each scores a video from the table it ranked it
-by; the sweep ranks a video once for all its budgets.  ``RecipeModel.labels``
-reads the ranking.
+oracle's picks and their tIoUs come from that one table.  One per-video loop,
+``_oracle_rows``, serves the report and the sweep: it ranks each video once,
+picks at each budget, and passes the picked candidates' rows to
+``dvceval.score_video``.  The report is that loop at a budget no video
+exceeds, the sweep at its sorted budgets.  ``RecipeModel.labels`` reads the
+ranking.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def oracle_prediction(
     that candidate in the dataset file; ``mode="gt-sentences"`` reuses the
     ground-truth sentences (selection-quality-only analysis).
     """
-    assignment = oracle_select(record.candidates, record.ground_truth)
+    assignment = oracle_select(record.candidates, record)
     return _prediction(record, assignment, mode), assignment
 
 
@@ -130,40 +131,49 @@ def oracle_report(records: list[DatasetRecord], mode: str = "gt-sentences") -> d
 
     Computes dvc_eval and SODA with every sentence metric, mean per-step
     oracle tIoU, duplicate-assignment counts, and a tIoU histogram
-    (``tiou_histogram``). The videos are scored in two halves (``parallel.in_halves``).
+    (``tiou_histogram``): ``_oracle_rows`` at a budget that no video exceeds.
     """
-    metrics = sentence_metrics(reference_df([r.ground_truth for r in records]))
-    scored = sum(in_halves(lambda half: _scored(half, mode, metrics), records), [])
-    per_video = [row for row, _ in scored]
+    budget = max((len(r.candidates) for r in records), default=1)  # no records: the scorers say so
+    [(per_video, tious)] = _oracle_rows(records, [budget], mode)
     return {
         "metrics": _summary(per_video),
         "per_video": per_video,
-        "histogram": [list(row) for row in tiou_histogram([t for _, tious in scored for t in tious])],
+        "histogram": [list(row) for row in tiou_histogram(tious)],
         "metadata": {"sentence_mode": mode, "histogram_bin_width": HISTOGRAM_BIN_WIDTH},
     }
 
 
-def _scored(records: list[DatasetRecord], mode: str, metrics: dict) -> list[tuple[dict, list[float]]]:
-    """Each video's report row and oracle tIoUs, with the given sentence scorers."""
-    scored = []
-    for record in records:
-        ranking, table = oracle_ranking(record.candidates, record.ground_truth)
-        assignment = _assignment(ranking, table)
-        scored.append((_row(record, assignment, table, mode, metrics), assignment.tious))
-    return scored
+def _oracle_rows(
+    records: list[DatasetRecord], budgets: list[int], mode: str, seed: int = 0
+) -> list[tuple[list[dict], list[float]]]:
+    """Per budget (ascending), each video's report row and every oracle tIoU.
 
+    One set of memoized sentence scorers serves every budget, as each keeps
+    the same ground truth, and ``parallel.in_halves`` splits the videos once.
+    Each video's tIoU table, ranking and candidate permutation are made once:
+    a budget's oracle takes each step's first ranked candidate that the budget
+    keeps, as ``oracle_select`` on ``subset_candidates`` would, since the kept
+    indices stay in order.  A row is scored over the picks' table rows."""
+    metrics = sentence_metrics(reference_df(records))
 
-def _row(record: DatasetRecord, assignment: OracleAssignment, table: list[list[float]],
-         mode: str, metrics: dict) -> dict:
-    """A video's report row, scored over the chosen candidates' rows of its tIoU table."""
-    row = {
-        "video_id": record.video_id,
-        "mean_tiou": assignment.mean_tiou,
-        "duplicate_assignments": assignment.duplicate_assignments,
-    }
-    pred = _prediction(record, assignment, mode)
-    row.update(score_video(pred, record.ground_truth, metrics, [table[i] for i in assignment.indices]))
-    return row
+    def score(half):
+        per_budget = [([], []) for _ in budgets]
+        for record in half:
+            ranking, table = oracle_ranking(record.candidates, record)
+            for (rows, tious), kept in zip(per_budget, _kept(record, budgets, seed)):
+                assignment = _assignment(ranking, table, kept)
+                pred = _prediction(record, assignment, mode)
+                rows.append({
+                    "video_id": record.video_id,
+                    "mean_tiou": assignment.mean_tiou,
+                    "duplicate_assignments": assignment.duplicate_assignments,
+                    **score_video(pred, record, metrics, [table[i] for i in assignment.indices]),
+                })
+                tious += assignment.tious
+        return per_budget
+
+    mine, theirs = in_halves(score, records)
+    return [(rows + more, tious + more_tious) for (rows, tious), (more, more_tious) in zip(mine, theirs)]
 
 
 def _summary(per_video: list[dict]) -> dict:
@@ -218,33 +228,15 @@ def subset_candidates(record: DatasetRecord, n: int, seed: int = 0) -> DatasetRe
 
 
 def oracle_sweep(records: list[DatasetRecord], n_list: list[int], seed: int = 0) -> dict:
-    """Oracle metrics at nested candidate-count budgets (Table-style sweep).
-
-    Every budget keeps the same ground truth, so one set of scorers serves
-    them all: ``parallel.in_halves`` splits the videos once, and each process
-    scores its half at every budget with its own copy of the memoized scorers.
-    Each video's tIoU table, ranking and candidate permutation are made once
-    for all budgets: a budget's oracle takes each step's first ranked candidate
-    that the budget keeps, as ``oracle_select`` on ``subset_candidates`` would,
-    since the kept indices stay in order.  The rows score the ground-truth
+    """Oracle metrics at nested candidate-count budgets (Table-style sweep):
+    ``_oracle_rows`` at the sorted budgets.  The rows score the ground-truth
     sentences (``sentence_mode`` in the metadata), whatever mode the report
     they go with uses."""
     mode = "gt-sentences"
     for n in n_list:
         check_int("candidate budget", n, 1)
     check_distinct("candidate budgets", n_list)  # a repeated budget is the same row
-    metrics = sentence_metrics(reference_df([r.ground_truth for r in records]))
     budgets = sorted(n_list)
-
-    def sweep(half):  # per budget, the half's report rows
-        per_budget = [[] for _ in budgets]
-        for record in half:
-            ranking, table = oracle_ranking(record.candidates, record.ground_truth)
-            for rows, kept in zip(per_budget, _kept(record, budgets, seed)):
-                assignment = _assignment(ranking, table, kept)
-                rows.append(_row(record, assignment, table, mode, metrics))
-        return per_budget
-
-    mine, theirs = in_halves(sweep, records)
-    rows = [{"n_candidates": n, **_summary(a + b)} for n, a, b in zip(budgets, mine, theirs)]
+    scored = _oracle_rows(records, budgets, mode, seed)
+    rows = [{"n_candidates": n, **_summary(per_video)} for n, (per_video, _) in zip(budgets, scored)]
     return {"rows": rows, "metadata": {"nested_subset_seed": seed, "sentence_mode": mode}}

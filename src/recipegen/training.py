@@ -208,7 +208,6 @@ def train(
 
     shuffle_rng, gumbel_rng = map(np.random.default_rng, np.random.SeedSequence(exp.seed).spawn(2))
     draws = np.array([len(r.steps) * len(r.candidates) for r in train_recs])  # Gumbel uniforms
-    val_gts = [r.ground_truth for r in val_recs]
 
     def train_half(videos) -> list[dict]:  # each video's loss and the terms that occurred
         logged = []
@@ -240,7 +239,7 @@ def train(
 
         optimizer.zero_grad()  # validation keeps no gradient alive
         halves = in_halves(lambda recs: [model.run_inference(r) for r in recs], val_recs)
-        report = evaluate_corpus(halves[0] + halves[1], val_gts)
+        report = evaluate_corpus(halves[0] + halves[1], val_recs)
         metric = report["metrics"][exp.early_stop_metric]
         row = {"epoch": epoch}
         row.update({k: v / len(train_recs) for k, v in sums.items()})

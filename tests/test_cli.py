@@ -14,7 +14,7 @@ from recipegen.data import (
     save_dataset,
     save_predictions,
 )
-from recipegen.model import ModelConfig, RecipeModel, save_checkpoint
+from recipegen.model import ModelConfig, RecipeModel, config_hash, save_checkpoint
 from recipegen.oracle import oracle_prediction
 from recipegen.synth import DEFAULT_ACTIONS, WorldConfig, generate_world
 
@@ -482,6 +482,27 @@ def test_generate_rejects_malformed_checkpoint_meta(tmp_path, capsys, field):
     ])
     assert code == cli.EXIT_VALIDATION
     assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_generate_rejects_a_simulator_checkpoint_without_actions(tmp_path, capsys):
+    dataset, checkpoint = tmp_path / "world.json", tmp_path / "model.npz"
+    save_dataset(generate_world(WorldConfig(num_videos=2, seed=3)), dataset)
+    config, vocab = ModelConfig(variant="BIV", hidden=8, layers=1, heads=2, feature_dim=32), Vocabulary(["stir"])
+    save_checkpoint(checkpoint, RecipeModel(config, vocab, list(DEFAULT_ACTIONS)))
+    with np.load(checkpoint) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta.update(actions=[], config_hash=config_hash(config, vocab, []))
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    # one action row, the shape a model built for no actions once drew
+    arrays["param/action_embed.weight"] = arrays["param/action_embed.weight"][:1]
+    np.savez(checkpoint, **arrays)
+    out = tmp_path / "p.json"
+    code = cli.main(["generate", "--checkpoint", str(checkpoint), "--dataset", str(dataset), "--out", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"checkpoint {checkpoint}: variant BIV needs a non-empty action lexicon" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("damage", ["truncated", "corrupted", "text", "empty", "npy"])

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -153,8 +154,8 @@ class TestDatasetIO:
             EventCandidateSet(events, np.zeros((2, 4)))
 
     def test_overlapping_steps_warn_but_load(self):
-        with pytest.warns(ValidationWarning):
-            DatasetRecord(
+        with pytest.warns(ValidationWarning) as caught:
+            record = DatasetRecord(
                 video_id="v",
                 duration=10.0,
                 candidates=EventCandidateSet([TimedEvent(0, 5)], np.zeros((1, 2))),
@@ -164,6 +165,17 @@ class TestDatasetIO:
                 ],
                 ingredients=[],
             )
+        assert [w.category for w in caught] == [ValidationWarning]
+        # a record is its own ground truth, so reading it checks nothing again
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert record.ground_truth is record
+            assert record.ground_truth is record
+
+    def test_candidates_are_keyword_only(self):
+        record = _toy_record()
+        with pytest.raises(TypeError):
+            DatasetRecord("v", 10.0, record.candidates, record.steps, record.ingredients)
 
     def test_prediction_roundtrip(self, tmp_path):
         pred = PredictionRecipe(

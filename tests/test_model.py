@@ -124,6 +124,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(f"model.{field}")):
             load_checkpoint(path)
 
+    def test_empty_action_lexicon_only_without_a_simulator(self):
+        def build(variant):
+            config = ModelConfig(hidden=16, layers=1, heads=2, feature_dim=WORLD.feature_dim, variant=variant)
+            return RecipeModel(config, VOCAB, [])
+
+        for variant in ("BIV", "BIVT"):
+            with pytest.raises(ValueError, match=f"variant {variant} needs a non-empty action lexicon"):
+                build(variant)
+        assert build("B").action_embed is build("BI").action_embed is None
+
 
 class TestEncodeEvents:
     def test_identical_features_distinct_positions(self):
@@ -418,7 +428,7 @@ class TestLosses:
 def label_record(candidates, steps, duration=40.0):
     """A record of the given (start, end) candidates and steps."""
     cands = EventCandidateSet([TimedEvent(*c) for c in candidates], np.zeros((len(candidates), 2)))
-    return DatasetRecord("v", duration, cands, [RecipeStep(TimedEvent(*s), ["a"]) for s in steps], [])
+    return DatasetRecord("v", duration, [RecipeStep(TimedEvent(*s), ["a"]) for s in steps], [], candidates=cands)
 
 
 def fallback_label_indices(record):

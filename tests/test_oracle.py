@@ -148,7 +148,7 @@ class TestOracleReport:
             np.zeros((2, 2)),
             sentences=["totally wrong words", "also wrong here"],
         )
-        return DatasetRecord("v", 20.0, cands, steps, ["eggs"])
+        return DatasetRecord("v", 20.0, steps, ["eggs"], candidates=cands)
 
     def test_candidates_equal_gt_give_perfect_scores(self):
         record = self._identity_record()
@@ -220,9 +220,14 @@ class TestOracleReport:
     def test_duplicate_assignments_surfaced(self):
         steps = [RecipeStep(TimedEvent(0, 5), ["a"]), RecipeStep(TimedEvent(6, 11), ["b"])]
         cands = EventCandidateSet([TimedEvent(0, 11)], np.zeros((1, 2)))
-        record = DatasetRecord("v", 20.0, cands, steps, [])
+        record = DatasetRecord("v", 20.0, steps, [], candidates=cands)
         report = oracle_report([record])
         assert report["metrics"]["duplicate_assignments"] == 1
+
+    def test_no_records_is_named(self):
+        for score in (oracle_report, lambda records: oracle_sweep(records, [4])):
+            with pytest.raises(ValueError, match="need at least one video"):
+                score([])
 
 
 class TestSweep:
