@@ -1,12 +1,13 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A ``Tensor`` wraps an ndarray, a gradient accumulator, and a requires-grad
-flag.  Operations build a graph of parents and vector-Jacobian products;
-every graph node is stamped with a creation sequence number, and since a
-node's parents always exist before it, ``Tensor.backward()`` visits the
-reachable nodes in decreasing sequence order, a reverse topological order,
-accumulating gradients additively.  Gradient arrays are never mutated in
-place, so vjps may safely return views or shared arrays.
+A ``Tensor`` is built from an ndarray, which it holds with a gradient
+accumulator and a requires-grad flag.  Operations build a graph of parents
+and vector-Jacobian products; every graph node is stamped with a creation
+sequence number, and since a node's parents always exist before it,
+``Tensor.backward()`` visits the reachable nodes in decreasing sequence
+order, a reverse topological order, accumulating gradients additively.
+Gradient arrays are never mutated in place, so vjps may safely return views
+or shared arrays.
 
 Every operation builds its output with ``Tensor._result``, the single
 constructor of op results, which the benchmark's tracer wraps to count
@@ -89,12 +90,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
 
-    def __init__(self, data, requires_grad: bool = False):
-        if isinstance(data, Tensor):
-            data = data.data
-        if not isinstance(data, np.ndarray):
-            # a numpy scalar (0-d indexing, reductions) keeps its precision
-            data = np.asarray(data, dtype=data.dtype if isinstance(data, np.floating) else np.float64)
+    def __init__(self, data: np.ndarray, requires_grad: bool = False):
         self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -125,10 +121,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def item(self) -> float:
         return float(self.data)
@@ -196,9 +188,6 @@ class Tensor:
             ),
         )
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __pow__(self, exponent: float):
         data = self.data**exponent
         return Tensor._result(
@@ -246,19 +235,14 @@ class Tensor:
 
         def vjp(g):
             g = np.asarray(g)
-            if axis is None:
-                return (np.broadcast_to(g, self.data.shape),)
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            if not keepdims:
-                g = np.expand_dims(g, ax)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, self.data.shape),)
 
         return Tensor._result(data, (self,), vjp)
 
     def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
+        count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
     def amax(self, axis: int, keepdims: bool = False):
@@ -281,16 +265,12 @@ class Tensor:
     # -- shape manipulation --------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
         return Tensor._result(
             self.data.reshape(shape), (self,), lambda g: (g.reshape(old),)
         )
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = np.argsort(axes)
         return Tensor._result(
             self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),)
@@ -492,28 +472,20 @@ def attention(
     return Tensor._result(data, (q, k, v), vjp)
 
 
-def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(shape)
-    return -np.log(-np.log(u + 1e-20) + 1e-20)
-
-
 def gumbel_softmax(logits: Tensor, tau: float, rng: np.random.Generator) -> Tensor:
     """Gumbel-softmax sample on the last axis: ``softmax((logits + g) / tau)``
     with standard Gumbel noise ``g``."""
     if tau <= 0:
         raise ValueError("gumbel_softmax temperature must be positive")
-    if not isinstance(logits, Tensor):
-        logits = Tensor(logits)
-    noise = gumbel_noise(logits.shape, rng).astype(logits.data.dtype)
-    return softmax((logits + Tensor(noise)) * (1.0 / tau), axis=-1)
+    u = rng.random(logits.shape)
+    noise = -np.log(-np.log(u + 1e-20) + 1e-20)
+    return softmax((logits + Tensor(noise.astype(logits.data.dtype))) * (1.0 / tau), axis=-1)
 
 
 def straight_through_onehot(y: Tensor, index: int) -> Tensor:
     """One-hot forward value at ``index`` with identity gradient into the soft
     input: teacher-forced hard selection that keeps the gradient path of the
     sampled relaxation."""
-    if y.ndim != 1:
-        raise ValueError("straight_through_onehot expects a 1-d simplex vector")
     hard = np.zeros_like(y.data)
     hard[int(index)] = 1.0
     return Tensor._result(hard, (y,), lambda g: (g,))

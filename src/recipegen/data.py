@@ -69,10 +69,13 @@ def check_int(name: str, value, low: int, high: float = math.inf) -> None:
 
 def check_number(name: str, value, low: float, high: float = math.inf) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite int or
-    float (not a bool) in [low, high]."""
+    float (not a bool, nor an int beyond the float range) in [low, high]."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    # NaN fails the comparison; an int of any size is finite
-    if not (number and low <= value <= high and abs(value) < math.inf):
+    try:  # NaN fails the comparison; an int beyond the float range overflows
+        finite = number and low <= value <= high and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
@@ -218,6 +221,7 @@ class DatasetRecord(GroundTruthRecipe):
                     f"{self.video_id}: {what} [{ev.start}, {ev.end}] exceeds "
                     f"duration {self.duration}"
                 )
+        super().__post_init__()  # the step order before counting overlaps
         overlaps = sum(
             1
             for a, b in zip(self.steps, self.steps[1:])
@@ -229,7 +233,6 @@ class DatasetRecord(GroundTruthRecipe):
                 ValidationWarning,
                 stacklevel=3,
             )
-        super().__post_init__()
 
     @property
     def ground_truth(self) -> GroundTruthRecipe:

@@ -77,9 +77,8 @@ def tiou_matrix(pred: Sequence[TimedEvent], gt: Sequence[TimedEvent]) -> list[li
 
 def alignment_total(scores: Sequence[Sequence[float]]) -> float:
     """Best total of an order-preserving one-to-one matching of predictions
-    (rows) to ground truth (columns), by dynamic program one row at a time."""
-    if not len(scores):
-        return 0.0
+    (rows) to ground truth (columns), by dynamic program one row at a time;
+    ``scores`` has at least one row."""
     prev = [0.0] * (len(scores[0]) + 1)
     for row in scores:
         cur = [0.0]
@@ -103,13 +102,24 @@ def soda_from_matrix(scores: Sequence[Sequence[float]]) -> tuple[float, float, f
     return precision, recall, f1
 
 
-def _soda(
-    table: list[list[float]],
+def _table(pred: PredictionRecipe, gt: GroundTruthRecipe, table: list[list[float]] | None):
+    """``table``, or the video's ``tiou_matrix`` when it is None."""
+    return tiou_matrix(pred.intervals, [s.interval for s in gt.steps]) if table is None else table
+
+
+def soda(
     pred: PredictionRecipe,
     gt: GroundTruthRecipe,
-    metric: SentenceMetric | None,
+    metric: SentenceMetric | None = None,
+    table: list[list[float]] | None = None,
 ) -> tuple[float, float, float]:
-    """SODA over a video's tIoU table, whose positive entries are weighted in new rows."""
+    """SODA for one video, over its tIoU table ``table`` (``tiou_matrix`` of
+    its intervals unless given).
+
+    Pair scores are ``tiou * metric(pred_sentence, gt_sentence)``, in new rows;
+    with ``metric=None`` the score is tIoU alone (the SODA-tIoU variant).
+    """
+    table = _table(pred, gt, table)
     if metric is not None:
         table = [
             [value * (metric(sent, step.sentence) if sent else 0.0) if value > 0.0 else value
@@ -119,23 +129,17 @@ def _soda(
     return soda_from_matrix(table)
 
 
-def soda(
+def dvc_eval(
     pred: PredictionRecipe,
     gt: GroundTruthRecipe,
-    metric: SentenceMetric | None = None,
-) -> tuple[float, float, float]:
-    """SODA for one video.
-
-    Pair scores are ``tiou * metric(pred_sentence, gt_sentence)``; with
-    ``metric=None`` the score is tIoU alone (the SODA-tIoU variant).
-    """
-    return _soda(tiou_matrix(pred.intervals, [s.interval for s in gt.steps]), pred, gt, metric)
-
-
-def _dvc_eval(
-    table: list[list[float]], pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric
+    metric: SentenceMetric,
+    table: list[list[float]] | None = None,
 ) -> float:
-    """dvc_eval over a video's tIoU table."""
+    """dvc_eval score for one video: per threshold of ``DVC_EVAL_THRESHOLDS``,
+    average the sentence metric over all prediction x ground-truth pairs whose
+    tIoU in ``table`` (``tiou_matrix`` of the intervals unless given) exceeds
+    it (0 when none qualifies), then average over thresholds."""
+    table = _table(pred, gt, table)
     loosest = min(DVC_EVAL_THRESHOLDS)
     scored = [
         (value, metric(sent, step.sentence) if sent else 0.0)
@@ -143,20 +147,17 @@ def _dvc_eval(
         for value, step in zip(row, gt.steps)
         if value > loosest
     ]
-    # added in order: np.mean's bits, as np.add.reduce adds fewer than 8 values
-    # in order (sum() compensates on Python >= 3.12)
+    # added in order on every Python (sum() compensates from 3.12 on); so added, the
+    # four means are np.mean's bits, as np.add.reduce adds fewer than 8 values in order
     total = 0.0
     for t in DVC_EVAL_THRESHOLDS:
-        qualifying = [score for value, score in scored if value > t]
-        total += sum(qualifying) / len(qualifying) if qualifying else 0.0
+        subtotal, count = 0.0, 0
+        for value, score in scored:
+            if value > t:
+                subtotal += score
+                count += 1
+        total += subtotal / count if count else 0.0
     return total / len(DVC_EVAL_THRESHOLDS)
-
-
-def dvc_eval(pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric) -> float:
-    """dvc_eval score for one video: per threshold of ``DVC_EVAL_THRESHOLDS``,
-    average the sentence metric over all prediction x ground-truth pairs whose
-    tIoU exceeds it (0 when none qualifies), then average over thresholds."""
-    return _dvc_eval(tiou_matrix(pred.intervals, [s.interval for s in gt.steps]), pred, gt, metric)
 
 
 def event_count_stats(pairs: Sequence[tuple[int, int]]) -> dict[int, float]:
@@ -234,12 +235,11 @@ def score_video(
     """The ``VIDEO_SCORES`` of one video: dvc_eval with every sentence metric,
     and SODA F1 with METEOR, with CIDEr-D and with tIoU alone, all over one
     tIoU table, ``tiou_matrix`` of the video's intervals unless given."""
-    if table is None:
-        table = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
-    row = {f"dvc_eval.{name}": _dvc_eval(table, pred, gt, fn) for name, fn in metrics.items()}
+    table = _table(pred, gt, table)
+    row = {f"dvc_eval.{name}": dvc_eval(pred, gt, fn, table) for name, fn in metrics.items()}
     for name in ("meteor", "cider_d"):
-        row[f"soda.{name}"] = _soda(table, pred, gt, metrics[name])[2]
-    row["soda.tiou"] = _soda(table, pred, gt, None)[2]
+        row[f"soda.{name}"] = soda(pred, gt, metrics[name], table)[2]
+    row["soda.tiou"] = soda(pred, gt, None, table)[2]
     return row
 
 

@@ -336,11 +336,10 @@ class RecipeModel(Layer):
         return w + pe + h_sel
 
     def _textual_keys(self, sim: SimulatorStep | None) -> TextualKeys | None:
-        """A sentence's textual-attention keys (BIVT only, else None)."""
+        """A sentence's textual-attention keys (BIVT only, else None); a model
+        with textual attention always has a simulator, so ``sim`` is set."""
         if self.textual_attention is None:
             return None
-        if sim is None:
-            raise ValueError("textual attention needs simulator outputs")
         return self.textual_attention.keys(sim.new_state, sim.action_context)
 
     def _vocab_log_probs(self, word_h: Tensor, keys: TextualKeys | None):
@@ -721,14 +720,14 @@ def load_checkpoint(path) -> tuple[RecipeModel, dict]:
             if key.startswith("param/"):
                 name = key[len("param/"):]
                 if name not in params:
-                    raise ValueError(f"checkpoint parameter {name!r} unknown to the model")
+                    raise ValueError(f"checkpoint {path}: parameter {name!r} unknown to the model")
                 try:  # read one member at a time, so only one is held twice
                     array = blob[key]
                 except _DAMAGE as exc:
                     raise ValueError(f"checkpoint {path}: parameter {name!r} is unreadable ({exc})") from None
                 if params[name].data.shape != array.shape:
-                    raise ValueError(f"checkpoint parameter {name!r} has wrong shape")
+                    raise ValueError(f"checkpoint {path}: parameter {name!r} has wrong shape")
                 if array.dtype.kind != "f" or not np.isfinite(array).all():
-                    raise ValueError(f"checkpoint parameter {name!r} must hold finite floats")
+                    raise ValueError(f"checkpoint {path}: parameter {name!r} must hold finite floats")
                 params[name].data = array.astype(config.dtype)
     return model, meta

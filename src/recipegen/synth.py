@@ -249,9 +249,9 @@ def propose_candidates(
     config: WorldConfig,
     rng: np.random.Generator,
 ) -> EventCandidateSet:
-    """``config.n_candidates`` candidate proposals: one jittered copy per
-    ground-truth step, then fill slots (distractors or extra copies per
-    ``distractor_fraction``).
+    """``config.n_candidates`` candidate proposals (``WorldConfig`` keeps that
+    at least the step count): one jittered copy per ground-truth step, then
+    fill slots (distractors or extra copies per ``distractor_fraction``).
 
     Each candidate is one draw of its interval, feature and attached
     sentence.  A copy carries its step's base vector and sentence.  A
@@ -267,8 +267,6 @@ def propose_candidates(
     m: candidate sets at increasing ``n_candidates`` are nested.
     """
     n = config.n_candidates
-    if n < len(gt_steps):
-        raise ValueError(f"world.n_candidates={n} smaller than step count {len(gt_steps)}")
     # one candidate is fully drawn (interval, then feature noise) before the
     # next starts, so prefixes are identical across different budgets n
     drawn: list[tuple[TimedEvent, np.ndarray, list[str]]] = []

@@ -277,8 +277,6 @@ def train(
 
 
 def write_log_csv(rows: list[dict], path) -> None:
-    if not rows:
-        return
     fieldnames = list(rows[0].keys())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)

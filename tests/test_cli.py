@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from dataclasses import replace
@@ -318,12 +319,17 @@ def no_training(tmp_path, monkeypatch):
         ({"val_fraction": 0.996}, ["val_fraction", "1%"]),
         ({"early_stop_patience": 0}, ["early_stop_patience"]),
         ({"seed": "1"}, ["seed"]),
+        ({"world": 5}, ["world config must be an object"]),
+        # an int beyond the float range is no finite number
+        ({"model": {"hidden": 16, "heads": 2, "tau": 10**400}}, ["model.tau"]),
+        ({"optimizer": {"lr": 10**400}}, ["optimizer.lr"]),
     ],
     ids=[
         "model.variant", "model.feature_dim", "early_stop_metric", "actions", "n_candidates",
         "max_epochs-str", "batch_size-0", "batch_size-bool", "vocab_min_count-float",
         "val_fraction-7", "val_fraction-str", "val_fraction-0.004", "val_fraction-0.996",
-        "early_stop_patience-0", "seed-str",
+        "early_stop_patience-0", "seed-str", "world-not-an-object", "model.tau-huge-int",
+        "optimizer.lr-huge-int",
     ],
 )
 def test_train_rejects_config_before_training(tmp_path, capsys, no_training, change, names):
@@ -410,9 +416,11 @@ def test_ablate_checks_sections_first(tmp_path, capsys, monkeypatch, source, sec
         ((0, "steps"), [{"start": float(i), "end": i + 0.5, "sentence": "stir"} for i in range(13)],
          ["video_0000", "step count 13"]),
         ((0, "steps", 0, "end"), 1e4, ["video_0000", "step 0 [", "exceeds duration"]),
+        ((0, "duration"), 0.0, ["video_0000", "duration must be positive"]),
+        ((1, "candidates", 2, "sentence"), None, ["video_0001", "candidate sentences must be all-present"]),
     ],
     ids=["record", "candidates", "no-candidates", "candidate", "sentence", "nan-duration", "infinite-feature",
-         "long-sentence", "too-many-steps", "step-past-the-end"],
+         "long-sentence", "too-many-steps", "step-past-the-end", "zero-duration", "sentence-on-some-candidates"],
 )
 def test_bad_dataset_record_exits_validation(tmp_path, capsys, path, value, names):
     dataset = tmp_path / "world.json"
@@ -451,9 +459,12 @@ def test_synth_rejects_action_without_participle(tmp_path, capsys):
         ({"optimizer": {"warmup_epochs": "x"}}, "optimizer.warmup_epochs"),
         ({"world": {"num_videos": 3}, "val_fraction": 0.004}, "val_fraction"),
         ({"world": {"num_videos": 3}, "val_fraction": 0.996}, "val_fraction"),
+        ({"world": {"num_videos": 3, "duration_range": [120.0, 10**400]}}, "world.duration_range"),
+        ({"world": {"num_videos": 3}, "model": {"tau": 10**400}}, "model.tau"),
     ],
     ids=["num-videos-string", "no-videos", "no-features", "noise-string", "no-actions", "preset-list",
-         "lr-string", "warmup-string", "val-fraction-0.004", "val-fraction-0.996"],
+         "lr-string", "warmup-string", "val-fraction-0.004", "val-fraction-0.996",
+         "duration-huge-int", "tau-huge-int"],
 )
 def test_synth_rejects_bad_setting_naming_it(tmp_path, capsys, experiment, field):
     config = tmp_path / "experiment.json"
@@ -762,3 +773,25 @@ def test_output_on_the_file_of_another_path_exits_before_any_work(tmp_path, caps
     assert f"{output} {paths[output]} is the same file as {clash} {paths[clash]}" in capsys.readouterr().err
     assert {flag: files[flag].read_bytes() for flag in before} == before
     assert [flag for flag in flags if files[flag].exists()] == list(before)
+
+
+def test_oracle_hist_out_writes_the_report_histogram(tmp_path):
+    dataset, hist, report = tmp_path / "world.json", tmp_path / "hist.csv", tmp_path / "oracle.json"
+    save_dataset(generate_world(WorldConfig(num_videos=4, seed=3)), dataset)
+    code = cli.main(["oracle", "--dataset", str(dataset), "--hist-out", str(hist), "--out", str(report)])
+    assert code == cli.EXIT_OK
+    with open(hist, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["bin_low", "bin_high", "count"]
+    histogram = json.loads(report.read_text())["histogram"]
+    assert [[float(low), float(high), int(count)] for low, high, count in rows[1:]] == histogram
+
+
+def test_runtime_failure_exits_runtime(tmp_path, capsys, monkeypatch):
+    def fail(world):
+        raise RuntimeError("synthesis broke")
+
+    monkeypatch.setattr(cli, "generate_world", fail)
+    code = cli.main(["synth", "--out", str(tmp_path / "world.json")])
+    assert code == cli.EXIT_RUNTIME
+    assert "runtime error: synthesis broke" in capsys.readouterr().err

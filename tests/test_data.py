@@ -172,6 +172,17 @@ class TestDatasetIO:
             assert record.ground_truth is record
             assert record.ground_truth is record
 
+    def test_steps_out_of_order_fail_without_an_overlap_warning(self, tmp_path):
+        # overlaps are counted only between steps in start order
+        path = _write_dataset(tmp_path / "d.json", [_toy_record("vid_a")])
+        raw = json.loads(path.read_text())
+        raw[0]["steps"].reverse()
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="vid_a: steps not ordered by start time"):
+                load_dataset(path)
+
     def test_candidates_are_keyword_only(self):
         record = _toy_record()
         with pytest.raises(TypeError):

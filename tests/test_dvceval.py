@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from recipegen import dvceval
 from recipegen.data import (
     GroundTruthRecipe,
     PredictionRecipe,
@@ -246,8 +247,26 @@ class TestDvcEval:
                 qualifying = [metric(sent, step.sentence)
                               for a, sent in zip(pred.intervals, pred.sentences)
                               for step in gt.steps if tiou(a, step.interval) > t]
-                per_threshold.append(sum(qualifying) / len(qualifying) if qualifying else 0.0)
+                total = 0.0
+                for score in qualifying:  # in order, as dvc_eval adds them
+                    total += score
+                per_threshold.append(total / len(qualifying) if qualifying else 0.0)
             assert dvc_eval(pred, gt, metric) == float(np.mean(per_threshold))
+
+
+    def test_qualifying_scores_add_in_order(self, monkeypatch):
+        # these six scores sum to 5.9724786740092854 in order and to
+        # 5.972478674009286 compensated, as sum() adds floats on Python >= 3.12;
+        # the module's sum() is made compensating here, so this Python checks it too
+        scores = [0.9976851851851852, 0.9985422740524781, 0.9814814814814815,
+                  0.9976851851851852, 0.9985422740524781, 0.9985422740524781]
+        assert math.fsum(scores) == 5.972478674009286
+        monkeypatch.setattr(dvceval, "sum", math.fsum, raising=False)
+        # six predictions of the one step's interval: every pair qualifies at every threshold
+        gt = make_gt([(0, 10)], [["a"]])
+        pred = make_pred([(0, 10)] * len(scores), [[str(i)] for i in range(len(scores))])
+        mean = 5.9724786740092854 / len(scores)
+        assert dvc_eval(pred, gt, lambda c, r: scores[int(c[0])]) == (mean + mean + mean + mean) / 4
 
 
 class TestEventCountStats:

@@ -821,6 +821,26 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"'rel_enc\.weight' must hold finite floats"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda arrays: arrays.update({"param/rel_enc.weight": arrays["param/rel_enc.weight"][:, :-1]}),
+             "parameter 'rel_enc.weight' has wrong shape"),
+            (lambda arrays: arrays.update({"param/no_such.weight": np.zeros(3)}),
+             "parameter 'no_such.weight' unknown to the model"),
+            (lambda arrays: arrays["param/rel_enc.weight"].fill(np.nan),
+             "parameter 'rel_enc.weight' must hold finite floats"),
+        ],
+        ids=["wrong-shape", "unknown", "non-finite"],
+    )
+    def test_bad_parameter_names_the_file(self, tmp_path, edit, message):
+        path = tmp_path / "m.npz"
+        arrays = self._saved_arrays(path)
+        edit(arrays)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {path}: {message}")):
+            load_checkpoint(path)
+
     def test_removed_config_field_rejected(self, tmp_path):
         path = tmp_path / "m.npz"
         arrays = self._saved_arrays(path)

@@ -380,6 +380,8 @@ class TestWorldKnobs:
             ({"noise_scale": float("nan")}, "world.noise_scale"),
             ({"attach_candidate_sentences": 1}, "world.attach_candidate_sentences"),
             ({"seed": -1}, "world.seed"),
+            # an int beyond the float range is no finite number
+            ({"duration_range": (120.0, 10**400)}, "world.duration_range"),
         ],
     )
     def test_bad_field_rejected_by_name(self, overrides, field):

@@ -1,7 +1,7 @@
 import csv
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,35 @@ class TestTrain:
         assert params.keys() == again.keys()
         for name in params:
             np.testing.assert_array_equal(params[name].data, again[name].data)
+
+    def test_tau_changes_the_training_log(self):
+        # the temperature scales the relaxation whose gradient the one-hot selection passes on
+        default = train(RECORDS, tiny_experiment())
+        cooler = train(RECORDS, tiny_experiment(model={"hidden": 16, "heads": 2, "tau": 0.5}))
+        assert [row["loss"] for row in cooler.log_rows] != [row["loss"] for row in default.log_rows]
+
+    def test_cli_log_holds_the_training_log_rows(self, tmp_path, monkeypatch):
+        dataset, config, log = tmp_path / "world.json", tmp_path / "experiment.json", tmp_path / "log.csv"
+        save_dataset(RECORDS, dataset)
+        exp = tiny_experiment()
+        config.write_text(json.dumps(asdict(exp)))
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(train(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "train", recorded)
+        code = cli.main([
+            "train", "--config", str(config), "--dataset", str(dataset),
+            "--checkpoint", str(tmp_path / "model.npz"), "--log", str(log), "--quiet",
+        ])
+        assert code == cli.EXIT_OK
+        with open(log, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        [result] = results
+        assert len(rows) == exp.max_epochs
+        assert rows == [{key: str(value) for key, value in row.items()} for row in result.log_rows]
 
     @pytest.mark.parametrize(
         "metrics, best_epoch", [([np.nan, np.nan], 0), ([np.nan, 0.5], 1)]
@@ -322,6 +351,24 @@ class TestAblate:
         with open(out, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert [(row["variant"], row["n_candidates"]) for row in rows] == [("B", "4")]
+
+    def test_cli_dataset_cells_carry_its_digest(self, tmp_path):
+        dataset, config, out = tmp_path / "world.json", tmp_path / "experiment.json", tmp_path / "ablation.csv"
+        save_dataset(RECORDS, dataset)
+        config.write_text(json.dumps({
+            "model": {"hidden": 16, "heads": 2}, "max_epochs": 1, "batch_size": 4,
+            "vocab_min_count": 1, "val_fraction": 0.3,
+        }))
+        code = cli.main([
+            "ablate", "--config", str(config), "--dataset", str(dataset), "--variants", "B,BI",
+            "--out", str(out), "--quiet",
+        ])
+        assert code == cli.EXIT_OK
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["variant"] for row in rows] == ["B", "BI"]
+        assert {row["dataset_hash"] for row in rows} == {training.dataset_digest(RECORDS)}
+        assert {row["n_candidates"] for row in rows} == {str(len(RECORDS[0].candidates))}
 
     def test_dataset_and_budget_list_together_rejected(self):
         with pytest.raises(ValueError, match="a dataset or a candidate-count list, not both"):
