@@ -51,8 +51,10 @@ def _load_experiment(path: str | None, overrides: argparse.Namespace) -> Experim
     for key in ("seed", "variant"):
         if getattr(overrides, key, None) is not None:
             raw[key] = getattr(overrides, key)
-    if getattr(overrides, "n_candidates", None) is not None:
-        raw["world"] = {**raw.get("world", {}), "n_candidates": overrides.n_candidates}
+    world = raw.get("world", {})
+    # a world that is no object is left as it is, for ExperimentConfig to reject
+    if getattr(overrides, "n_candidates", None) is not None and isinstance(world, dict):
+        raw["world"] = {**world, "n_candidates": overrides.n_candidates}
     return ExperimentConfig.from_dict(raw)
 
 

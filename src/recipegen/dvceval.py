@@ -19,15 +19,20 @@ A video's tIoU table (``tiou_matrix``) is rows of Python floats, one per
 prediction and one entry per ground-truth step, each with the bits of scalar
 ``tiou``.  ``score_video`` builds it, or takes the one that
 ``oracle.oracle_report`` and ``oracle.oracle_sweep`` built for the oracle's
-ranking, and hands it to dvc_eval and to SODA (which weights new rows).
+ranking, and walks it once (``_walk``): METEOR and CIDEr-D score each pair
+with tIoU > 0 once, and BLEU-4 each pair above the loosest threshold, with
+each sentence made its memo key once.  From that pass come dvc_eval's
+threshold means for all three metrics (``_threshold_means``) and SODA's
+three alignment totals, METEOR- and CIDEr-D-weighted and tIoU alone, from
+one dynamic program over the rows (``_alignment_totals``).  ``dvc_eval``
+and ``soda`` are the same pass and the same two rules over one metric.
 
-Each quantity is computed once per report: the report's ``CorpusDF`` makes
-each sentence's n-gram profile and TF-IDF vector once, which BLEU-4 and
-CIDEr-D share; the scorers of ``sentence_metrics`` remember each (candidate,
-reference) pair's score for as long as they live; dvc_eval scores the pairs
-above its lowest threshold once and filters that one list per threshold; and
-``oracle.oracle_sweep`` shares one set of scorers across its budgets, whose
-ground truth is the same.  Nothing is kept between reports.
+Each quantity is computed once per report: the report's ``CorpusDF`` holds
+each n-gram's IDF and makes each sentence's n-gram profile and TF-IDF vector
+once, which BLEU-4 and CIDEr-D share; the scorers of ``sentence_metrics``
+remember each (candidate, reference) pair's score for as long as they live;
+and ``oracle.oracle_sweep`` shares one set of scorers across its budgets,
+whose ground truth is the same.  Nothing is kept between reports.
 
 The scorers are built in the calling process; ``parallel.in_halves`` makes
 the per-video rows (the second half in a forked child when two CPUs are
@@ -75,36 +80,113 @@ def tiou_matrix(pred: Sequence[TimedEvent], gt: Sequence[TimedEvent]) -> list[li
     return rows
 
 
-def alignment_total(scores: Sequence[Sequence[float]]) -> float:
+def _alignment_totals(tables: Sequence[Sequence[Sequence[float]]]) -> list[float]:
     """Best total of an order-preserving one-to-one matching of predictions
-    (rows) to ground truth (columns), by dynamic program one row at a time;
-    ``scores`` has at least one row."""
-    prev = [0.0] * (len(scores[0]) + 1)
-    for row in scores:
-        cur = [0.0]
-        for j, score in enumerate(row):
-            cur.append(max(prev[j + 1], cur[j], prev[j] + score))
-        prev = cur
-    return prev[-1]
+    (rows) to ground truth (columns) in each of ``tables``, which share one
+    shape with at least one row, by one dynamic program over their rows."""
+    prevs = [[0.0] * (len(tables[0][0]) + 1) for _ in tables]
+    for rows in zip(*tables):
+        for k, row in enumerate(rows):
+            prev = prevs[k]
+            cur = [left := 0.0]
+            # each cell is max(up, left, diag + score), the first of equals kept
+            for diag, up, score in zip(prev, prev[1:], row):
+                if left > up:
+                    up = left
+                if (diag := diag + score) > up:
+                    up = diag
+                cur.append(left := up)
+            prevs[k] = cur
+    return [prev[-1] for prev in prevs]
+
+
+def alignment_total(scores: Sequence[Sequence[float]]) -> float:
+    """The best order-preserving matching's total of one table ``scores``,
+    which has at least one row."""
+    return _alignment_totals([scores])[0]
+
+
+def _soda_from_matrices(tables: Sequence[Sequence[Sequence[float]]]) -> list[tuple[float, float, float]]:
+    """``soda_from_matrix`` of each of ``tables``, which share one shape."""
+    n_p = len(tables[0])
+    n_g = len(tables[0][0]) if n_p else 0
+    if n_p == 0 or n_g == 0:
+        return [(0.0, 0.0, 0.0) for _ in tables]
+    scores = []
+    for total in _alignment_totals(tables):
+        precision = total / n_p
+        recall = total / n_g
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        scores.append((precision, recall, f1))
+    return scores
 
 
 def soda_from_matrix(scores: Sequence[Sequence[float]]) -> tuple[float, float, float]:
     """Precision, recall, F1 of the optimal monotone alignment of ``scores``
     (one row per prediction)."""
-    n_p = len(scores)
-    n_g = len(scores[0]) if n_p else 0
-    if n_p == 0 or n_g == 0:
-        return 0.0, 0.0, 0.0
-    total = alignment_total(scores)
-    precision = total / n_p
-    recall = total / n_g
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
+    return _soda_from_matrices([scores])[0]
 
 
 def _table(pred: PredictionRecipe, gt: GroundTruthRecipe, table: list[list[float]] | None):
     """``table``, or the video's ``tiou_matrix`` when it is None."""
     return tiou_matrix(pred.intervals, [s.interval for s in gt.steps]) if table is None else table
+
+
+def _walk(
+    table: Sequence[Sequence[float]],
+    candidates: Sequence[Sequence[str]],
+    references: Sequence[Sequence[str]],
+    soda_metrics: list[SentenceMetric],
+    dvc_metrics: list[SentenceMetric],
+) -> tuple[list[list[list[float]]], list[float], list[list[float]]]:
+    """One pass over the tIoU ``table`` of ``candidates`` (one sentence per
+    row) against ``references`` (one per column).
+
+    Each of ``soda_metrics`` scores every pair with tIoU > 0 once, and each of
+    ``dvc_metrics`` every pair above the loosest threshold of
+    ``DVC_EVAL_THRESHOLDS``; an empty candidate scores 0.0 without a call.
+    Returns, per SODA metric, SODA's pair scores (``tiou * score`` where tIoU
+    > 0, else the tIoU), in new rows; then the tIoUs above the loosest
+    threshold in row order, and per metric (SODA's first) their scores.
+    """
+    loosest = min(DVC_EVAL_THRESHOLDS)
+    weighted = [[] for _ in soda_metrics]
+    values: list[float] = []
+    columns = [[] for _ in (*soda_metrics, *dvc_metrics)]
+    for row, cand in zip(table, candidates):
+        new_rows = [list(row) for _ in soda_metrics]
+        for j, value in enumerate(row):
+            if value > 0.0:
+                ref = references[j]
+                scores = [metric(cand, ref) if cand else 0.0 for metric in soda_metrics]
+                for new, score in zip(new_rows, scores):
+                    new[j] = value * score
+                if value > loosest:
+                    values.append(value)
+                    scores += [metric(cand, ref) if cand else 0.0 for metric in dvc_metrics]
+                    for column, score in zip(columns, scores):
+                        column.append(score)
+        for rows, new in zip(weighted, new_rows):
+            rows.append(new)
+    return weighted, values, columns
+
+
+def _threshold_means(values: list[float], columns: list[list[float]]) -> list[float]:
+    """dvc_eval of each column of scores of the pairs whose tIoUs are
+    ``values``: per threshold of ``DVC_EVAL_THRESHOLDS``, the mean of the
+    scores whose tIoU exceeds it (0 when none does), then the mean over
+    thresholds."""
+    # added in order on every Python (sum() compensates from 3.12 on); so added, the
+    # four means are np.mean's bits, as np.add.reduce adds fewer than 8 values in order
+    totals = [0.0] * len(columns)
+    for t in DVC_EVAL_THRESHOLDS:
+        kept = [i for i, value in enumerate(values) if value > t]
+        for k, column in enumerate(columns):
+            subtotal = 0.0
+            for i in kept:
+                subtotal += column[i]
+            totals[k] += subtotal / len(kept) if kept else 0.0
+    return [total / len(DVC_EVAL_THRESHOLDS) for total in totals]
 
 
 def soda(
@@ -121,11 +203,7 @@ def soda(
     """
     table = _table(pred, gt, table)
     if metric is not None:
-        table = [
-            [value * (metric(sent, step.sentence) if sent else 0.0) if value > 0.0 else value
-             for value, step in zip(row, gt.steps)]
-            for row, sent in zip(table, pred.sentences)
-        ]
+        (table,), _, _ = _walk(table, pred.sentences, [s.sentence for s in gt.steps], [metric], [])
     return soda_from_matrix(table)
 
 
@@ -140,24 +218,8 @@ def dvc_eval(
     tIoU in ``table`` (``tiou_matrix`` of the intervals unless given) exceeds
     it (0 when none qualifies), then average over thresholds."""
     table = _table(pred, gt, table)
-    loosest = min(DVC_EVAL_THRESHOLDS)
-    scored = [
-        (value, metric(sent, step.sentence) if sent else 0.0)
-        for row, sent in zip(table, pred.sentences)
-        for value, step in zip(row, gt.steps)
-        if value > loosest
-    ]
-    # added in order on every Python (sum() compensates from 3.12 on); so added, the
-    # four means are np.mean's bits, as np.add.reduce adds fewer than 8 values in order
-    total = 0.0
-    for t in DVC_EVAL_THRESHOLDS:
-        subtotal, count = 0.0, 0
-        for value, score in scored:
-            if value > t:
-                subtotal += score
-                count += 1
-        total += subtotal / count if count else 0.0
-    return total / len(DVC_EVAL_THRESHOLDS)
+    _, values, columns = _walk(table, pred.sentences, [s.sentence for s in gt.steps], [], [metric])
+    return _threshold_means(values, columns)[0]
 
 
 def event_count_stats(pairs: Sequence[tuple[int, int]]) -> dict[int, float]:
@@ -183,30 +245,34 @@ REPORT_METADATA = {
 }
 
 
-def _memo(metric: SentenceMetric) -> SentenceMetric:
-    """``metric`` scoring each distinct (candidate, reference) pair once."""
-    scores: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
+class _Memo:
+    """``metric`` scoring each distinct (candidate, reference) pair once;
+    ``keyed`` takes the pair as its two token tuples, the memo key's parts."""
 
-    def scored(c: list[str], r: list[str]) -> float:
-        key = (tuple(c), tuple(r))
-        if key not in scores:
-            scores[key] = metric(c, r)
-        return scores[key]
+    def __init__(self, metric: SentenceMetric):
+        self.metric = metric
+        self.scores: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
 
-    return scored
+    def __call__(self, c: list[str], r: list[str]) -> float:
+        return self.keyed(tuple(c), tuple(r))
+
+    def keyed(self, c: tuple[str, ...], r: tuple[str, ...]) -> float:
+        if (score := self.scores.get(key := (c, r))) is None:
+            score = self.scores[key] = self.metric(c, r)
+        return score
 
 
-def sentence_metrics(df: CorpusDF) -> dict[str, SentenceMetric]:
+def sentence_metrics(df: CorpusDF) -> dict[str, _Memo]:
     """The three sentence scorers used by dvc_eval and SODA, with CIDEr-D
     bound to document frequencies from the evaluation references.  Each
     remembers its scores for as long as the returned scorers live, and
     BLEU-4 and CIDEr-D share the sentence profiles that ``df`` keeps."""
     return {
-        "bleu4": _memo(
+        "bleu4": _Memo(
             lambda c, r: bleu4_from_profiles(df.profile(c), df.profile(r)) if c else 0.0
         ),
-        "meteor": _memo(lambda c, r: meteor_lite(c, r) if c else 0.0),
-        "cider_d": _memo(lambda c, r: cider_d(c, r, df)),
+        "meteor": _Memo(lambda c, r: meteor_lite(c, r) if c else 0.0),
+        "cider_d": _Memo(lambda c, r: cider_d(c, r, df)),
     }
 
 
@@ -229,18 +295,34 @@ REPORT_METRICS = VIDEO_SCORES + tuple(f"count_stats.eta{eta}" for eta in COUNT_S
 def score_video(
     pred: PredictionRecipe,
     gt: GroundTruthRecipe,
-    metrics: dict[str, SentenceMetric],
+    metrics: dict[str, _Memo],
     table: list[list[float]] | None = None,
 ) -> dict[str, float]:
-    """The ``VIDEO_SCORES`` of one video: dvc_eval with every sentence metric,
-    and SODA F1 with METEOR, with CIDEr-D and with tIoU alone, all over one
-    tIoU table, ``tiou_matrix`` of the video's intervals unless given."""
+    """The ``VIDEO_SCORES`` of one video: dvc_eval with BLEU-4, METEOR and
+    CIDEr-D, the scorers ``metrics`` of ``sentence_metrics``, and SODA F1 with
+    METEOR, with CIDEr-D and with tIoU alone, all from one pass over one tIoU
+    table, ``tiou_matrix`` of the video's intervals unless given; each
+    sentence is made a memo key once."""
     table = _table(pred, gt, table)
-    row = {f"dvc_eval.{name}": dvc_eval(pred, gt, fn, table) for name, fn in metrics.items()}
-    for name in ("meteor", "cider_d"):
-        row[f"soda.{name}"] = soda(pred, gt, metrics[name], table)[2]
-    row["soda.tiou"] = soda(pred, gt, None, table)[2]
-    return row
+    (meteor_rows, cider_rows), values, columns = _walk(
+        table,
+        [tuple(sent) for sent in pred.sentences],
+        [tuple(step.sentence) for step in gt.steps],
+        [metrics["meteor"].keyed, metrics["cider_d"].keyed],
+        [metrics["bleu4"].keyed],
+    )
+    meteor, cider, bleu = _threshold_means(values, columns)
+    (*_, soda_meteor), (*_, soda_cider), (*_, soda_tiou) = _soda_from_matrices(
+        [meteor_rows, cider_rows, table]
+    )
+    return {
+        "dvc_eval.bleu4": bleu,
+        "dvc_eval.meteor": meteor,
+        "dvc_eval.cider_d": cider,
+        "soda.meteor": soda_meteor,
+        "soda.cider_d": soda_cider,
+        "soda.tiou": soda_tiou,
+    }
 
 
 def mean_scores(per_video: list[dict], keys: Sequence[str]) -> dict[str, float]:

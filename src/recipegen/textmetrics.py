@@ -11,9 +11,11 @@ is the n-gram order of every profile, BLEU-4 and CIDEr-D, and ``CIDER_SIGMA``
 the width of CIDEr-D's Gaussian length penalty, which report metadata
 (``dvceval.REPORT_METADATA``) quotes.
 
-A ``CorpusDF`` makes each sentence's n-gram profile and TF-IDF vector once and
-keeps them while it lives; ``bleu4_from_profiles`` scores profiles and
-``cider_d`` the vectors of its corpus.
+A ``CorpusDF`` holds, per n, the document frequency of each n-gram of its
+references and a table of their IDFs, made once (an n-gram it lacks has the
+IDF ``log(num_docs)``), and makes each sentence's n-gram profile and
+TF-IDF vector once and keeps them while it lives; ``bleu4_from_profiles``
+scores profiles and ``cider_d`` the vectors of its corpus.
 """
 
 from __future__ import annotations
@@ -21,38 +23,54 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 MAX_NGRAM = 4
 CIDER_SIGMA = 6.0
 
-Profile = dict[int, Counter]
+# per n, each n-gram's count, in order of first occurrence
+Profile = dict[int, dict[tuple, int]]
 # per n, the TF-IDF weights and their norm; then the sentence length
 TfIdf = tuple[list[dict], list[float], int]
 
 
 def ngram_profile(tokens: list[str]) -> Profile:
     """Multisets of n-grams for n = 1..MAX_NGRAM."""
-    profile = {}
+    tokens, profile = tuple(tokens), {}
     for n in range(1, MAX_NGRAM + 1):
-        profile[n] = Counter(
-            tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)
-        )
+        counts: dict[tuple, int] = {}
+        for i in range(len(tokens) - n + 1):
+            gram = tokens[i : i + n]
+            counts[gram] = counts.get(gram, 0) + 1
+        profile[n] = counts
     return profile
 
 
 @dataclass
 class CorpusDF:
-    """Document frequencies over an evaluation corpus (one document per video),
-    with the profiles of each sentence seen so far, which ``==`` ignores."""
+    """Document frequencies over an evaluation corpus (one document per video)
+    and, per n, the IDF of each n-gram they count, with the profiles of each
+    sentence seen so far, which ``==`` ignores."""
 
     df: dict[int, dict[tuple, int]]
     num_docs: int
     profiles: dict[tuple, Profile] = field(default_factory=dict, compare=False, repr=False)
     vectors: dict[tuple, TfIdf] = field(default_factory=dict, compare=False, repr=False)
 
+    @cached_property
+    def idf(self) -> dict[int, dict[tuple, float]]:
+        """Per n, ``log(num_docs) - log(max(1.0, count))`` of each counted
+        n-gram, made on first use.  One the corpus lacks has count 0, so its
+        IDF is ``log(num_docs) - log(1.0)``, that is ``log(num_docs)``."""
+        log_docs = math.log(self.num_docs)
+        return {
+            n: {gram: log_docs - math.log(max(1.0, count)) for gram, count in grams.items()}
+            for n, grams in self.df.items()
+        }
+
     def profile(self, tokens: list[str]) -> Profile:
         if (key := tuple(tokens)) not in self.profiles:
-            self.profiles[key] = ngram_profile(tokens)
+            self.profiles[key] = ngram_profile(key)
         return self.profiles[key]
 
     def tfidf(self, tokens: list[str]) -> TfIdf:
@@ -69,15 +87,14 @@ def build_df(reference_sets: list[list[list[str]]]) -> CorpusDF:
     """
     if not reference_sets:
         raise ValueError("need at least one video to build document frequencies")
-    corpus = CorpusDF({n: {} for n in range(1, MAX_NGRAM + 1)}, len(reference_sets))
+    corpus = CorpusDF({n: Counter() for n in range(1, MAX_NGRAM + 1)}, len(reference_sets))
     for refs in reference_sets:
         seen: dict[int, set] = {n: set() for n in range(1, MAX_NGRAM + 1)}
         for ref in refs:
             for n, grams in corpus.profile(ref).items():
                 seen[n].update(grams)
         for n in range(1, MAX_NGRAM + 1):
-            for gram in seen[n]:
-                corpus.df[n][gram] = corpus.df[n].get(gram, 0) + 1
+            corpus.df[n].update(seen[n])
     return corpus
 
 
@@ -104,8 +121,10 @@ def bleu4_from_profiles(cand_prof: Profile, ref_prof: Profile) -> float:
     for n in range(1, MAX_NGRAM + 1):
         total = sum(cand_prof[n].values())
         matched = 0
+        ref_counts = ref_prof[n]
         for gram, count in cand_prof[n].items():
-            matched += min(count, ref_prof[n].get(gram, 0))
+            if (ref_count := ref_counts.get(gram)) is not None:
+                matched += count if count < ref_count else ref_count
         if n == 1:
             if matched == 0:
                 return 0.0
@@ -128,14 +147,13 @@ def bleu4_from_profiles(cand_prof: Profile, ref_prof: Profile) -> float:
 def _greedy_alignment(candidate: list[str], reference: list[str]) -> list[tuple[int, int]]:
     """Exact unigram matching, candidate positions left to right, each taking
     the earliest unmatched reference occurrence of its token."""
-    used = [False] * len(reference)
+    unmatched: dict[str, list[int]] = {}  # per token, its positions, earliest last
+    for j in range(len(reference) - 1, -1, -1):
+        unmatched.setdefault(reference[j], []).append(j)
     pairs = []
     for i, tok in enumerate(candidate):
-        for j, ref_tok in enumerate(reference):
-            if not used[j] and ref_tok == tok:
-                used[j] = True
-                pairs.append((i, j))
-                break
+        if positions := unmatched.get(tok):
+            pairs.append((i, positions.pop()))
     return pairs
 
 
@@ -173,11 +191,11 @@ def _tfidf_vector(profile: Profile, df: CorpusDF) -> tuple[list[dict], list[floa
     log_docs = math.log(df.num_docs)
     vecs, norms = [], []
     for n in range(1, MAX_NGRAM + 1):
+        idf = df.idf[n]
         vec = {}
         sq = 0.0
         for gram, count in profile[n].items():
-            idf = log_docs - math.log(max(1.0, df.df[n].get(gram, 0)))
-            w = count * idf
+            w = count * idf.get(gram, log_docs)
             vec[gram] = w
             sq += w * w
         vecs.append(vec)
@@ -188,7 +206,8 @@ def _tfidf_vector(profile: Profile, df: CorpusDF) -> tuple[list[dict], list[floa
 def cider_d(candidate: list[str], reference: list[str], df: CorpusDF) -> float:
     """CIDEr-D: clipped TF-IDF cosine per n, Gaussian length penalty, averaged
     over n = 1..4, scaled by 10.  The TF-IDF vectors are the ones ``df``
-    keeps."""
+    keeps.  A candidate n-gram the reference lacks would add min(w, 0.0) * 0.0,
+    an exact 0.0, so it is skipped."""
     if df is None:
         raise ValueError("cider_d requires document frequencies (build_df)")
     cand_vecs, cand_norms, cand_len = df.tfidf(candidate)
@@ -197,9 +216,10 @@ def cider_d(candidate: list[str], reference: list[str], df: CorpusDF) -> float:
     per_n = 0.0
     for n in range(MAX_NGRAM):
         num = 0.0
+        ref_vec = ref_vecs[n]
         for gram, w in cand_vecs[n].items():
-            rw = ref_vecs[n].get(gram, 0.0)
-            num += min(w, rw) * rw
+            if (rw := ref_vec.get(gram)) is not None:
+                num += (rw if rw < w else w) * rw  # min(w, rw) * rw
         if cand_norms[n] > 0.0 and ref_norms[n] > 0.0:
             num /= cand_norms[n] * ref_norms[n]
         else:

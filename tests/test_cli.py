@@ -374,6 +374,16 @@ def test_synth_candidate_budget_sets_the_world(tmp_path):
     assert {len(r["candidates"]) for r in records} == {12}
 
 
+@pytest.mark.parametrize("budget", [[], ["--n-candidates", "6"]], ids=["config", "config-and-budget"])
+def test_synth_rejects_a_world_that_is_no_object(tmp_path, capsys, budget):
+    config, dataset = tmp_path / "experiment.json", tmp_path / "world.json"
+    config.write_text(json.dumps({"world": 5}))
+    code = cli.main(["synth", "--config", str(config), "--out", str(dataset), *budget])
+    assert code == cli.EXIT_VALIDATION
+    assert "world config must be an object" in capsys.readouterr().err
+    assert not dataset.exists()
+
+
 @pytest.mark.parametrize("source", ["--n-list", "--dataset"])
 @pytest.mark.parametrize(
     "section, key, value",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recipegen import training
+from recipegen import cli, training
 from recipegen.data import (
     EventCandidateSet,
     DatasetRecord,
@@ -275,6 +275,17 @@ class TestDatasetFuzz:
             assert all(type(i) is int for i in loaded.selections)
             for iv in loaded.intervals:
                 assert np.isfinite(iv.start) and np.isfinite(iv.end)
+
+    def test_non_string_ingredient_is_named(self, tmp_path, capsys):
+        # a fixed case of what the fuzz above reaches only by a draw
+        dataset = tmp_path / "d.json"
+        dataset.write_text(json.dumps([{**RECORD_OBJ, "ingredients": [1]}]))
+        with pytest.raises(ValidationError, match="vid_a: field 'ingredients'"):
+            load_dataset(dataset)
+        code = cli.main(["train", "--dataset", str(dataset), "--checkpoint", str(tmp_path / "m.npz"), "--quiet"])
+        assert code == cli.EXIT_VALIDATION
+        assert "vid_a: field 'ingredients'" in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
 
     @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999", "1" + "0" * 400])
     def test_numbers_beyond_float_range_rejected(self, tmp_path, literal):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from recipegen.dvceval import (
     dvc_eval,
     evaluate_corpus,
     event_count_stats,
+    reference_df,
+    score_video,
     sentence_metrics,
     soda,
     soda_from_matrix,
@@ -27,7 +30,15 @@ from recipegen.dvceval import (
     tiou_matrix,
 )
 from recipegen.oracle import oracle_prediction
-from recipegen.textmetrics import CIDER_SIGMA, build_df, cider_d, gaussian_length_penalty, meteor_lite
+from recipegen.textmetrics import (
+    CIDER_SIGMA,
+    MAX_NGRAM,
+    build_df,
+    cider_d,
+    gaussian_length_penalty,
+    meteor_lite,
+    ngram_profile,
+)
 
 
 def brute_force_best_matching(scores: np.ndarray) -> float:
@@ -347,6 +358,136 @@ class TestSharedScoring:
         assert rows == unmemoized_scores(preds, gts)
         # the world is not one where every pair scores the same
         assert len({row["soda.cider_d"] for row in rows}) > 2
+
+
+def counter_profile(tokens):
+    """``ngram_profile`` as it was written with ``Counter``s."""
+    return {
+        n: Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+        for n in range(1, MAX_NGRAM + 1)
+    }
+
+
+def counter_df(reference_sets):
+    """``build_df``'s document frequencies as they were counted, set by set."""
+    df = {n: {} for n in range(1, MAX_NGRAM + 1)}
+    for refs in reference_sets:
+        seen = {n: set() for n in range(1, MAX_NGRAM + 1)}
+        for ref in refs:
+            for n, grams in counter_profile(ref).items():
+                seen[n].update(grams)
+        for n in range(1, MAX_NGRAM + 1):
+            for gram in seen[n]:
+                df[n][gram] = df[n].get(gram, 0) + 1
+    return df
+
+
+class TestOnePass:
+    """``score_video`` walks a video's tIoU table once; its rows equal the
+    public scorers', on sentences that differ from the references."""
+
+    GTS = [
+        make_gt([(0, 10), (12, 20), (25, 40)],
+                [["crack", "the", "eggs", "into", "the", "bowl"], ["stir", "the", "eggs"], ["heat", "the", "pan"]],
+                video_id="v0"),
+        make_gt([(0, 8), (10, 30)],
+                [["heat", "the", "oil", "in", "the", "pan"], ["add", "the", "eggs", "to", "the", "pan"]],
+                video_id="v1"),
+        make_gt([(5, 15), (20, 30), (32, 50)],
+                [["stir", "the", "eggs"], ["serve", "the", "eggs"], ["stir", "the", "eggs"]],
+                video_id="v2"),
+    ]
+    PREDS = [
+        make_pred(
+            [(0, 9), (11, 21), (45, 50), (26, 39), (5, 30)],
+            [
+                ["crack", "the", "eggs", "eggs", "eggs"],  # repeated words
+                ["whisk", "briskly"],  # words no reference holds
+                ["stir", "the", "eggs"],  # tIoU 0 with every step
+                [],  # empty
+                ["the", "the", "pan", "pan"],
+            ],
+            video_id="v0",
+        ),
+        PredictionRecipe("v1", [], [], []),  # no rows
+        make_pred(
+            [(5, 15), (4, 16), (19, 31), (20, 30), (33, 49)],
+            [
+                ["stir", "the", "eggs"],
+                ["stir", "stir", "the", "the", "eggs"],
+                ["serve", "the", "cold", "eggs"],
+                ["plate", "them"],
+                ["stir", "the", "eggs"],
+            ],
+            video_id="v2",
+        ),
+    ]
+
+    def test_rows_equal_public_scorers(self, unmemoized_scores):
+        tables = [tiou_matrix(p.intervals, [s.interval for s in g.steps]) for p, g in zip(self.PREDS, self.GTS)]
+        values = [v for table in tables for row in table for v in row]
+        # every band of tIoU the scorers tell apart occurs: 0, (0, 0.3], and
+        # above each threshold
+        assert 0.0 in values and any(0.0 < v <= 0.3 for v in values)
+        assert all(any(v > t for v in values) for t in DVC_EVAL_THRESHOLDS)
+        assert [0.0] * 3 in tables[0]
+        df = reference_df(self.GTS)
+        assert ("whisk",) not in df.df[1]  # scored with the default IDF
+        want = unmemoized_scores(self.PREDS, self.GTS)
+        metrics = sentence_metrics(df)
+        for _ in range(2):  # scored, then from memory
+            rows = [score_video(p, g, metrics) for p, g in zip(self.PREDS, self.GTS)]
+            assert rows == want
+            assert [list(row) for row in rows] == [list(VIDEO_SCORES)] * len(rows)
+        assert rows[1] == dict.fromkeys(VIDEO_SCORES, 0.0)
+        assert len({row["soda.cider_d"] for row in rows}) == 3
+        report = evaluate_corpus(self.PREDS, self.GTS)
+        assert [{key: row[key] for key in VIDEO_SCORES} for row in report["per_video"]] == want
+
+    def test_each_scorer_scores_only_its_pairs_once(self):
+        # METEOR and CIDEr-D score the pairs of tIoU > 0, BLEU-4 those above
+        # the loosest threshold, and no scorer an empty candidate
+        metrics = sentence_metrics(reference_df(self.GTS))
+        calls = {name: Counter() for name in metrics}
+        for name, scorer in metrics.items():
+            def counted(c, r, name=name, real=scorer.metric):
+                calls[name][(c, r)] += 1
+                return real(c, r)
+
+            scorer.metric = counted
+        for pred, gt in zip(self.PREDS, self.GTS):
+            score_video(pred, gt, metrics)
+        want = {name: set() for name in metrics}
+        for pred, gt in zip(self.PREDS, self.GTS):
+            table = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
+            for row, sent in zip(table, pred.sentences):
+                for value, step in zip(row, gt.steps):
+                    pair = (tuple(sent), tuple(step.sentence))
+                    if sent and value > 0.0:
+                        want["meteor"].add(pair)
+                        want["cider_d"].add(pair)
+                    if sent and value > min(DVC_EVAL_THRESHOLDS):
+                        want["bleu4"].add(pair)
+        assert len(want["bleu4"]) < len(want["meteor"])
+        assert calls == {name: Counter(dict.fromkeys(pairs, 1)) for name, pairs in want.items()}
+
+    def test_corpus_statistics_equal_counter_definitions(self):
+        sentences = [s for pred in self.PREDS for s in pred.sentences]
+        sentences += [step.sentence for gt in self.GTS for step in gt.steps]
+        for tokens in sentences:
+            profile, counted = ngram_profile(tokens), counter_profile(tokens)
+            assert profile == counted
+            # in the same order, so weights add up in the same order
+            assert [list(grams.items()) for grams in profile.values()] == [
+                list(grams.items()) for grams in counted.values()
+            ]
+        reference_sets = [[step.sentence for step in gt.steps] for gt in self.GTS]
+        reference_sets.append([pred.sentences[0] for pred in self.PREDS if pred.sentences])
+        corpus = build_df(reference_sets)
+        assert corpus.df == counter_df(reference_sets)
+        log_docs = math.log(corpus.num_docs)
+        for n, grams in corpus.df.items():
+            assert corpus.idf[n] == {g: log_docs - math.log(max(1.0, c)) for g, c in grams.items()}
 
 
 class TestScorersOfOneCorpus:

@@ -285,9 +285,9 @@ class TestSharedScorers:
     def test_sweep_scores_each_pair_once(self, monkeypatch, repeated_world):
         real, calls = dvceval.cider_d, Counter()
 
-        def counting(candidate, references, df):
-            calls[(tuple(candidate), tuple(references[0]))] += 1
-            return real(candidate, references, df)
+        def counting(candidate, reference, df):
+            calls[(tuple(candidate), tuple(reference))] += 1
+            return real(candidate, reference, df)
 
         monkeypatch.setattr(dvceval, "cider_d", counting)
         oracle_sweep(repeated_world, [3, 6, 8], seed=1)

@@ -16,6 +16,7 @@ from recipegen.textmetrics import (
     gaussian_length_penalty,
     meteor_lite,
     ngram_profile,
+    _greedy_alignment,
 )
 
 RNG = np.random.default_rng(7)
@@ -103,6 +104,22 @@ class TestMeteorLite:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             meteor_lite([], ["a"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cand=st.lists(st.sampled_from(ALPHABET[:4]), max_size=10),
+        ref=st.lists(st.sampled_from(ALPHABET[:4]), max_size=10),
+    )
+    def test_alignment_equals_left_to_right_scan(self, cand, ref):
+        # each candidate token takes the earliest reference occurrence not yet taken
+        used, pairs = [False] * len(ref), []
+        for i, tok in enumerate(cand):
+            for j, ref_tok in enumerate(ref):
+                if not used[j] and ref_tok == tok:
+                    used[j] = True
+                    pairs.append((i, j))
+                    break
+        assert _greedy_alignment(cand, ref) == pairs
 
 
 class TestCorpusDF:
