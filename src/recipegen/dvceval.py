@@ -19,13 +19,11 @@ A video's tIoU table (``tiou_matrix``) is rows of Python floats, one per
 prediction and one entry per ground-truth step, each with the bits of scalar
 ``tiou``.  ``score_video`` builds it, or takes the one that
 ``oracle.oracle_report`` and ``oracle.oracle_sweep`` built for the oracle's
-ranking, and walks it once (``_walk``): METEOR and CIDEr-D score each pair
-with tIoU > 0 once, and BLEU-4 each pair above the loosest threshold, with
-each sentence made its memo key once.  From that pass come dvc_eval's
-threshold means for all three metrics (``_threshold_means``) and SODA's
-three alignment totals, METEOR- and CIDEr-D-weighted and tIoU alone, from
-one dynamic program over the rows (``_alignment_totals``).  ``dvc_eval``
-and ``soda`` are the same pass and the same two rules over one metric.
+ranking, and runs one rule per score over it, one metric at a time:
+``_threshold_mean`` for dvc_eval, and ``_weighted`` (SODA's pair scores)
+then ``soda_from_matrix`` for SODA.  ``dvc_eval`` and ``soda`` build the
+table and run the same rules, and neither rule calls a metric on an empty
+candidate, which scores 0.0.
 
 Each quantity is computed once per report: the report's ``CorpusDF`` holds
 each n-gram's IDF and makes each sentence's n-gram profile and TF-IDF vector
@@ -80,146 +78,107 @@ def tiou_matrix(pred: Sequence[TimedEvent], gt: Sequence[TimedEvent]) -> list[li
     return rows
 
 
-def _alignment_totals(tables: Sequence[Sequence[Sequence[float]]]) -> list[float]:
-    """Best total of an order-preserving one-to-one matching of predictions
-    (rows) to ground truth (columns) in each of ``tables``, which share one
-    shape with at least one row, by one dynamic program over their rows."""
-    prevs = [[0.0] * (len(tables[0][0]) + 1) for _ in tables]
-    for rows in zip(*tables):
-        for k, row in enumerate(rows):
-            prev = prevs[k]
-            cur = [left := 0.0]
-            # each cell is max(up, left, diag + score), the first of equals kept
-            for diag, up, score in zip(prev, prev[1:], row):
-                if left > up:
-                    up = left
-                if (diag := diag + score) > up:
-                    up = diag
-                cur.append(left := up)
-            prevs[k] = cur
-    return [prev[-1] for prev in prevs]
-
-
 def alignment_total(scores: Sequence[Sequence[float]]) -> float:
-    """The best order-preserving matching's total of one table ``scores``,
-    which has at least one row."""
-    return _alignment_totals([scores])[0]
-
-
-def _soda_from_matrices(tables: Sequence[Sequence[Sequence[float]]]) -> list[tuple[float, float, float]]:
-    """``soda_from_matrix`` of each of ``tables``, which share one shape."""
-    n_p = len(tables[0])
-    n_g = len(tables[0][0]) if n_p else 0
-    if n_p == 0 or n_g == 0:
-        return [(0.0, 0.0, 0.0) for _ in tables]
-    scores = []
-    for total in _alignment_totals(tables):
-        precision = total / n_p
-        recall = total / n_g
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        scores.append((precision, recall, f1))
-    return scores
+    """Best total of an order-preserving one-to-one matching of predictions
+    (rows) to ground truth (columns) in ``scores``, which has at least one
+    row, by a dynamic program one row at a time."""
+    prev = [0.0] * (len(scores[0]) + 1)
+    for row in scores:
+        cur = [left := 0.0]
+        # each cell is max(up, left, diag + score), the first of equals kept
+        for diag, up, score in zip(prev, prev[1:], row):
+            if left > up:
+                up = left
+            if (diag := diag + score) > up:
+                up = diag
+            cur.append(left := up)
+        prev = cur
+    return prev[-1]
 
 
 def soda_from_matrix(scores: Sequence[Sequence[float]]) -> tuple[float, float, float]:
     """Precision, recall, F1 of the optimal monotone alignment of ``scores``
     (one row per prediction)."""
-    return _soda_from_matrices([scores])[0]
+    n_p = len(scores)
+    n_g = len(scores[0]) if n_p else 0
+    if n_p == 0 or n_g == 0:
+        return 0.0, 0.0, 0.0
+    total = alignment_total(scores)
+    precision = total / n_p
+    recall = total / n_g
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return precision, recall, f1
 
 
-def _table(pred: PredictionRecipe, gt: GroundTruthRecipe, table: list[list[float]] | None):
-    """``table``, or the video's ``tiou_matrix`` when it is None."""
-    return tiou_matrix(pred.intervals, [s.interval for s in gt.steps]) if table is None else table
-
-
-def _walk(
+def _weighted(
     table: Sequence[Sequence[float]],
     candidates: Sequence[Sequence[str]],
     references: Sequence[Sequence[str]],
-    soda_metrics: list[SentenceMetric],
-    dvc_metrics: list[SentenceMetric],
-) -> tuple[list[list[list[float]]], list[float], list[list[float]]]:
-    """One pass over the tIoU ``table`` of ``candidates`` (one sentence per
-    row) against ``references`` (one per column).
+    metric: SentenceMetric,
+) -> list[list[float]]:
+    """SODA's pair scores over the tIoU ``table`` of ``candidates`` (one
+    sentence per row) against ``references`` (one per column), in new rows:
+    ``tiou * metric(candidate, reference)`` where tIoU > 0, else the tIoU.
+    An empty candidate scores 0.0 without a call."""
+    return [
+        [
+            value * (metric(cand, ref) if cand else 0.0) if value > 0.0 else value
+            for value, ref in zip(row, references)
+        ]
+        for row, cand in zip(table, candidates)
+    ]
 
-    Each of ``soda_metrics`` scores every pair with tIoU > 0 once, and each of
-    ``dvc_metrics`` every pair above the loosest threshold of
-    ``DVC_EVAL_THRESHOLDS``; an empty candidate scores 0.0 without a call.
-    Returns, per SODA metric, SODA's pair scores (``tiou * score`` where tIoU
-    > 0, else the tIoU), in new rows; then the tIoUs above the loosest
-    threshold in row order, and per metric (SODA's first) their scores.
-    """
+
+def _threshold_mean(
+    table: Sequence[Sequence[float]],
+    candidates: Sequence[Sequence[str]],
+    references: Sequence[Sequence[str]],
+    metric: SentenceMetric,
+) -> float:
+    """dvc_eval over the tIoU ``table`` of ``candidates`` against
+    ``references``: per threshold of ``DVC_EVAL_THRESHOLDS``, the mean of
+    ``metric`` over the pairs whose tIoU exceeds it (0 when none does), then
+    the mean over thresholds.  An empty candidate scores 0.0 without a call."""
     loosest = min(DVC_EVAL_THRESHOLDS)
-    weighted = [[] for _ in soda_metrics]
-    values: list[float] = []
-    columns = [[] for _ in (*soda_metrics, *dvc_metrics)]
-    for row, cand in zip(table, candidates):
-        new_rows = [list(row) for _ in soda_metrics]
-        for j, value in enumerate(row):
-            if value > 0.0:
-                ref = references[j]
-                scores = [metric(cand, ref) if cand else 0.0 for metric in soda_metrics]
-                for new, score in zip(new_rows, scores):
-                    new[j] = value * score
-                if value > loosest:
-                    values.append(value)
-                    scores += [metric(cand, ref) if cand else 0.0 for metric in dvc_metrics]
-                    for column, score in zip(columns, scores):
-                        column.append(score)
-        for rows, new in zip(weighted, new_rows):
-            rows.append(new)
-    return weighted, values, columns
-
-
-def _threshold_means(values: list[float], columns: list[list[float]]) -> list[float]:
-    """dvc_eval of each column of scores of the pairs whose tIoUs are
-    ``values``: per threshold of ``DVC_EVAL_THRESHOLDS``, the mean of the
-    scores whose tIoU exceeds it (0 when none does), then the mean over
-    thresholds."""
+    pairs = [
+        (value, metric(cand, ref) if cand else 0.0)
+        for row, cand in zip(table, candidates)
+        for value, ref in zip(row, references)
+        if value > loosest
+    ]
     # added in order on every Python (sum() compensates from 3.12 on); so added, the
     # four means are np.mean's bits, as np.add.reduce adds fewer than 8 values in order
-    totals = [0.0] * len(columns)
+    total = 0.0
     for t in DVC_EVAL_THRESHOLDS:
-        kept = [i for i, value in enumerate(values) if value > t]
-        for k, column in enumerate(columns):
-            subtotal = 0.0
-            for i in kept:
-                subtotal += column[i]
-            totals[k] += subtotal / len(kept) if kept else 0.0
-    return [total / len(DVC_EVAL_THRESHOLDS) for total in totals]
+        subtotal, kept = 0.0, 0
+        for value, score in pairs:
+            if value > t:
+                subtotal += score
+                kept += 1
+        total += subtotal / kept if kept else 0.0
+    return total / len(DVC_EVAL_THRESHOLDS)
 
 
 def soda(
-    pred: PredictionRecipe,
-    gt: GroundTruthRecipe,
-    metric: SentenceMetric | None = None,
-    table: list[list[float]] | None = None,
+    pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric | None = None
 ) -> tuple[float, float, float]:
-    """SODA for one video, over its tIoU table ``table`` (``tiou_matrix`` of
-    its intervals unless given).
+    """SODA for one video, over its ``tiou_matrix``.
 
-    Pair scores are ``tiou * metric(pred_sentence, gt_sentence)``, in new rows;
-    with ``metric=None`` the score is tIoU alone (the SODA-tIoU variant).
+    Pair scores are ``tiou * metric(pred_sentence, gt_sentence)``; with
+    ``metric=None`` the score is tIoU alone (the SODA-tIoU variant).
     """
-    table = _table(pred, gt, table)
+    table = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
     if metric is not None:
-        (table,), _, _ = _walk(table, pred.sentences, [s.sentence for s in gt.steps], [metric], [])
+        table = _weighted(table, pred.sentences, [s.sentence for s in gt.steps], metric)
     return soda_from_matrix(table)
 
 
-def dvc_eval(
-    pred: PredictionRecipe,
-    gt: GroundTruthRecipe,
-    metric: SentenceMetric,
-    table: list[list[float]] | None = None,
-) -> float:
+def dvc_eval(pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric) -> float:
     """dvc_eval score for one video: per threshold of ``DVC_EVAL_THRESHOLDS``,
     average the sentence metric over all prediction x ground-truth pairs whose
-    tIoU in ``table`` (``tiou_matrix`` of the intervals unless given) exceeds
-    it (0 when none qualifies), then average over thresholds."""
-    table = _table(pred, gt, table)
-    _, values, columns = _walk(table, pred.sentences, [s.sentence for s in gt.steps], [], [metric])
-    return _threshold_means(values, columns)[0]
+    tIoU exceeds it (0 when none qualifies), then average over thresholds."""
+    table = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
+    return _threshold_mean(table, pred.sentences, [s.sentence for s in gt.steps], metric)
 
 
 def event_count_stats(pairs: Sequence[tuple[int, int]]) -> dict[int, float]:
@@ -246,19 +205,16 @@ REPORT_METADATA = {
 
 
 class _Memo:
-    """``metric`` scoring each distinct (candidate, reference) pair once;
-    ``keyed`` takes the pair as its two token tuples, the memo key's parts."""
+    """``metric`` scoring each distinct (candidate, reference) pair once,
+    keyed by the pair's two token tuples."""
 
     def __init__(self, metric: SentenceMetric):
         self.metric = metric
         self.scores: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
 
-    def __call__(self, c: list[str], r: list[str]) -> float:
-        return self.keyed(tuple(c), tuple(r))
-
-    def keyed(self, c: tuple[str, ...], r: tuple[str, ...]) -> float:
-        if (score := self.scores.get(key := (c, r))) is None:
-            score = self.scores[key] = self.metric(c, r)
+    def __call__(self, c: Sequence[str], r: Sequence[str]) -> float:
+        if (score := self.scores.get(key := (tuple(c), tuple(r)))) is None:
+            score = self.scores[key] = self.metric(*key)
         return score
 
 
@@ -268,10 +224,8 @@ def sentence_metrics(df: CorpusDF) -> dict[str, _Memo]:
     remembers its scores for as long as the returned scorers live, and
     BLEU-4 and CIDEr-D share the sentence profiles that ``df`` keeps."""
     return {
-        "bleu4": _Memo(
-            lambda c, r: bleu4_from_profiles(df.profile(c), df.profile(r)) if c else 0.0
-        ),
-        "meteor": _Memo(lambda c, r: meteor_lite(c, r) if c else 0.0),
+        "bleu4": _Memo(lambda c, r: bleu4_from_profiles(df.profile(c), df.profile(r))),
+        "meteor": _Memo(meteor_lite),
         "cider_d": _Memo(lambda c, r: cider_d(c, r, df)),
     }
 
@@ -300,28 +254,19 @@ def score_video(
 ) -> dict[str, float]:
     """The ``VIDEO_SCORES`` of one video: dvc_eval with BLEU-4, METEOR and
     CIDEr-D, the scorers ``metrics`` of ``sentence_metrics``, and SODA F1 with
-    METEOR, with CIDEr-D and with tIoU alone, all from one pass over one tIoU
-    table, ``tiou_matrix`` of the video's intervals unless given; each
-    sentence is made a memo key once."""
-    table = _table(pred, gt, table)
-    (meteor_rows, cider_rows), values, columns = _walk(
-        table,
-        [tuple(sent) for sent in pred.sentences],
-        [tuple(step.sentence) for step in gt.steps],
-        [metrics["meteor"].keyed, metrics["cider_d"].keyed],
-        [metrics["bleu4"].keyed],
-    )
-    meteor, cider, bleu = _threshold_means(values, columns)
-    (*_, soda_meteor), (*_, soda_cider), (*_, soda_tiou) = _soda_from_matrices(
-        [meteor_rows, cider_rows, table]
-    )
+    METEOR, with CIDEr-D and with tIoU alone, over one tIoU table,
+    ``tiou_matrix`` of the video's intervals unless given."""
+    if table is None:
+        table = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
+    # tuples once per video, so each scorer's memo key copies nothing
+    video = table, [tuple(sent) for sent in pred.sentences], [tuple(step.sentence) for step in gt.steps]
     return {
-        "dvc_eval.bleu4": bleu,
-        "dvc_eval.meteor": meteor,
-        "dvc_eval.cider_d": cider,
-        "soda.meteor": soda_meteor,
-        "soda.cider_d": soda_cider,
-        "soda.tiou": soda_tiou,
+        "dvc_eval.bleu4": _threshold_mean(*video, metrics["bleu4"]),
+        "dvc_eval.meteor": _threshold_mean(*video, metrics["meteor"]),
+        "dvc_eval.cider_d": _threshold_mean(*video, metrics["cider_d"]),
+        "soda.meteor": soda_from_matrix(_weighted(*video, metrics["meteor"]))[2],
+        "soda.cider_d": soda_from_matrix(_weighted(*video, metrics["cider_d"]))[2],
+        "soda.tiou": soda_from_matrix(table)[2],
     }
 
 

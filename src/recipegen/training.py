@@ -320,11 +320,13 @@ def ablate(
     rows = []
     for cell_records in cells:
         digest = dataset_digest(cell_records)
+        # the budget no video exceeds, as oracle.oracle_report scores a dataset at
+        budget = max(len(r.candidates) for r in cell_records)
         for cell_exp in cell_exps:
             result = train(cell_records, cell_exp, quiet=quiet)
             row = {
                 "variant": cell_exp.variant,
-                "n_candidates": len(cell_records[0].candidates),
+                "n_candidates": budget,
                 "dataset_hash": digest,
                 "best_epoch": result.best_epoch,
             }

@@ -33,6 +33,7 @@ from recipegen.oracle import oracle_prediction
 from recipegen.textmetrics import (
     CIDER_SIGMA,
     MAX_NGRAM,
+    bleu4,
     build_df,
     cider_d,
     gaussian_length_penalty,
@@ -383,8 +384,9 @@ def counter_df(reference_sets):
 
 
 class TestOnePass:
-    """``score_video`` walks a video's tIoU table once; its rows equal the
-    public scorers', on sentences that differ from the references."""
+    """``score_video``'s rows, and the public ``dvc_eval`` and ``soda``, equal
+    the rules written out in the ``unmemoized_scores`` fixture, on sentences
+    that differ from the references."""
 
     GTS = [
         make_gt([(0, 10), (12, 20), (25, 40)],
@@ -434,6 +436,13 @@ class TestOnePass:
         df = reference_df(self.GTS)
         assert ("whisk",) not in df.df[1]  # scored with the default IDF
         want = unmemoized_scores(self.PREDS, self.GTS)
+        fresh = {"bleu4": bleu4, "meteor": meteor_lite, "cider_d": lambda c, r: cider_d(c, r, df)}
+        public = [
+            {**{f"dvc_eval.{name}": dvc_eval(p, g, fresh[name]) for name in ("bleu4", "meteor", "cider_d")},
+             **{f"soda.{name}": soda(p, g, fresh.get(name))[2] for name in ("meteor", "cider_d", "tiou")}}
+            for p, g in zip(self.PREDS, self.GTS)
+        ]
+        assert public == want
         metrics = sentence_metrics(df)
         for _ in range(2):  # scored, then from memory
             rows = [score_video(p, g, metrics) for p, g in zip(self.PREDS, self.GTS)]

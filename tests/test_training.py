@@ -3,6 +3,7 @@ import json
 import os
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -369,6 +370,18 @@ class TestAblate:
         assert [row["variant"] for row in rows] == ["B", "BI"]
         assert {row["dataset_hash"] for row in rows} == {training.dataset_digest(RECORDS)}
         assert {row["n_candidates"] for row in rows} == {str(len(RECORDS[0].candidates))}
+
+    def test_dataset_cells_report_the_largest_candidate_count(self, monkeypatch):
+        # a dataset whose first video has fewer candidates than the second
+        world = WorldConfig(num_videos=2, seed=3, steps_range=(2, 4))
+        six = generate_world(replace(world, n_candidates=6))
+        ten = generate_world(replace(world, n_candidates=10))
+        records = [six[0], ten[1]]
+        assert [len(r.candidates) for r in records] == [6, 10]
+        result = SimpleNamespace(best_epoch=1, val_report={"metrics": {}})
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: result)
+        rows = training.ablate(tiny_experiment(), ["B", "BI"], records=records)
+        assert [(row["variant"], row["n_candidates"]) for row in rows] == [("B", 10), ("BI", 10)]
 
     def test_dataset_and_budget_list_together_rejected(self):
         with pytest.raises(ValueError, match="a dataset or a candidate-count list, not both"):
