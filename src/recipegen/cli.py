@@ -132,7 +132,7 @@ def _check_predictions(preds, records) -> None:
     for pred in (p for p in preds if p.video_id in events_of):
         events = events_of[pred.video_id]
         for pos, (index, interval) in enumerate(zip(pred.selections, pred.intervals)):
-            where = f"{pred.video_id}: result {pos}"
+            where = f"{pred.video_id}: results[{pos}]"
             if not 0 <= index < len(events):
                 raise ValidationError(f"{where}: index {index} outside 0..{len(events) - 1}")
             for field in ("start", "end"):

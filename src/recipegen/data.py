@@ -440,10 +440,11 @@ def load_predictions(path) -> list[PredictionRecipe]:
     for pos, obj in enumerate(raw):
         vid = _field(obj, "video_id", str, f"{path}: prediction {pos}")
         selections, sentences, intervals = [], [], []
-        for res in _field(obj, "results", list, vid):
-            selections.append(_field(res, "index", int, vid))
-            sentences.append(tokenize(_field(res, "sentence", str, vid)))
-            intervals.append(_interval(res, vid))
+        for j, res in enumerate(_field(obj, "results", list, vid)):
+            at = f"{vid}: results[{j}]"
+            selections.append(_field(res, "index", int, at))
+            sentences.append(tokenize(_field(res, "sentence", str, at)))
+            intervals.append(_interval(res, at))
         preds.append(PredictionRecipe(vid, selections, sentences, intervals))
     _check_unique(path, preds)
     preds.sort(key=lambda p: p.video_id)

@@ -21,8 +21,7 @@ prediction and one entry per ground-truth step, each with the bits of scalar
 ``oracle.oracle_report`` and ``oracle.oracle_sweep`` built for the oracle's
 ranking, and runs one rule per score over it, one metric at a time:
 ``_threshold_mean`` for dvc_eval, and ``_weighted`` (SODA's pair scores)
-then ``soda_from_matrix`` for SODA.  ``dvc_eval`` and ``soda`` build the
-table and run the same rules, and neither rule calls a metric on an empty
+then ``soda_from_matrix`` for SODA.  Neither rule calls a metric on an empty
 candidate, which scores 0.0.
 
 Each quantity is computed once per report: the report's ``CorpusDF`` holds
@@ -157,28 +156,6 @@ def _threshold_mean(
                 kept += 1
         total += subtotal / kept if kept else 0.0
     return total / len(DVC_EVAL_THRESHOLDS)
-
-
-def soda(
-    pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric | None = None
-) -> tuple[float, float, float]:
-    """SODA for one video, over its ``tiou_matrix``.
-
-    Pair scores are ``tiou * metric(pred_sentence, gt_sentence)``; with
-    ``metric=None`` the score is tIoU alone (the SODA-tIoU variant).
-    """
-    table = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
-    if metric is not None:
-        table = _weighted(table, pred.sentences, [s.sentence for s in gt.steps], metric)
-    return soda_from_matrix(table)
-
-
-def dvc_eval(pred: PredictionRecipe, gt: GroundTruthRecipe, metric: SentenceMetric) -> float:
-    """dvc_eval score for one video: per threshold of ``DVC_EVAL_THRESHOLDS``,
-    average the sentence metric over all prediction x ground-truth pairs whose
-    tIoU exceeds it (0 when none qualifies), then average over thresholds."""
-    table = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
-    return _threshold_mean(table, pred.sentences, [s.sentence for s in gt.steps], metric)
 
 
 def event_count_stats(pairs: Sequence[tuple[int, int]]) -> dict[int, float]:

@@ -67,6 +67,8 @@ from .autodiff import (
 from .data import (
     BOS,
     EOS,
+    MAX_SENTENCE_LEN,
+    MAX_STEPS,
     PAD,
     DatasetRecord,
     EventCandidateSet,
@@ -131,8 +133,8 @@ class ModelConfig:
     layers: int = 2
     heads: int = 4
     feature_dim: int = 32
-    max_steps: int = 12
-    max_sentence_len: int = 20
+    max_steps: int = MAX_STEPS
+    max_sentence_len: int = MAX_SENTENCE_LEN
     variant: str = "B"
     tau: float = 1.0  # Gumbel-softmax temperature of the training selection
     # fixed, see FIXED_FIELDS
@@ -148,6 +150,8 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("hidden", "layers", "heads", "feature_dim", "max_steps"):
             check_int(f"model.{name}", getattr(self, name), 1)
+        if self.hidden % self.heads:
+            raise ValueError(f"model.heads {self.heads} must divide model.hidden {self.hidden}")
         check_int("model.max_sentence_len", self.max_sentence_len, 1, POSITIONS - 1)
         check_number("model.tau", self.tau, 0.0)
         if self.tau == 0:

@@ -150,10 +150,10 @@ def _oracle_rows(
 
     One set of memoized sentence scorers serves every budget, as each keeps
     the same ground truth, and ``parallel.in_halves`` splits the videos once.
-    Each video's tIoU table, ranking and candidate permutation are made once:
-    a budget's oracle takes each step's first ranked candidate that the budget
-    keeps, as ``oracle_select`` on ``subset_candidates`` would, since the kept
-    indices stay in order.  A row is scored over the picks' table rows."""
+    Each video's tIoU table, ranking and ``_stable_permutation`` are made once.
+    Budget n keeps the permutation's first n indices, so budgets nest, and its
+    oracle takes each step's first ranked candidate that it keeps, which is
+    ``oracle_select`` over the kept candidates.  A row scores the picks' rows."""
     metrics = sentence_metrics(reference_df(records))
 
     def score(half):
@@ -198,33 +198,6 @@ def _kept(record: DatasetRecord, budgets: list[int], seed: int) -> list[list[int
     cut = any(n < total for n in budgets)
     perm = _stable_permutation(record.video_id, total, seed) if cut else None
     return [sorted(perm[:n].tolist()) if n < total else None for n in budgets]
-
-
-def subset_candidates(record: DatasetRecord, n: int, seed: int = 0) -> DatasetRecord:
-    """Deterministic candidate subset of size ``n``.
-
-    Subsets are nested: for the same seed, the size-m subset is contained in
-    the size-n subset whenever m <= n, which makes candidate-count sweeps
-    monotone by construction.
-    """
-    check_int("candidate budget", n, 1)
-    [chosen] = _kept(record, [n], seed)
-    if chosen is None:
-        return record
-    events = [record.candidates.events[i] for i in chosen]
-    feats = record.candidates.features[chosen]
-    sents = (
-        [record.candidates.sentences[i] for i in chosen]
-        if record.candidates.sentences is not None
-        else None
-    )
-    return DatasetRecord(
-        video_id=record.video_id,
-        duration=record.duration,
-        candidates=EventCandidateSet(events, feats, sentences=sents),
-        steps=record.steps,
-        ingredients=record.ingredients,
-    )
 
 
 def oracle_sweep(records: list[DatasetRecord], n_list: list[int], seed: int = 0) -> dict:

@@ -3,7 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from recipegen.dvceval import DVC_EVAL_THRESHOLDS, reference_df, soda_from_matrix, tiou
+from recipegen.dvceval import (
+    DVC_EVAL_THRESHOLDS,
+    reference_df,
+    score_video,
+    soda_from_matrix,
+    tiou,
+    tiou_matrix,
+)
 from recipegen.synth import WorldConfig, generate_world
 from recipegen.textmetrics import bleu4, cider_d, meteor_lite
 
@@ -15,6 +22,19 @@ def repeated_world():
     records = generate_world(WorldConfig(num_videos=8, seed=5))
     copies = [replace(copy.deepcopy(r), video_id=f"{r.video_id}_again") for r in records[:3]]
     return records + copies
+
+
+@pytest.fixture
+def one_metric_scores():
+    """``score_video`` of one video over its ``tiou_matrix``, with one sentence
+    metric under all three scorer names: every ``dvc_eval.*`` score is the
+    metric's threshold mean, and ``soda.meteor`` and ``soda.cider_d`` its SODA F1."""
+
+    def score(pred, gt, metric):
+        table = tiou_matrix(pred.intervals, [step.interval for step in gt.steps])
+        return score_video(pred, gt, dict.fromkeys(("bleu4", "meteor", "cider_d"), metric), table)
+
+    return score
 
 
 @pytest.fixture

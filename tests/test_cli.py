@@ -152,6 +152,10 @@ def _result(**fields):
         ([{"video_id": "video_0000", "results": [_result(start=None)]}], ["video_0000", "start"]),
         ([{"video_id": "video_0000", "results": [_result(end="9")]}], ["video_0000", "end"]),
         ([{"video_id": "video_0000", "results": []}] * 2, ["duplicate", "video_0000"]),
+        ([{"video_id": "video_0000", "results": [_result(), _result(index="1")]}],
+         ["video_0000: results[1]: missing or mistyped field 'index'"]),
+        ([{"video_id": "video_0000", "results": [_result(), _result(start=2.0, end=1.0)]}],
+         ["video_0000: results[1]: invalid interval [2.0, 1.0]"]),
     ],
 )
 def test_malformed_predictions_exit_validation(tmp_path, capsys, predictions, names):
@@ -192,7 +196,7 @@ def test_evaluate_rejects_results_off_the_candidates(tmp_path, capsys, field):
     capsys.readouterr()
     assert _evaluate(tmp_path, pred_path, dataset) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    for name in ("video_0001", "result 2", field):
+    for name in ("video_0001: results[2]", field):
         assert name in err
 
 
@@ -471,10 +475,11 @@ def test_synth_rejects_action_without_participle(tmp_path, capsys):
         ({"world": {"num_videos": 3}, "val_fraction": 0.996}, "val_fraction"),
         ({"world": {"num_videos": 3, "duration_range": [120.0, 10**400]}}, "world.duration_range"),
         ({"world": {"num_videos": 3}, "model": {"tau": 10**400}}, "model.tau"),
+        ({"world": {"num_videos": 3}, "model": {"heads": 3}}, "model.heads 3 must divide model.hidden 64"),
     ],
     ids=["num-videos-string", "no-videos", "no-features", "noise-string", "no-actions", "preset-list",
          "lr-string", "warmup-string", "val-fraction-0.004", "val-fraction-0.996",
-         "duration-huge-int", "tau-huge-int"],
+         "duration-huge-int", "tau-huge-int", "heads-not-dividing-hidden"],
 )
 def test_synth_rejects_bad_setting_naming_it(tmp_path, capsys, experiment, field):
     config = tmp_path / "experiment.json"

@@ -18,13 +18,11 @@ from recipegen.dvceval import (
     DVC_EVAL_THRESHOLDS,
     VIDEO_SCORES,
     alignment_total,
-    dvc_eval,
     evaluate_corpus,
     event_count_stats,
     reference_df,
     score_video,
     sentence_metrics,
-    soda,
     soda_from_matrix,
     tiou,
     tiou_matrix,
@@ -33,7 +31,6 @@ from recipegen.oracle import oracle_prediction
 from recipegen.textmetrics import (
     CIDER_SIGMA,
     MAX_NGRAM,
-    bleu4,
     build_df,
     cider_d,
     gaussian_length_penalty,
@@ -149,52 +146,57 @@ class TestDpAlignment:
 
 
 class TestSoda:
-    def test_perfect_prediction_equals_metric_identity(self):
+    def test_perfect_prediction_equals_metric_identity(self, one_metric_scores):
         sentences = [["stir", "the", "eggs"], ["heat", "the", "pan", "now"]]
         gt = make_gt([(0, 10), (20, 30)], sentences)
         pred = make_pred([(0, 10), (20, 30)], sentences)
-        _, _, f1 = soda(pred, gt, meteor_lite)
+        f1 = one_metric_scores(pred, gt, meteor_lite)["soda.meteor"]
         identity = np.mean([meteor_lite(s, s) for s in sentences])
         assert f1 == pytest.approx(identity)
 
-    def test_tiou_only_perfect_is_one(self):
+    def test_tiou_only_perfect_is_one(self, one_metric_scores):
         gt = make_gt([(0, 10), (20, 30)], [["a"], ["b"]])
         pred = make_pred([(0, 10), (20, 30)], [["a"], ["b"]])
-        assert soda(pred, gt, None) == (1.0, 1.0, 1.0)
+        table = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
+        assert soda_from_matrix(table) == (1.0, 1.0, 1.0)
+        assert one_metric_scores(pred, gt, meteor_lite)["soda.tiou"] == 1.0
 
-    def test_empty_prediction_zero(self):
+    def test_empty_prediction_zero(self, one_metric_scores):
         gt = make_gt([(0, 10)], [["a"]])
         pred = PredictionRecipe("v", [], [], [])
-        assert soda(pred, gt, None) == (0.0, 0.0, 0.0)
+        table = tiou_matrix(pred.intervals, [s.interval for s in gt.steps])
+        assert soda_from_matrix(table) == (0.0, 0.0, 0.0)
+        assert one_metric_scores(pred, gt, meteor_lite)["soda.tiou"] == 0.0
 
-    def test_worse_than_perfect(self):
+    def test_worse_than_perfect(self, one_metric_scores):
         gt = make_gt([(0, 10), (20, 30), (40, 55)], [["a"], ["b"], ["c"]])
         perfect = make_pred([(0, 10), (20, 30), (40, 55)], [["a"], ["b"], ["c"]])
         rng = np.random.default_rng(5)
-        _, _, best = soda(perfect, gt, meteor_lite)
+        best = one_metric_scores(perfect, gt, meteor_lite)["soda.meteor"]
         for _ in range(20):
             k = int(rng.integers(1, 4))
             ivs = sorted(rng.uniform(0, 50, size=(k,)))
             pred = make_pred(
                 [(s, s + 5) for s in ivs], [[ "a" ]] * k
             )
-            assert soda(pred, gt, meteor_lite)[2] <= best + 1e-12
+            assert one_metric_scores(pred, gt, meteor_lite)["soda.meteor"] <= best + 1e-12
 
 
 class TestDvcEval:
-    def test_identity_prediction_scores_metric_identity(self):
+    def test_identity_prediction_scores_metric_identity(self, one_metric_scores):
         sentences = [["stir", "the", "eggs"], ["heat", "the", "pan"]]
         gt = make_gt([(0, 10), (20, 30)], sentences)
         pred = make_pred([(0, 10), (20, 30)], sentences)
         # non-overlapping events: only the diagonal qualifies at every theta
-        assert dvc_eval(pred, gt, lambda c, r: 1.0 if c == r else 0.0) == 1.0
+        scores = one_metric_scores(pred, gt, lambda c, r: 1.0 if c == r else 0.0)
+        assert scores["dvc_eval.meteor"] == 1.0
 
-    def test_no_qualifying_pair_is_zero(self):
+    def test_no_qualifying_pair_is_zero(self, one_metric_scores):
         gt = make_gt([(0, 10)], [["a"]])
         pred = make_pred([(50, 60)], [["a"]])
-        assert dvc_eval(pred, gt, meteor_lite) == 0.0
+        assert one_metric_scores(pred, gt, meteor_lite)["dvc_eval.meteor"] == 0.0
 
-    def test_hand_enumerated_thresholds(self):
+    def test_hand_enumerated_thresholds(self, one_metric_scores):
         # gt1 = [0,10] "a", gt2 = [20,30] "b"
         # p1 = [0,6]   -> tiou(gt1) = 0.6, disjoint from gt2, sentence "a"
         # p2 = [20,29] -> tiou(gt2) = 0.9, disjoint from gt1, sentence "b"
@@ -211,9 +213,9 @@ class TestDvcEval:
         assert table[1][1] == pytest.approx(0.9)
         assert table[2][0] == pytest.approx(0.25)
         expected = (0.5 + 0.5 + 0.5 + 0.0) / 4
-        assert dvc_eval(pred, gt, meteor_lite) == pytest.approx(expected)
+        assert one_metric_scores(pred, gt, meteor_lite)["dvc_eval.meteor"] == pytest.approx(expected)
 
-    def test_threshold_averaging_never_beats_single_loosest(self):
+    def test_threshold_averaging_never_beats_single_loosest(self, one_metric_scores):
         # every pair here scores the same, so the mean over the qualifying
         # pairs is that score at each threshold that keeps any pair, and the
         # average over thresholds is at most the loosest threshold's score
@@ -225,13 +227,13 @@ class TestDvcEval:
             starts = rng.uniform(0, 50, size=k)
             pred = make_pred([(s, s + 8) for s in sorted(starts)], [["a"]] * k)
             values = [v for row in tiou_matrix(pred.intervals, [s.interval for s in gt.steps]) for v in row]
-            averaged = dvc_eval(pred, gt, meteor_lite)
+            averaged = one_metric_scores(pred, gt, meteor_lite)["dvc_eval.meteor"]
             loosest = meteor_lite(["a"], ["a"]) if max(values) > 0.3 else 0.0
             assert averaged <= loosest + 1e-12
             kept = [max(values) > t for t in DVC_EVAL_THRESHOLDS]
             assert averaged == pytest.approx(loosest * sum(kept) / len(kept))
 
-    def test_threshold_mean_is_np_mean_bit_for_bit(self):
+    def test_threshold_mean_is_np_mean_bit_for_bit(self, one_metric_scores):
         # dvc_eval adds its four per-threshold means in order, which np.mean
         # does below 8 values; checked on arbitrary floats and against the
         # per-threshold means of scalar tiou and np.mean
@@ -263,10 +265,10 @@ class TestDvcEval:
                 for score in qualifying:  # in order, as dvc_eval adds them
                     total += score
                 per_threshold.append(total / len(qualifying) if qualifying else 0.0)
-            assert dvc_eval(pred, gt, metric) == float(np.mean(per_threshold))
+            assert one_metric_scores(pred, gt, metric)["dvc_eval.meteor"] == float(np.mean(per_threshold))
 
 
-    def test_qualifying_scores_add_in_order(self, monkeypatch):
+    def test_qualifying_scores_add_in_order(self, monkeypatch, one_metric_scores):
         # these six scores sum to 5.9724786740092854 in order and to
         # 5.972478674009286 compensated, as sum() adds floats on Python >= 3.12;
         # the module's sum() is made compensating here, so this Python checks it too
@@ -278,7 +280,8 @@ class TestDvcEval:
         gt = make_gt([(0, 10)], [["a"]])
         pred = make_pred([(0, 10)] * len(scores), [[str(i)] for i in range(len(scores))])
         mean = 5.9724786740092854 / len(scores)
-        assert dvc_eval(pred, gt, lambda c, r: scores[int(c[0])]) == (mean + mean + mean + mean) / 4
+        averaged = one_metric_scores(pred, gt, lambda c, r: scores[int(c[0])])["dvc_eval.meteor"]
+        assert averaged == (mean + mean + mean + mean) / 4
 
 
 class TestEventCountStats:
@@ -384,9 +387,9 @@ def counter_df(reference_sets):
 
 
 class TestOnePass:
-    """``score_video``'s rows, and the public ``dvc_eval`` and ``soda``, equal
-    the rules written out in the ``unmemoized_scores`` fixture, on sentences
-    that differ from the references."""
+    """``score_video``'s rows, and ``evaluate_corpus``'s, equal the rules
+    written out in the ``unmemoized_scores`` fixture, on sentences that differ
+    from the references."""
 
     GTS = [
         make_gt([(0, 10), (12, 20), (25, 40)],
@@ -436,13 +439,6 @@ class TestOnePass:
         df = reference_df(self.GTS)
         assert ("whisk",) not in df.df[1]  # scored with the default IDF
         want = unmemoized_scores(self.PREDS, self.GTS)
-        fresh = {"bleu4": bleu4, "meteor": meteor_lite, "cider_d": lambda c, r: cider_d(c, r, df)}
-        public = [
-            {**{f"dvc_eval.{name}": dvc_eval(p, g, fresh[name]) for name in ("bleu4", "meteor", "cider_d")},
-             **{f"soda.{name}": soda(p, g, fresh.get(name))[2] for name in ("meteor", "cider_d", "tiou")}}
-            for p, g in zip(self.PREDS, self.GTS)
-        ]
-        assert public == want
         metrics = sentence_metrics(df)
         for _ in range(2):  # scored, then from memory
             rows = [score_video(p, g, metrics) for p, g in zip(self.PREDS, self.GTS)]

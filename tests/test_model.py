@@ -90,6 +90,7 @@ class TestConfig:
             ({"tau_anneal": "no"}, "model.tau_anneal"),
             ({"no_reselection": 0}, "model.no_reselection"),
             ({"max_sentence_len": 512}, "model.max_sentence_len"),  # past the position table
+            ({"heads": 3}, "model.heads"),  # does not divide the hidden width 64
         ],
     )
     def test_scalar_field_type_and_range(self, overrides, field):
